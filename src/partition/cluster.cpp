@@ -109,10 +109,30 @@ cluster_taskgraph(const TaskGraph &g, const MachineConfig &machine,
         visited++;
         const TGNode &nd = g.nodes()[v];
 
+        // One pass over the preds finds the two latest cross-cluster
+        // arrivals (finish + comm) from distinct clusters.  Joining
+        // pred cluster pc waits for pc to be free and for the latest
+        // arrival from any other cluster.  pc's own preds arrive
+        // without comm and never later than cluster_free[pc]: a
+        // cluster's free time is the finish of its latest member and
+        // only grows.
+        int64_t top = 0, second = 0; // 0: no arrival
+        int top_cluster = -1;
+        for (int p : g.preds(v)) {
+            const int pc = c.cluster_of[p];
+            const int64_t arrive = finish[p] + comm;
+            if (pc == top_cluster) {
+                top = std::max(top, arrive);
+            } else if (arrive > top) {
+                second = top;
+                top = arrive;
+                top_cluster = pc;
+            } else {
+                second = std::max(second, arrive);
+            }
+        }
         // Start time if v opens its own cluster.
-        int64_t t_alone = 0;
-        for (int p : g.preds(v))
-            t_alone = std::max(t_alone, finish[p] + comm);
+        const int64_t t_alone = top;
 
         int best_cluster = -1;
         int64_t best_t = t_alone;
@@ -122,14 +142,9 @@ cluster_taskgraph(const TaskGraph &g, const MachineConfig &machine,
             if (nd.pin >= 0 && cluster_pin[pc] >= 0 &&
                 cluster_pin[pc] != nd.pin)
                 continue;
-            int64_t t = cluster_free[pc];
-            for (int q : g.preds(v)) {
-                int64_t arrive =
-                    finish[q] + (c.cluster_of[q] == pc ? 0 : comm);
-                t = std::max(t, arrive);
-            }
-            if (t < best_t || (t == best_t && best_cluster < 0 &&
-                               t < t_alone)) {
+            const int64_t t = std::max(
+                cluster_free[pc], pc == top_cluster ? second : top);
+            if (t < best_t) {
                 best_t = t;
                 best_cluster = pc;
             }
@@ -137,8 +152,7 @@ cluster_taskgraph(const TaskGraph &g, const MachineConfig &machine,
 
         int cl = best_cluster;
         if (cl < 0) {
-            cl = new_cluster(nd.pin);
-            best_t = t_alone;
+            cl = new_cluster(nd.pin); // best_t is t_alone
         } else if (nd.pin >= 0 && cluster_pin[cl] < 0) {
             cluster_pin[cl] = nd.pin;
         }

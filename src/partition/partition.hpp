@@ -126,15 +126,77 @@ int64_t placement_assignment_cost(
     const MachineConfig &machine);
 
 /**
- * Cost change from swapping the tiles of partitions @p i and @p j,
- * in O(n) instead of the O(n²) full recompute: only terms involving
- * i or j change, and the w[i][j] term is invariant because mesh
- * distance is symmetric.
+ * Feedback-aware placement cost (profile-guided placement): each
+ * word between partitions a and b pays kPlaceDistUnit per hop plus
+ * both endpoint tiles' comm_penalty, and each partition pays
+ * `cost_of[p] / kPlacePenaltyMax` times its tile's proc_penalty.
+ * O(n²); the reference the incremental table is checked against.
  */
-int64_t placement_swap_delta(
+int64_t placement_feedback_cost(
     const std::vector<std::vector<int>> &w,
     const std::vector<int> &tile_of_partition,
-    const MachineConfig &machine, int i, int j);
+    const MachineConfig &machine, const PlacementFeedback &fb,
+    const std::vector<int64_t> &cost_of);
+
+/**
+ * Incremental placement cost model behind greedy-swap and anneal.
+ *
+ * Holds the mesh distance table D[t][u], each partition's traffic
+ * neighbours with their row sum, and the cost table
+ * C[p][t] = Σₖ w[p][k]·D[t][tile(k)] — what partition p would pay in
+ * hops if it sat on tile t.  A swap of partitions i and j then costs
+ * O(1) to evaluate, since only terms touching i or j change:
+ *
+ *   Δ = C[i][tj] − C[i][ti] + C[j][ti] − C[j][tj] + 2·w[i][j]·D[ti][tj]
+ *
+ * (the last term restores the i–j pair, whose distance is invariant
+ * but which both C differences subtract once).  With feedback the
+ * hop delta is scaled by kPlaceDistUnit and the penalty terms use
+ * the row sums.  Accepting a swap rewrites only the C rows of
+ * partitions with traffic to i or j: O(deg·n).  Deltas are exact
+ * integers, equal to the difference of two full recomputes
+ * (placement_assignment_cost, or placement_feedback_cost when
+ * feedback is given).  @p w must be symmetric; its diagonal is
+ * ignored.
+ */
+class PlacementCostTable
+{
+  public:
+    /**
+     * Build the tables for @p tile_of_partition (one tile per
+     * partition) in O(tiles² + Σ deg·tiles).  @p cost_of is each
+     * partition's compute cost; it and @p fb only matter when @p fb
+     * is non-empty.  @p w must outlive the table.
+     */
+    PlacementCostTable(const std::vector<std::vector<int>> &w,
+                       std::vector<int> tile_of_partition,
+                       const MachineConfig &machine,
+                       const PlacementFeedback &fb,
+                       const std::vector<int64_t> &cost_of);
+
+    /** Cost change if partitions @p i and @p j swapped tiles; O(1). */
+    int64_t swap_delta(int i, int j) const;
+    /** Swap the tiles of @p i and @p j; O(deg·tiles). */
+    void apply_swap(int i, int j);
+
+    const std::vector<int> &tile_of() const { return tile_of_; }
+
+  private:
+    int dist(int t, int u) const { return dist_[t * n_tiles_ + u]; }
+    int64_t *c_row(int p) { return &c_[p * n_tiles_]; }
+    const int64_t *c_row(int p) const { return &c_[p * n_tiles_]; }
+
+    const std::vector<std::vector<int>> &w_;
+    const int n_tiles_;
+    const bool use_fb_;
+    std::vector<int> tile_of_;
+    std::vector<int> dist_;              ///< D, tiles × tiles
+    std::vector<int64_t> c_;             ///< C, partitions × tiles
+    std::vector<std::vector<int>> nbr_;  ///< k ≠ p with w[p][k] ≠ 0
+    std::vector<int64_t> rowsum_;        ///< Σ w[p][k] over k ≠ p
+    std::vector<int64_t> pen_c_, pen_p_; ///< per-tile penalties
+    std::vector<int64_t> comp_;          ///< cost_of / kPlacePenaltyMax
+};
 
 /** Phase 1: cluster @p g (uniform-latency model). */
 Clustering cluster_taskgraph(const TaskGraph &g,

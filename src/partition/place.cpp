@@ -112,6 +112,13 @@ critical_traffic_matrix(const TaskGraph &g, const Clustering &merged,
     return w;
 }
 
+/** Per-tile penalty @p t of a feedback vector; 0 past its end. */
+int64_t
+penalty(const std::vector<int64_t> &v, int t)
+{
+    return t < static_cast<int>(v.size()) ? v[t] : 0;
+}
+
 } // namespace
 
 int64_t
@@ -130,28 +137,118 @@ placement_assignment_cost(const std::vector<std::vector<int>> &w,
 }
 
 int64_t
-placement_swap_delta(const std::vector<std::vector<int>> &w,
-                     const std::vector<int> &tile_of_partition,
-                     const MachineConfig &machine, int i, int j)
+placement_feedback_cost(const std::vector<std::vector<int>> &w,
+                        const std::vector<int> &tile_of_partition,
+                        const MachineConfig &machine,
+                        const PlacementFeedback &fb,
+                        const std::vector<int64_t> &cost_of)
 {
+    int64_t cost = 0;
     const int n = static_cast<int>(tile_of_partition.size());
-    const int ti = tile_of_partition[i];
-    const int tj = tile_of_partition[j];
-    int64_t delta = 0;
-    for (int k = 0; k < n; k++) {
-        if (k == i || k == j)
-            continue;
-        const int tk = tile_of_partition[k];
-        if (w[i][k])
-            delta += static_cast<int64_t>(w[i][k]) *
-                     (machine.distance(tj, tk) -
-                      machine.distance(ti, tk));
-        if (w[j][k])
-            delta += static_cast<int64_t>(w[j][k]) *
-                     (machine.distance(ti, tk) -
-                      machine.distance(tj, tk));
+    for (int a = 0; a < n; a++) {
+        const int ta = tile_of_partition[a];
+        for (int b = a + 1; b < n; b++) {
+            const int tb = tile_of_partition[b];
+            if (w[a][b])
+                cost += static_cast<int64_t>(w[a][b]) *
+                        (kPlaceDistUnit * machine.distance(ta, tb) +
+                         penalty(fb.comm_penalty, ta) +
+                         penalty(fb.comm_penalty, tb));
+        }
+        cost += cost_of[a] / kPlacePenaltyMax *
+                penalty(fb.proc_penalty, ta);
     }
-    return delta;
+    return cost;
+}
+
+PlacementCostTable::PlacementCostTable(
+    const std::vector<std::vector<int>> &w,
+    std::vector<int> tile_of_partition, const MachineConfig &machine,
+    const PlacementFeedback &fb, const std::vector<int64_t> &cost_of)
+    : w_(w), n_tiles_(machine.n_tiles), use_fb_(!fb.empty()),
+      tile_of_(std::move(tile_of_partition))
+{
+    const int n = static_cast<int>(tile_of_.size());
+    const int nt = n_tiles_;
+    dist_.resize(static_cast<size_t>(nt) * nt);
+    for (int t = 0; t < nt; t++)
+        for (int u = 0; u < nt; u++)
+            dist_[t * nt + u] = machine.distance(t, u);
+
+    nbr_.assign(n, {});
+    rowsum_.assign(n, 0);
+    c_.assign(static_cast<size_t>(n) * nt, 0);
+    for (int p = 0; p < n; p++) {
+        int64_t *row = c_row(p);
+        for (int k = 0; k < n; k++) {
+            if (k == p || !w[p][k])
+                continue;
+            nbr_[p].push_back(k);
+            rowsum_[p] += w[p][k];
+            // Mesh distance is symmetric: D[t][tile(k)] is row tile(k).
+            const int *dk = &dist_[tile_of_[k] * nt];
+            for (int t = 0; t < nt; t++)
+                row[t] += static_cast<int64_t>(w[p][k]) * dk[t];
+        }
+    }
+
+    if (use_fb_) {
+        pen_c_.resize(nt);
+        pen_p_.resize(nt);
+        for (int t = 0; t < nt; t++) {
+            pen_c_[t] = penalty(fb.comm_penalty, t);
+            pen_p_[t] = penalty(fb.proc_penalty, t);
+        }
+        // Pre-scaled per-partition compute weight keeps the swap
+        // delta linear (integer division inside it would not be).
+        comp_.resize(n);
+        for (int p = 0; p < n; p++)
+            comp_[p] = cost_of[p] / kPlacePenaltyMax;
+    }
+}
+
+int64_t
+PlacementCostTable::swap_delta(int i, int j) const
+{
+    const int ti = tile_of_[i];
+    const int tj = tile_of_[j];
+    const int64_t *ci = c_row(i);
+    const int64_t *cj = c_row(j);
+    const int64_t wij = w_[i][j];
+    int64_t d = ci[tj] - ci[ti] + cj[ti] - cj[tj] +
+                2 * wij * dist(ti, tj);
+    if (!use_fb_)
+        return d;
+    // Every pair but (i, j) swaps one endpoint's comm penalty: i's
+    // other traffic is rowsum[i] − w[i][j], j's is rowsum[j] − w[i][j].
+    // The (i, j) pair pays both tiles' penalties before and after.
+    return kPlaceDistUnit * d +
+           (pen_c_[tj] - pen_c_[ti]) *
+               ((rowsum_[i] - wij) - (rowsum_[j] - wij)) +
+           (pen_p_[tj] - pen_p_[ti]) * (comp_[i] - comp_[j]);
+}
+
+void
+PlacementCostTable::apply_swap(int i, int j)
+{
+    const int nt = n_tiles_;
+    const int *di = &dist_[tile_of_[i] * nt];
+    const int *dj = &dist_[tile_of_[j] * nt];
+    // i moves to j's tile: each traffic neighbour p of i now pays
+    // w[p][i]·(D[t][tj] − D[t][ti]) more on every tile t; j the reverse.
+    for (int p : nbr_[i]) {
+        const int64_t wpi = w_[p][i];
+        int64_t *row = c_row(p);
+        for (int t = 0; t < nt; t++)
+            row[t] += wpi * (dj[t] - di[t]);
+    }
+    for (int p : nbr_[j]) {
+        const int64_t wpj = w_[p][j];
+        int64_t *row = c_row(p);
+        for (int t = 0; t < nt; t++)
+            row[t] += wpj * (di[t] - dj[t]);
+    }
+    std::swap(tile_of_[i], tile_of_[j]);
 }
 
 Partition
@@ -191,110 +288,54 @@ place_partitions(const TaskGraph &g, const Clustering &merged,
                                       opts.crit_weight)
             : traffic_matrix(g, merged, n_tiles);
 
-    // Profile-guided placement: fold per-tile congestion penalties
-    // into the cost model.  Without feedback the original pure-
-    // distance functions run unchanged (identical costs, identical
-    // anneal accept stream), so a non-PGO build is bit-identical.
+    // Profile-guided placement: with feedback the cost model folds
+    // in per-tile congestion penalties.  Without it the table carries
+    // pure hop distances (identical costs, identical anneal accept
+    // stream), so a non-PGO build is bit-identical.
     const PlacementFeedback &fb = opts.feedback;
     const bool use_fb = !fb.empty();
-    auto pen_c = [&](int t) -> int64_t {
-        return t < static_cast<int>(fb.comm_penalty.size())
-                   ? fb.comm_penalty[t]
-                   : 0;
-    };
-    auto pen_p = [&](int t) -> int64_t {
-        return t < static_cast<int>(fb.proc_penalty.size())
-                   ? fb.proc_penalty[t]
-                   : 0;
-    };
-    // Pre-scaled per-partition compute weight keeps the swap delta
-    // linear (integer division inside the delta would not be).
-    std::vector<int64_t> comp(n_tiles, 0);
-    if (use_fb)
-        for (int p = 0; p < n_tiles; p++)
-            comp[p] = merged.cost_of[p] / kPlacePenaltyMax;
-
-    auto fb_cost = [&]() {
-        int64_t cost = 0;
-        for (int a = 0; a < n_tiles; a++) {
-            const int ta = tile_of_partition[a];
-            for (int b = a + 1; b < n_tiles; b++) {
-                const int tb = tile_of_partition[b];
-                if (w[a][b])
-                    cost += static_cast<int64_t>(w[a][b]) *
-                            (kPlaceDistUnit *
-                                 machine.distance(ta, tb) +
-                             pen_c(ta) + pen_c(tb));
-            }
-            cost += comp[a] * pen_p(ta);
-        }
-        return cost;
+    auto full_cost = [&](const std::vector<int> &tiles) {
+        return use_fb ? placement_feedback_cost(w, tiles, machine, fb,
+                                                merged.cost_of)
+                      : placement_assignment_cost(w, tiles, machine);
     };
 
     int64_t swaps_evaluated = 0;
-    // Candidate swaps are evaluated by the O(n) delta, not the O(n²)
-    // full recompute; `cur` is carried incrementally.  Accept
-    // decisions are on exact integer deltas, so the optimized loops
-    // pick the same placements as the full-recompute versions.
-    auto delta_of = [&](int pi, int pj) {
-        swaps_evaluated++;
-        int64_t d = placement_swap_delta(w, tile_of_partition,
-                                         machine, pi, pj);
-        if (use_fb) {
-            // Penalty terms of the swap, still O(n): the (pi,pj)
-            // pair's penalty sum is symmetric and cancels, every
-            // other pair swaps one endpoint's penalty.
-            const int ti = tile_of_partition[pi];
-            const int tj = tile_of_partition[pj];
-            int64_t wi = 0, wj = 0;
-            for (int k = 0; k < n_tiles; k++) {
-                if (k == pi || k == pj)
-                    continue;
-                wi += w[pi][k];
-                wj += w[pj][k];
-            }
-            d = kPlaceDistUnit * d +
-                (pen_c(tj) - pen_c(ti)) * (wi - wj) +
-                (pen_p(tj) - pen_p(ti)) * (comp[pi] - comp[pj]);
-        }
-#ifndef NDEBUG
-        auto full = [&]() {
-            return use_fb ? fb_cost()
-                          : placement_assignment_cost(
-                                w, tile_of_partition, machine);
-        };
-        int64_t pre = full();
-        std::swap(tile_of_partition[pi], tile_of_partition[pj]);
-        int64_t post = full();
-        std::swap(tile_of_partition[pi], tile_of_partition[pj]);
-        check(post - pre == d,
-              "placement: swap delta disagrees with full recompute");
-#endif
-        return d;
-    };
-
     if (opts.place_mode != PlaceMode::kArbitrary &&
         movable.size() > 1) {
-        int64_t cur =
-            use_fb ? fb_cost()
-                   : placement_assignment_cost(w, tile_of_partition,
-                                               machine);
+        // Candidate swaps are evaluated by the table's O(1) delta and
+        // accepted swaps cost O(deg·n), not the O(n²) full recompute.
+        // Accept decisions are on exact integer deltas, so the loops
+        // pick the same placements as the full-recompute versions.
+        PlacementCostTable table(w, tile_of_partition, machine, fb,
+                                 merged.cost_of);
+        auto delta_of = [&](int pi, int pj) {
+            swaps_evaluated++;
+            int64_t d = table.swap_delta(pi, pj);
+#ifndef NDEBUG
+            std::vector<int> tiles = table.tile_of();
+            int64_t pre = full_cost(tiles);
+            std::swap(tiles[pi], tiles[pj]);
+            check(full_cost(tiles) - pre == d,
+                  "placement: swap delta disagrees with full recompute");
+#endif
+            return d;
+        };
+
         if (opts.place_mode == PlaceMode::kGreedySwap) {
             bool improved = true;
             while (improved) {
                 improved = false;
                 for (size_t i = 0; i < movable.size(); i++) {
                     for (size_t j = i + 1; j < movable.size(); j++) {
-                        int64_t d = delta_of(movable[i], movable[j]);
-                        if (d < 0) {
-                            std::swap(tile_of_partition[movable[i]],
-                                      tile_of_partition[movable[j]]);
-                            cur += d;
+                        if (delta_of(movable[i], movable[j]) < 0) {
+                            table.apply_swap(movable[i], movable[j]);
                             improved = true;
                         }
                     }
                 }
             }
+            tile_of_partition = table.tile_of();
         } else { // kAnneal
             std::mt19937 rng(opts.seed);
             std::uniform_int_distribution<int> pick(
@@ -304,6 +345,7 @@ place_partitions(const TaskGraph &g, const Clustering &merged,
             // the start temperature scales with them to keep the
             // accept probabilities comparable.
             double temp = use_fb ? 8.0 * kPlaceDistUnit : 8.0;
+            int64_t cur = full_cost(tile_of_partition);
             std::vector<int> best = tile_of_partition;
             int64_t best_cost = cur;
             for (int iter = 0; iter < 4000; iter++) {
@@ -316,12 +358,11 @@ place_partitions(const TaskGraph &g, const Clustering &merged,
                 // as the full-recompute loop did, so the accept
                 // stream (and final placement) is unchanged.
                 if (d <= 0 || unit(rng) < std::exp(-double(d) / temp)) {
-                    std::swap(tile_of_partition[i],
-                              tile_of_partition[j]);
+                    table.apply_swap(i, j);
                     cur += d;
                     if (cur < best_cost) {
                         best_cost = cur;
-                        best = tile_of_partition;
+                        best = table.tile_of();
                     }
                 }
                 temp *= 0.999;

@@ -6,8 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <memory>
+#include <numeric>
+#include <queue>
 #include <random>
+#include <set>
+#include <sstream>
+#include <string>
 
 #include "analysis/liveness.hpp"
 #include "analysis/replication.hpp"
@@ -210,40 +218,504 @@ TEST(Partition, CrossEdgesCounted)
     EXPECT_EQ(cross, p.cross_edges);
 }
 
-// Property: the O(n) incremental swap delta used by greedy-swap and
-// anneal placement must equal the cost difference of two full O(n²)
-// recomputes, for randomized traffic matrices and assignments.
+// Random traffic matrix over @p n partitions: symmetric, zero
+// diagonal, roughly @p density of the pairs talking.
+std::vector<std::vector<int>>
+random_traffic(std::mt19937 &rng, int n, double density)
+{
+    std::uniform_real_distribution<double> coin(0.0, 1.0);
+    std::uniform_int_distribution<int> w_dist(1, 1000);
+    std::vector<std::vector<int>> w(n, std::vector<int>(n, 0));
+    for (int a = 0; a < n; a++)
+        for (int b = a + 1; b < n; b++)
+            if (coin(rng) < density)
+                w[a][b] = w[b][a] = w_dist(rng);
+    return w;
+}
+
+// Random per-tile congestion penalties in 0..kPlacePenaltyMax.
+PlacementFeedback
+random_feedback(std::mt19937 &rng, int n_tiles)
+{
+    std::uniform_int_distribution<int> pen(0, kPlacePenaltyMax);
+    PlacementFeedback fb;
+    for (int t = 0; t < n_tiles; t++) {
+        fb.comm_penalty.push_back(pen(rng));
+        fb.proc_penalty.push_back(pen(rng));
+    }
+    return fb;
+}
+
+// Property: the placement cost table's O(1) swap delta must equal
+// the cost difference of two full O(n²) recomputes, after every step
+// of a random swap sequence whose accepted swaps update the table —
+// with pinned (never moved) partitions, with and without congestion
+// feedback, on 16/64/128-tile meshes.
 TEST(Place, SwapDeltaMatchesFullRecompute)
 {
     std::mt19937 rng(20260805);
-    for (int trial = 0; trial < 200; trial++) {
-        MachineConfig machine =
-            MachineConfig::base(trial % 2 ? 4 : 16);
-        std::uniform_int_distribution<int> n_dist(2, 12);
-        const int n = n_dist(rng);
-        std::uniform_int_distribution<int> w_dist(0, 1000);
-        std::vector<std::vector<int>> w(n, std::vector<int>(n, 0));
-        for (int a = 0; a < n; a++)
-            for (int b = a + 1; b < n; b++)
-                w[a][b] = w[b][a] = w_dist(rng);
-        std::uniform_int_distribution<int> tile_dist(
-            0, machine.n_tiles - 1);
-        std::vector<int> tile_of(n);
-        for (int a = 0; a < n; a++)
-            tile_of[a] = tile_dist(rng);
-        std::uniform_int_distribution<int> p_dist(0, n - 1);
-        int i = p_dist(rng), j = p_dist(rng);
-        if (i == j)
+    for (int trial = 0; trial < 24; trial++) {
+        const int n = std::array<int, 3>{16, 64, 128}[trial % 3];
+        MachineConfig machine = MachineConfig::base(n);
+        const bool with_fb = trial % 2 == 1;
+        std::vector<std::vector<int>> w =
+            random_traffic(rng, n, trial % 4 < 2 ? 0.1 : 0.5);
+        std::vector<int64_t> cost_of(n);
+        std::uniform_int_distribution<int> cost_dist(0, 5000);
+        for (int64_t &c : cost_of)
+            c = cost_dist(rng);
+        PlacementFeedback fb;
+        if (with_fb)
+            fb = random_feedback(rng, n);
+        std::vector<int> tiles(n);
+        std::iota(tiles.begin(), tiles.end(), 0);
+        std::shuffle(tiles.begin(), tiles.end(), rng);
+        // A quarter of the partitions are pinned: they never move.
+        std::vector<int> movable;
+        for (int p = 0; p < n; p++)
+            if (p % 4 != 0)
+                movable.push_back(p);
+
+        auto full = [&](const std::vector<int> &t) {
+            return with_fb ? placement_feedback_cost(w, t, machine, fb,
+                                                     cost_of)
+                           : placement_assignment_cost(w, t, machine);
+        };
+        PlacementCostTable table(w, tiles, machine, fb, cost_of);
+        std::uniform_int_distribution<int> pick(
+            0, static_cast<int>(movable.size()) - 1);
+        std::uniform_real_distribution<double> coin(0.0, 1.0);
+        int64_t cost = full(tiles);
+        int accepted = 0;
+        for (int step = 0; step < 150; step++) {
+            int i = movable[pick(rng)], j = movable[pick(rng)];
+            if (i == j)
+                continue;
+            int64_t delta = table.swap_delta(i, j);
+            std::vector<int> after = tiles;
+            std::swap(after[i], after[j]);
+            int64_t after_cost = full(after);
+            ASSERT_EQ(delta, after_cost - cost)
+                << "trial " << trial << " step " << step << " i=" << i
+                << " j=" << j;
+            if (delta < 0 || coin(rng) < 0.3) {
+                table.apply_swap(i, j);
+                tiles = after;
+                cost = after_cost;
+                accepted++;
+            }
+            ASSERT_EQ(table.tile_of(), tiles);
+        }
+        EXPECT_GT(accepted, 0);
+    }
+}
+
+// ---- Equivalence oracles ------------------------------------------
+// Copies of the partitioner's earlier loops — DSC arrivals
+// recomputed per candidate cluster in O(deg²), placement deltas
+// recomputed in O(n) per candidate swap — against which the current
+// implementation must make exactly the same decisions.
+
+int
+oracle_uniform_comm_cost(const MachineConfig &m)
+{
+    return 2 + (m.rows + m.cols) / 2;
+}
+
+std::vector<int64_t>
+oracle_bottom_levels(const TaskGraph &g, int comm)
+{
+    const int n = static_cast<int>(g.nodes().size());
+    std::vector<int64_t> bl(n, 0);
+    std::vector<int> indeg(n, 0), order;
+    for (int i = 0; i < n; i++)
+        indeg[i] = static_cast<int>(g.preds(i).size());
+    std::queue<int> q;
+    for (int i = 0; i < n; i++)
+        if (indeg[i] == 0)
+            q.push(i);
+    while (!q.empty()) {
+        int v = q.front();
+        q.pop();
+        order.push_back(v);
+        for (int s : g.succs(v))
+            if (--indeg[s] == 0)
+                q.push(s);
+    }
+    for (int k = n; k-- > 0;) {
+        int v = order[k];
+        int64_t best = 0;
+        for (int s : g.succs(v))
+            best = std::max(best, comm + bl[s]);
+        bl[v] = g.nodes()[v].cost + best;
+    }
+    return bl;
+}
+
+Clustering
+oracle_dsc(const TaskGraph &g, const MachineConfig &machine)
+{
+    const int n = static_cast<int>(g.nodes().size());
+    Clustering c;
+    c.cluster_of.assign(n, -1);
+    const int comm = oracle_uniform_comm_cost(machine);
+    std::vector<int64_t> blevel = oracle_bottom_levels(g, comm);
+    std::vector<int> cluster_pin;
+    std::vector<int64_t> cluster_free;
+    std::vector<int64_t> finish(n, 0);
+    std::vector<int> unvisited_preds(n, 0);
+    auto new_cluster = [&](int pin) {
+        cluster_pin.push_back(pin);
+        cluster_free.push_back(0);
+        return static_cast<int>(cluster_pin.size()) - 1;
+    };
+    using Cand = std::pair<int64_t, int>;
+    std::priority_queue<Cand> ready;
+    for (int i = 0; i < n; i++) {
+        unvisited_preds[i] = static_cast<int>(g.preds(i).size());
+        if (unvisited_preds[i] == 0)
+            ready.push({blevel[i], i});
+    }
+    while (!ready.empty()) {
+        int v = ready.top().second;
+        ready.pop();
+        const TGNode &nd = g.nodes()[v];
+        int64_t t_alone = 0;
+        for (int p : g.preds(v))
+            t_alone = std::max(t_alone, finish[p] + comm);
+        int best_cluster = -1;
+        int64_t best_t = t_alone;
+        for (int p : g.preds(v)) {
+            int pc = c.cluster_of[p];
+            if (nd.pin >= 0 && cluster_pin[pc] >= 0 &&
+                cluster_pin[pc] != nd.pin)
+                continue;
+            int64_t t = cluster_free[pc];
+            for (int q : g.preds(v)) {
+                int64_t arrive =
+                    finish[q] + (c.cluster_of[q] == pc ? 0 : comm);
+                t = std::max(t, arrive);
+            }
+            if (t < best_t || (t == best_t && best_cluster < 0 &&
+                               t < t_alone)) {
+                best_t = t;
+                best_cluster = pc;
+            }
+        }
+        int cl = best_cluster;
+        if (cl < 0) {
+            cl = new_cluster(nd.pin);
+            best_t = t_alone;
+        } else if (nd.pin >= 0 && cluster_pin[cl] < 0) {
+            cluster_pin[cl] = nd.pin;
+        }
+        c.cluster_of[v] = cl;
+        finish[v] = best_t + nd.cost;
+        cluster_free[cl] = finish[v];
+        for (int s : g.succs(v))
+            if (--unvisited_preds[s] == 0)
+                ready.push({blevel[s], s});
+    }
+    std::vector<int> remap(cluster_pin.size(), -1);
+    int next = 0;
+    for (int i = 0; i < n; i++) {
+        int &cl = c.cluster_of[i];
+        if (remap[cl] < 0)
+            remap[cl] = next++;
+        cl = remap[cl];
+    }
+    c.n_clusters = next;
+    c.pin_of.assign(next, -1);
+    c.cost_of.assign(next, 0);
+    for (int i = 0; i < n; i++) {
+        int cl = c.cluster_of[i];
+        if (g.nodes()[i].pin >= 0)
+            c.pin_of[cl] = g.nodes()[i].pin;
+        c.cost_of[cl] += g.nodes()[i].cost;
+    }
+    return c;
+}
+
+int64_t
+oracle_swap_delta(const std::vector<std::vector<int>> &w,
+                  const std::vector<int> &tile_of_partition,
+                  const MachineConfig &machine, int i, int j)
+{
+    const int n = static_cast<int>(tile_of_partition.size());
+    const int ti = tile_of_partition[i];
+    const int tj = tile_of_partition[j];
+    int64_t delta = 0;
+    for (int k = 0; k < n; k++) {
+        if (k == i || k == j)
             continue;
-        int64_t delta =
-            placement_swap_delta(w, tile_of, machine, i, j);
-        int64_t before =
-            placement_assignment_cost(w, tile_of, machine);
-        std::swap(tile_of[i], tile_of[j]);
-        int64_t after =
-            placement_assignment_cost(w, tile_of, machine);
-        EXPECT_EQ(delta, after - before)
-            << "trial " << trial << " i=" << i << " j=" << j;
+        const int tk = tile_of_partition[k];
+        if (w[i][k])
+            delta += static_cast<int64_t>(w[i][k]) *
+                     (machine.distance(tj, tk) -
+                      machine.distance(ti, tk));
+        if (w[j][k])
+            delta += static_cast<int64_t>(w[j][k]) *
+                     (machine.distance(ti, tk) -
+                      machine.distance(tj, tk));
+    }
+    return delta;
+}
+
+Partition
+oracle_place(const TaskGraph &g, const Clustering &merged,
+             const MachineConfig &machine, const PartitionOptions &opts)
+{
+    const int n_tiles = machine.n_tiles;
+    std::vector<int> tile_of_partition(n_tiles, -1);
+    std::vector<bool> tile_used(n_tiles, false);
+    std::vector<int> movable;
+    for (int p = 0; p < n_tiles; p++)
+        if (merged.pin_of[p] >= 0) {
+            tile_of_partition[p] = merged.pin_of[p];
+            tile_used[merged.pin_of[p]] = true;
+        } else {
+            movable.push_back(p);
+        }
+    {
+        int t = 0;
+        for (int p : movable) {
+            while (tile_used[t])
+                t++;
+            tile_of_partition[p] = t;
+            tile_used[t] = true;
+        }
+    }
+    std::vector<std::vector<int>> w(n_tiles,
+                                    std::vector<int>(n_tiles, 0));
+    for (const TGEdge &e : g.edges()) {
+        int a = merged.cluster_of[e.from];
+        int b = merged.cluster_of[e.to];
+        if (a != b) {
+            w[a][b]++;
+            w[b][a]++;
+        }
+    }
+    const PlacementFeedback &fb = opts.feedback;
+    const bool use_fb = !fb.empty();
+    auto pen_c = [&](int t) -> int64_t {
+        return t < static_cast<int>(fb.comm_penalty.size())
+                   ? fb.comm_penalty[t]
+                   : 0;
+    };
+    auto pen_p = [&](int t) -> int64_t {
+        return t < static_cast<int>(fb.proc_penalty.size())
+                   ? fb.proc_penalty[t]
+                   : 0;
+    };
+    std::vector<int64_t> comp(n_tiles, 0);
+    if (use_fb)
+        for (int p = 0; p < n_tiles; p++)
+            comp[p] = merged.cost_of[p] / kPlacePenaltyMax;
+    auto fb_cost = [&]() {
+        int64_t cost = 0;
+        for (int a = 0; a < n_tiles; a++) {
+            const int ta = tile_of_partition[a];
+            for (int b = a + 1; b < n_tiles; b++) {
+                const int tb = tile_of_partition[b];
+                if (w[a][b])
+                    cost += static_cast<int64_t>(w[a][b]) *
+                            (kPlaceDistUnit *
+                                 machine.distance(ta, tb) +
+                             pen_c(ta) + pen_c(tb));
+            }
+            cost += comp[a] * pen_p(ta);
+        }
+        return cost;
+    };
+    int64_t swaps_evaluated = 0;
+    auto delta_of = [&](int pi, int pj) {
+        swaps_evaluated++;
+        int64_t d =
+            oracle_swap_delta(w, tile_of_partition, machine, pi, pj);
+        if (use_fb) {
+            const int ti = tile_of_partition[pi];
+            const int tj = tile_of_partition[pj];
+            int64_t wi = 0, wj = 0;
+            for (int k = 0; k < n_tiles; k++) {
+                if (k == pi || k == pj)
+                    continue;
+                wi += w[pi][k];
+                wj += w[pj][k];
+            }
+            d = kPlaceDistUnit * d +
+                (pen_c(tj) - pen_c(ti)) * (wi - wj) +
+                (pen_p(tj) - pen_p(ti)) * (comp[pi] - comp[pj]);
+        }
+        return d;
+    };
+    if (opts.place_mode != PlaceMode::kArbitrary &&
+        movable.size() > 1) {
+        int64_t cur =
+            use_fb ? fb_cost()
+                   : placement_assignment_cost(w, tile_of_partition,
+                                               machine);
+        if (opts.place_mode == PlaceMode::kGreedySwap) {
+            bool improved = true;
+            while (improved) {
+                improved = false;
+                for (size_t i = 0; i < movable.size(); i++) {
+                    for (size_t j = i + 1; j < movable.size(); j++) {
+                        int64_t d = delta_of(movable[i], movable[j]);
+                        if (d < 0) {
+                            std::swap(tile_of_partition[movable[i]],
+                                      tile_of_partition[movable[j]]);
+                            cur += d;
+                            improved = true;
+                        }
+                    }
+                }
+            }
+        } else {
+            std::mt19937 rng(opts.seed);
+            std::uniform_int_distribution<int> pick(
+                0, static_cast<int>(movable.size()) - 1);
+            std::uniform_real_distribution<double> unit(0.0, 1.0);
+            double temp = use_fb ? 8.0 * kPlaceDistUnit : 8.0;
+            std::vector<int> best = tile_of_partition;
+            int64_t best_cost = cur;
+            for (int iter = 0; iter < 4000; iter++) {
+                int i = movable[pick(rng)];
+                int j = movable[pick(rng)];
+                if (i == j)
+                    continue;
+                int64_t d = delta_of(i, j);
+                if (d <= 0 || unit(rng) < std::exp(-double(d) / temp)) {
+                    std::swap(tile_of_partition[i],
+                              tile_of_partition[j]);
+                    cur += d;
+                    if (cur < best_cost) {
+                        best_cost = cur;
+                        best = tile_of_partition;
+                    }
+                }
+                temp *= 0.999;
+            }
+            tile_of_partition = best;
+        }
+    }
+    Partition out;
+    out.swaps_evaluated = swaps_evaluated;
+    out.tile_of.assign(g.nodes().size(), 0);
+    for (size_t i = 0; i < g.nodes().size(); i++)
+        out.tile_of[i] = tile_of_partition[merged.cluster_of[i]];
+    for (const TGEdge &e : g.edges())
+        if (out.tile_of[e.from] != out.tile_of[e.to])
+            out.cross_edges++;
+    return out;
+}
+
+// A random straight-line program: float statements over two arrays
+// and a few scalars.  Most array indices come from a 2-element hot
+// set, so later stores depend on every earlier reference to their
+// element — memory-order fan-in in the hundreds.  Only 16 elements
+// are ever touched, so on big meshes most tiles hold no pinned
+// reference and the scalar arithmetic fills movable partitions.
+std::string
+random_program(std::mt19937 &rng, int n_stmts)
+{
+    std::uniform_int_distribution<int> pct(0, 99);
+    std::uniform_int_distribution<int> hot(0, 1), any(0, 15);
+    std::uniform_int_distribution<int> var(0, 7);
+    auto idx = [&]() { return pct(rng) < 70 ? hot(rng) : any(rng); };
+    auto arr = [&]() {
+        return std::string(pct(rng) < 50 ? "A" : "B") + "[" +
+               std::to_string(idx()) + "]";
+    };
+    auto x = [&]() { return "x" + std::to_string(var(rng)); };
+    std::ostringstream src;
+    src << "float A[64];\nfloat B[64];\n";
+    for (int v = 0; v < 8; v++)
+        src << "float x" << v << ";\n";
+    for (int s = 0; s < n_stmts; s++) {
+        int kind = pct(rng);
+        if (kind < 35)
+            src << arr() << " = " << arr() << " * " << x() << " + "
+                << arr() << ";\n";
+        else if (kind < 80)
+            src << x() << " = " << x() << " * 1.5 + " << arr()
+                << " - " << x() << ";\n";
+        else if (kind < 95)
+            src << x() << " = " << x() << " + " << x() << " * "
+                << x() << ";\n";
+        else
+            src << "print(" << x() << ");\n";
+    }
+    return src.str();
+}
+
+size_t
+max_fan_in(const TaskGraph &g)
+{
+    size_t m = 0;
+    for (size_t v = 0; v < g.nodes().size(); v++)
+        m = std::max(m, g.preds(static_cast<int>(v)).size());
+    return m;
+}
+
+// DSC's O(deg) arrival pass (latest finish per pred cluster plus the
+// top two cross-cluster arrivals) must pick exactly the clusters the
+// O(deg²) per-candidate rescan picked, pins included.
+TEST(Cluster, DSCMatchesQuadraticArrivalOracle)
+{
+    std::mt19937 rng(1998);
+    size_t widest = 0;
+    for (int trial = 0; trial < 12; trial++) {
+        const int tiles = std::array<int, 3>{4, 16, 64}[trial % 3];
+        std::string src = random_program(rng, 200 + 50 * trial);
+        Ctx c = make_ctx(src.c_str(), tiles);
+        widest = std::max(widest, max_fan_in(*c.graph));
+        Clustering want = oracle_dsc(*c.graph, c.machine);
+        Clustering got =
+            cluster_taskgraph(*c.graph, c.machine, PartitionOptions{});
+        SCOPED_TRACE(testing::Message() << "trial " << trial);
+        EXPECT_EQ(got.n_clusters, want.n_clusters);
+        EXPECT_EQ(got.cluster_of, want.cluster_of);
+        EXPECT_EQ(got.pin_of, want.pin_of);
+        EXPECT_EQ(got.cost_of, want.cost_of);
+    }
+    // The corpus must reach the wide fan-in the O(deg) pass targets.
+    EXPECT_GE(widest, 200u) << widest;
+}
+
+// Greedy-swap and annealing placement through the cost table must
+// reproduce the O(n)-delta loops' placements and evaluated-swap
+// counts exactly, at 64 and 128 tiles, with and without feedback.
+TEST(Place, TableMatchesLinearDeltaOracle)
+{
+    std::mt19937 rng(2506);
+    for (int trial = 0; trial < 8; trial++) {
+        const int tiles = trial % 2 ? 128 : 64;
+        std::string src = random_program(rng, 500);
+        Ctx c = make_ctx(src.c_str(), tiles);
+        PartitionOptions opts;
+        Clustering cl = cluster_taskgraph(*c.graph, c.machine, opts);
+        Clustering m = merge_clusters(*c.graph, cl, c.machine);
+        if (trial % 4 >= 2)
+            opts.feedback = random_feedback(rng, tiles);
+        for (PlaceMode mode :
+             {PlaceMode::kGreedySwap, PlaceMode::kAnneal}) {
+            SCOPED_TRACE(testing::Message()
+                         << "trial " << trial << " tiles " << tiles
+                         << " fb " << !opts.feedback.empty()
+                         << " anneal " << (mode == PlaceMode::kAnneal));
+            opts.place_mode = mode;
+            opts.seed = static_cast<uint32_t>(trial + 1);
+            Partition want = oracle_place(*c.graph, m, c.machine, opts);
+            Partition got = place_partitions(*c.graph, m, c.machine, opts);
+            EXPECT_EQ(got.tile_of, want.tile_of);
+            EXPECT_EQ(got.swaps_evaluated, want.swaps_evaluated);
+            EXPECT_EQ(got.cross_edges, want.cross_edges);
+            // Non-trivial: placement moved something away from the
+            // identity assignment of the arbitrary mode.
+            opts.place_mode = PlaceMode::kArbitrary;
+            Partition arb = place_partitions(*c.graph, m, c.machine, opts);
+            EXPECT_NE(got.tile_of, arb.tile_of);
+        }
     }
 }
 
