@@ -131,6 +131,7 @@ struct ScalePoint
     int64_t base_cycles = 0; ///< same benchmark at 1 tile
     double compile_ms = 0;
     double partition_ms = 0; ///< orchestrate's partition phase
+    double schedule_ms = 0;  ///< orchestrate's schedule phase
     double ref_ms = 0, thr_ms = 0, reg_ms = 0;
 };
 
@@ -161,6 +162,7 @@ run_scaling(bool tiny)
                 prog.source, raw::MachineConfig::base(n));
             p.compile_ms = ms_since(tc);
             p.partition_ms = out.stats.orch_partition_ms;
+            p.schedule_ms = out.stats.orch_schedule_ms;
             auto run_core = [&](raw::SimBackend backend, double &ms) {
                 Clock::time_point t0 = Clock::now();
                 raw::Simulator sim(out.program, {}, {}, backend);
@@ -185,15 +187,15 @@ run_scaling(bool tiny)
             }
             std::printf("  scaling %-14s n=%-4d %9lld cycles  "
                         "(%.2fx vs n=1)  compile %8.1f ms "
-                        "(partition %8.1f)  "
+                        "(partition %8.1f, schedule %8.1f)  "
                         "sim ref %7.1f / thr %7.1f / reg %7.1f ms\n",
                         p.name.c_str(), n,
                         static_cast<long long>(p.cycles),
                         p.cycles > 0 ? static_cast<double>(base_cycles) /
                                            static_cast<double>(p.cycles)
                                      : 0,
-                        p.compile_ms, p.partition_ms, p.ref_ms, p.thr_ms,
-                        p.reg_ms);
+                        p.compile_ms, p.partition_ms, p.schedule_ms,
+                        p.ref_ms, p.thr_ms, p.reg_ms);
             std::fflush(stdout);
             pts.push_back(p);
         }
@@ -424,15 +426,15 @@ write_json(const std::string &path, const std::vector<RunTiming> &runs,
                 "%s\n    {\"name\": \"%s\", \"tiles\": %d, "
                 "\"cycles\": %lld, \"speedup_vs_1\": %.2f, "
                 "\"compile_ms\": %.1f, \"partition_ms\": %.1f, "
-                "\"sim_ms_reference\": %.1f, "
+                "\"schedule_ms\": %.1f, \"sim_ms_reference\": %.1f, "
                 "\"sim_ms_threaded\": %.1f, \"sim_ms_region\": %.1f}",
                 i ? "," : "", p.name.c_str(), p.tiles,
                 static_cast<long long>(p.cycles),
                 p.cycles > 0 ? static_cast<double>(p.base_cycles) /
                                    static_cast<double>(p.cycles)
                              : 0,
-                p.compile_ms, p.partition_ms, p.ref_ms, p.thr_ms,
-                p.reg_ms);
+                p.compile_ms, p.partition_ms, p.schedule_ms, p.ref_ms,
+                p.thr_ms, p.reg_ms);
             out << buf;
         }
         out << "],\n   \"cycles_identical\": true},\n";

@@ -12,14 +12,13 @@ namespace raw {
 
 namespace {
 
-// Dependence bookkeeping, priorities and reservation state live in
-// schedule/sched_internal.hpp, shared with the modulo scheduler and
-// the small-block oracle so all three agree on the resource model.
+// Dependence bookkeeping, priorities and the reservation table live
+// in schedule/sched_internal.hpp, shared with the modulo scheduler
+// and the small-block oracle so all three agree on the resource model.
 using sched::build_deps;
 using sched::compute_priorities;
 using sched::DepInfo;
 using sched::Priorities;
-using sched::SwRes;
 using sched::topo_order;
 
 /** One list-scheduling pass plus the timing it realized. */
@@ -61,20 +60,7 @@ run_pass(const TaskGraph &g, const Partition &part,
     res.send_issue.assign(np, 0);
     res.arrival.assign(np, {});
 
-    std::vector<std::vector<bool>> proc_busy(m.n_tiles);
-    std::vector<std::map<int64_t, SwRes>> sw_res(m.n_tiles);
-
-    auto proc_free = [&](int tile, int64_t t) {
-        auto &v = proc_busy[tile];
-        return t >= static_cast<int64_t>(v.size()) || !v[t];
-    };
-    auto proc_take = [&](int tile, int64_t t) {
-        auto &v = proc_busy[tile];
-        if (t >= static_cast<int64_t>(v.size()))
-            v.resize(t + 1, false);
-        check(!v[t], "scheduler: double-booked processor slot");
-        v[t] = true;
-    };
+    sched::SlotTable slots(m.n_tiles);
 
     // Ready queue: (priority, tie-break, kind 0=node 1=path, id).
     struct Task
@@ -159,44 +145,6 @@ run_pass(const TaskGraph &g, const Partition &part,
         return t;
     };
 
-    // First cycle >= the path's ready time at which @p tree can run
-    // start-to-finish without touching an occupied slot.
-    auto find_slot = [&](const RouteTree &tree, int src_tile,
-                         int64_t r) {
-        int64_t t = r;
-        for (;; t++) {
-            check(t < r + 2000000,
-                  "scheduler: no feasible slot for path");
-            if (!proc_free(src_tile, t))
-                continue;
-            bool ok = true;
-            for (const TreeHop &h : tree.hops) {
-                auto it = sw_res[h.tile].find(t + 1 + h.depth);
-                if (it == sw_res[h.tile].end())
-                    continue;
-                const SwRes &res2 = it->second;
-                uint8_t in_bit = static_cast<uint8_t>(
-                    1u << static_cast<int>(h.in));
-                if ((res2.in_used & in_bit) ||
-                    (res2.out_used & h.out_mask) ||
-                    (h.to_reg && res2.reg_used)) {
-                    ok = false;
-                    break;
-                }
-            }
-            if (ok) {
-                for (auto &[tile, depth] : tree.proc_recvs) {
-                    if (!proc_free(tile, t + 2 + depth)) {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if (ok)
-                return t;
-        }
-    };
-
     while (!ready.empty()) {
         Task task = ready.top();
         ready.pop();
@@ -210,10 +158,8 @@ run_pass(const TaskGraph &g, const Partition &part,
                 continue;
             }
             int tile = part.tile_of[v];
-            int64_t t = ready_time(v);
-            while (!proc_free(tile, t))
-                t++;
-            proc_take(tile, t);
+            int64_t t = slots.next_free(tile, ready_time(v));
+            slots.take(tile, t);
             out.tiles[tile].push_back({t, TileItem::Kind::kCompute, v,
                                        kNoValue, -1});
             res.issue[v] = t;
@@ -228,12 +174,12 @@ run_pass(const TaskGraph &g, const Partition &part,
                 std::max<int64_t>(res.finish[path.src_node], 0);
 
             const RouteTree *tree = &trees_xy[p];
-            int64_t t = find_slot(*tree, src_tile, r);
+            int64_t t = slots.find_path_slot(*tree, src_tile, r);
             if (trees_yx && yx_differs[p]) {
                 // Both orderings reach every destination at the same
                 // depth, so the earlier send wins outright.
                 int64_t t_yx =
-                    find_slot((*trees_yx)[p], src_tile, r);
+                    slots.find_path_slot((*trees_yx)[p], src_tile, r);
                 if (t_yx < t) {
                     t = t_yx;
                     tree = &(*trees_yx)[p];
@@ -241,16 +187,12 @@ run_pass(const TaskGraph &g, const Partition &part,
             }
 
             // Commit.
-            proc_take(src_tile, t);
+            slots.take(src_tile, t);
             out.tiles[src_tile].push_back({t, TileItem::Kind::kSend,
                                            path.src_node, path.value,
                                            p});
             for (const TreeHop &h : tree->hops) {
-                SwRes &swr = sw_res[h.tile][t + 1 + h.depth];
-                swr.in_used |= static_cast<uint8_t>(
-                    1u << static_cast<int>(h.in));
-                swr.out_used |= h.out_mask;
-                swr.reg_used = swr.reg_used || h.to_reg;
+                slots.reserve(h, t + 1 + h.depth);
                 out.switches[h.tile].push_back(
                     {t + 1 + h.depth, h.in, h.out_mask, h.to_reg,
                      path.value, p});
@@ -259,7 +201,7 @@ run_pass(const TaskGraph &g, const Partition &part,
             }
             for (auto &[tile, depth] : tree->proc_recvs) {
                 int64_t rc = t + 2 + depth;
-                proc_take(tile, rc);
+                slots.take(tile, rc);
                 out.tiles[tile].push_back(
                     {rc, TileItem::Kind::kRecv, -1, path.value, p});
                 res.arrival[p][tile] = rc;
@@ -306,12 +248,10 @@ run_pass(const TaskGraph &g, const Partition &part,
  */
 std::vector<int64_t>
 realized_priorities(const TaskGraph &g, const Partition &part,
-                    const MachineConfig &m,
-                    const std::vector<CommPath> &paths,
-                    const DepInfo &dep, const Priorities &stat,
-                    const PassResult &pass, const SchedOptions &opts)
+                    const MachineConfig &m, const DepInfo &dep,
+                    const Priorities &stat, const PassResult &pass,
+                    const SchedOptions &opts)
 {
-    (void)paths;
     const int n = static_cast<int>(g.nodes().size());
     std::vector<int> order = topo_order(g);
 
@@ -427,8 +367,8 @@ schedule_block(const TaskGraph &g, const Partition &part,
         consider(std::move(copy));
     }
     for (int it = 0; it < opts.sched_iters; it++) {
-        std::vector<int64_t> prio = realized_priorities(
-            g, part, m, paths, dep, stat, last, opts);
+        std::vector<int64_t> prio =
+            realized_priorities(g, part, m, dep, stat, last, opts);
         last = run_pass(g, part, m, paths, trees_xy, yx, yx_differs,
                         dep, prio, false);
         PassResult copy = last;

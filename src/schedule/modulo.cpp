@@ -18,7 +18,6 @@ using sched::build_deps;
 using sched::compute_priorities;
 using sched::DepInfo;
 using sched::Priorities;
-using sched::SwRes;
 using sched::topo_order;
 
 /** Recurrence-chain nodes outrank everything else in the ready queue
@@ -355,23 +354,14 @@ run_modulo_pass(const TaskGraph &g, const Partition &part,
     std::vector<int64_t> send_issue(np, 0);
     std::vector<std::map<int, int64_t>> arrival(np);
 
-    std::vector<std::vector<bool>> proc_busy(m.n_tiles);
-    std::vector<std::map<int64_t, SwRes>> sw_res(m.n_tiles);
+    sched::SlotTable slots(m.n_tiles);
     std::vector<int64_t> proc_lo(m.n_tiles, INT64_MAX);
     std::vector<int64_t> proc_hi(m.n_tiles, INT64_MIN);
     std::vector<int64_t> sw_lo(m.n_tiles, INT64_MAX);
     std::vector<int64_t> sw_hi(m.n_tiles, INT64_MIN);
 
-    auto proc_free = [&](int tile, int64_t t) {
-        auto &v = proc_busy[tile];
-        return t >= static_cast<int64_t>(v.size()) || !v[t];
-    };
     auto proc_take = [&](int tile, int64_t t) {
-        auto &v = proc_busy[tile];
-        if (t >= static_cast<int64_t>(v.size()))
-            v.resize(t + 1, false);
-        check(!v[t], "modulo: double-booked processor slot");
-        v[t] = true;
+        slots.take(tile, t);
         proc_lo[tile] = std::min(proc_lo[tile], t);
         proc_hi[tile] = std::max(proc_hi[tile], t);
     };
@@ -470,7 +460,7 @@ run_modulo_pass(const TaskGraph &g, const Partition &part,
             for (;; t++) {
                 if (t > t0 + pad)
                     return false;
-                if (!proc_free(tile, t))
+                if (!slots.proc_free(tile, t))
                     continue;
                 if (proc_adm(tile, t))
                     break;
@@ -499,13 +489,14 @@ run_modulo_pass(const TaskGraph &g, const Partition &part,
             int64_t t = t0;
             bool placed = false;
             for (; t <= t0 + pad; t++) {
-                if (proc_free(src_tile, t) &&
+                if (slots.proc_free(src_tile, t) &&
                     !proc_adm(src_tile, t) && t >= proc_lo[src_tile]) {
                     // Monotone: larger t only widens the span.
                     blame = {0, src_tile, t};
                     return false;
                 }
-                if (!proc_free(src_tile, t) || !proc_adm(src_tile, t))
+                if (!slots.proc_free(src_tile, t) ||
+                    !proc_adm(src_tile, t))
                     continue;
                 bool ok = true;
                 for (const TreeHop &h : tree.hops) {
@@ -522,15 +513,7 @@ run_modulo_pass(const TaskGraph &g, const Partition &part,
                         ok = false;
                         break;
                     }
-                    auto it = sw_res[h.tile].find(c);
-                    if (it == sw_res[h.tile].end())
-                        continue;
-                    const SwRes &res2 = it->second;
-                    uint8_t in_bit = static_cast<uint8_t>(
-                        1u << static_cast<int>(h.in));
-                    if ((res2.in_used & in_bit) ||
-                        (res2.out_used & h.out_mask) ||
-                        (h.to_reg && res2.reg_used)) {
+                    if (!slots.hop_free(h, c)) {
                         ok = false;
                         break;
                     }
@@ -538,12 +521,12 @@ run_modulo_pass(const TaskGraph &g, const Partition &part,
                 if (ok) {
                     for (auto &[tile, depth] : tree.proc_recvs) {
                         int64_t c = t + 2 + depth;
-                        if (proc_free(tile, c) && !proc_adm(tile, c) &&
-                            c >= proc_lo[tile]) {
+                        if (slots.proc_free(tile, c) &&
+                            !proc_adm(tile, c) && c >= proc_lo[tile]) {
                             blame = {0, tile, c};
                             return false;
                         }
-                        if (!proc_free(tile, c) ||
+                        if (!slots.proc_free(tile, c) ||
                             !proc_adm(tile, c) ||
                             c < rel_proc[tile]) {
                             ok = false;
@@ -565,11 +548,7 @@ run_modulo_pass(const TaskGraph &g, const Partition &part,
                                            p});
             for (const TreeHop &h : tree.hops) {
                 int64_t c = t + 1 + h.depth;
-                SwRes &swr = sw_res[h.tile][c];
-                swr.in_used |= static_cast<uint8_t>(
-                    1u << static_cast<int>(h.in));
-                swr.out_used |= h.out_mask;
-                swr.reg_used = swr.reg_used || h.to_reg;
+                slots.reserve(h, c);
                 sw_lo[h.tile] = std::min(sw_lo[h.tile], c);
                 sw_hi[h.tile] = std::max(sw_hi[h.tile], c);
                 out.switches[h.tile].push_back(
@@ -642,7 +621,7 @@ constexpr int kRetimeRounds = 64;
  * Variables are compute issues and path send issues; switch hops and
  * receives keep their rigid offsets from the send (the route stays
  * contiguous).  Constraints are the scheduler's own minimum delays
- * (ready_time/find_slot rules), per-stream program order, and
+ * (ready_time/find_path_slot rules), per-stream program order, and
  * strict ordering between switch items sharing a port (so the
  * retimed streams stay conflict-free).  Returns false if anything
  * fails validation; the caller then keeps the input schedule.

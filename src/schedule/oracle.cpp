@@ -13,7 +13,6 @@ namespace {
 
 using sched::build_deps;
 using sched::DepInfo;
-using sched::SwRes;
 
 /** Mutable search state: the partial schedule's timing + resources. */
 struct OState
@@ -23,8 +22,7 @@ struct OState
     std::vector<uint8_t> path_done;
     std::vector<int64_t> finish, issue, send_issue;
     std::vector<std::map<int, int64_t>> arrival;
-    std::vector<std::vector<bool>> proc_busy;
-    std::vector<std::map<int64_t, SwRes>> sw_res;
+    sched::SlotTable slots;
     int64_t makespan = 0;
     int placed = 0;
 };
@@ -42,20 +40,6 @@ struct Searcher
     int64_t states = 0;
     int64_t best = INT64_MAX;
     bool exhausted_budget = false;
-
-    bool proc_free(const OState &s, int tile, int64_t t) const
-    {
-        auto &v = s.proc_busy[tile];
-        return t >= static_cast<int64_t>(v.size()) || !v[t];
-    }
-    void proc_take(OState &s, int tile, int64_t t) const
-    {
-        auto &v = s.proc_busy[tile];
-        if (t >= static_cast<int64_t>(v.size()))
-            v.resize(t + 1, false);
-        check(!v[t], "oracle: double-booked processor slot");
-        v[t] = true;
-    }
 
     /** run_pass's ready-time rule, verbatim. */
     int64_t ready_time(const OState &s, int v) const
@@ -85,43 +69,6 @@ struct Searcher
             }
         }
         return t;
-    }
-
-    /** run_pass's find_slot, verbatim (XY tree). */
-    int64_t find_slot(const OState &s, const RouteTree &tree,
-                      int src_tile, int64_t r) const
-    {
-        int64_t t = r;
-        for (;; t++) {
-            check(t < r + 2000000, "oracle: no feasible slot");
-            if (!proc_free(s, src_tile, t))
-                continue;
-            bool ok = true;
-            for (const TreeHop &h : tree.hops) {
-                auto it = s.sw_res[h.tile].find(t + 1 + h.depth);
-                if (it == s.sw_res[h.tile].end())
-                    continue;
-                const SwRes &res2 = it->second;
-                uint8_t in_bit = static_cast<uint8_t>(
-                    1u << static_cast<int>(h.in));
-                if ((res2.in_used & in_bit) ||
-                    (res2.out_used & h.out_mask) ||
-                    (h.to_reg && res2.reg_used)) {
-                    ok = false;
-                    break;
-                }
-            }
-            if (ok) {
-                for (auto &[tile, depth] : tree.proc_recvs) {
-                    if (!proc_free(s, tile, t + 2 + depth)) {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if (ok)
-                return t;
-        }
     }
 
     /** Complete a node: imports cascade (they are free and instant). */
@@ -154,10 +101,8 @@ struct Searcher
     void place_node(OState &s, int v) const
     {
         int tile = part.tile_of[v];
-        int64_t t = ready_time(s, v);
-        while (!proc_free(s, tile, t))
-            t++;
-        proc_take(s, tile, t);
+        int64_t t = s.slots.next_free(tile, ready_time(s, v));
+        s.slots.take(tile, t);
         s.issue[v] = t;
         s.finish[v] = t + std::max(1, g.nodes()[v].cost);
         s.makespan = std::max(s.makespan, s.finish[v]);
@@ -170,19 +115,15 @@ struct Searcher
         const CommPath &path = paths[p];
         const RouteTree &tree = trees[p];
         int64_t r = std::max<int64_t>(s.finish[path.src_node], 0);
-        int64_t t = find_slot(s, tree, path.src_tile, r);
-        proc_take(s, path.src_tile, t);
+        int64_t t = s.slots.find_path_slot(tree, path.src_tile, r);
+        s.slots.take(path.src_tile, t);
         for (const TreeHop &h : tree.hops) {
-            SwRes &swr = s.sw_res[h.tile][t + 1 + h.depth];
-            swr.in_used |= static_cast<uint8_t>(
-                1u << static_cast<int>(h.in));
-            swr.out_used |= h.out_mask;
-            swr.reg_used = swr.reg_used || h.to_reg;
+            s.slots.reserve(h, t + 1 + h.depth);
             s.makespan = std::max(s.makespan, t + 2 + h.depth);
         }
         for (auto &[tile, depth] : tree.proc_recvs) {
             int64_t rc = t + 2 + depth;
-            proc_take(s, tile, rc);
+            s.slots.take(tile, rc);
             s.arrival[p][tile] = rc;
             s.makespan = std::max(s.makespan, rc + 1);
         }
@@ -272,8 +213,7 @@ oracle_search(const TaskGraph &g, const Partition &part,
     s0.issue.assign(nn, 0);
     s0.send_issue.assign(np, 0);
     s0.arrival.assign(np, {});
-    s0.proc_busy.assign(m.n_tiles, {});
-    s0.sw_res.assign(m.n_tiles, {});
+    s0.slots = sched::SlotTable(m.n_tiles);
     se.settle_imports(s0);
     se.dfs(s0);
 

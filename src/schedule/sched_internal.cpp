@@ -1,12 +1,90 @@
 #include "schedule/sched_internal.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <queue>
 
 #include "support/error.hpp"
 
 namespace raw {
 namespace sched {
+
+int64_t
+SlotTable::next_free(int tile, int64_t t) const
+{
+    const std::vector<uint64_t> &row = proc_[tile];
+    size_t w = static_cast<size_t>(t) >> 6;
+    if (w >= row.size())
+        return t;
+    uint64_t avail = ~row[w] & (~uint64_t{0} << (t & 63));
+    while (avail == 0) {
+        if (++w == row.size())
+            return static_cast<int64_t>(w << 6);
+        avail = ~row[w];
+    }
+    return static_cast<int64_t>(w << 6) + std::countr_zero(avail);
+}
+
+void
+SlotTable::take(int tile, int64_t t)
+{
+    std::vector<uint64_t> &row = proc_[tile];
+    size_t w = static_cast<size_t>(t) >> 6;
+    if (w >= row.size())
+        row.resize(w + 1, 0);
+    uint64_t bit = uint64_t{1} << (t & 63);
+    check(!(row[w] & bit), "scheduler: double-booked processor slot");
+    row[w] |= bit;
+}
+
+void
+SlotTable::reserve(const TreeHop &h, int64_t c)
+{
+    std::vector<SwRes> &row = sw_[h.tile];
+    if (static_cast<size_t>(c) >= row.size())
+        row.resize(c + 1);
+    SwRes &r = row[c];
+    r.in_used |= static_cast<uint8_t>(1u << static_cast<int>(h.in));
+    r.out_used |= h.out_mask;
+    r.reg_used = r.reg_used || h.to_reg;
+}
+
+int64_t
+SlotTable::find_path_slot(const RouteTree &tree, int src_tile,
+                          int64_t r) const
+{
+    int64_t t = r;
+    for (;;) {
+        check(t < r + kSlotSearchLimit,
+              "scheduler: no feasible slot for path");
+        if (!proc_free(src_tile, t)) {
+            t = next_free(src_tile, t);
+            continue;
+        }
+        // Receivers first: a busy one is cheap to spot and names the
+        // next cycle that receive could land on.
+        bool ok = true;
+        for (auto &[tile, depth] : tree.proc_recvs) {
+            int64_t c = t + 2 + depth;
+            if (!proc_free(tile, c)) {
+                t = next_free(tile, c) - 2 - depth;
+                ok = false;
+                break;
+            }
+        }
+        if (!ok)
+            continue;
+        for (const TreeHop &h : tree.hops) {
+            if (!hop_free(h, t + 1 + h.depth)) {
+                ok = false;
+                break;
+            }
+        }
+        if (ok)
+            return t;
+        t++;
+    }
+}
 
 std::vector<int>
 topo_order(const TaskGraph &g)

@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <random>
+#include <set>
+#include <string>
 
 #include "analysis/liveness.hpp"
 #include "analysis/replication.hpp"
@@ -17,6 +21,7 @@
 #include "frontend/lower.hpp"
 #include "frontend/parser.hpp"
 #include "schedule/event_scheduler.hpp"
+#include "schedule/sched_internal.hpp"
 #include "transform/congruence.hpp"
 #include "transform/constfold.hpp"
 #include "transform/rename.hpp"
@@ -100,6 +105,260 @@ TEST(RouteTree, SwitchRegisterDelivery)
             EXPECT_TRUE(h.out_mask &
                         (1u << static_cast<int>(Dir::kProc)));
         }
+    }
+}
+
+// ---------------------------------------------------------------
+// Skip-ahead path-slot search against the linear scan it replaced.
+
+/**
+ * The reservation state as the schedulers used to keep it: a bool
+ * row per processor, an ordered map per switch, and a slot search
+ * that tries every cycle in turn.
+ */
+struct LinearTable
+{
+    std::vector<std::vector<bool>> busy;
+    std::vector<std::map<int64_t, sched::SwRes>> sw;
+
+    explicit LinearTable(int n) : busy(n), sw(n) {}
+
+    bool proc_free(int tile, int64_t t) const
+    {
+        const std::vector<bool> &v = busy[tile];
+        return t >= static_cast<int64_t>(v.size()) || !v[t];
+    }
+    void take(int tile, int64_t t)
+    {
+        std::vector<bool> &v = busy[tile];
+        if (t >= static_cast<int64_t>(v.size()))
+            v.resize(t + 1, false);
+        ASSERT_FALSE(v[t]);
+        v[t] = true;
+    }
+    void reserve(const TreeHop &h, int64_t c)
+    {
+        sched::SwRes &r = sw[h.tile][c];
+        r.in_used |= static_cast<uint8_t>(1u << static_cast<int>(h.in));
+        r.out_used |= h.out_mask;
+        r.reg_used = r.reg_used || h.to_reg;
+    }
+    int64_t find_slot(const RouteTree &tree, int src, int64_t r) const
+    {
+        for (int64_t t = r;; t++) {
+            check(t < r + sched::kSlotSearchLimit,
+                  "linear scan: no feasible slot for path");
+            if (!proc_free(src, t))
+                continue;
+            bool ok = true;
+            for (const TreeHop &h : tree.hops) {
+                auto it = sw[h.tile].find(t + 1 + h.depth);
+                if (it == sw[h.tile].end())
+                    continue;
+                uint8_t in_bit = static_cast<uint8_t>(
+                    1u << static_cast<int>(h.in));
+                if ((it->second.in_used & in_bit) ||
+                    (it->second.out_used & h.out_mask) ||
+                    (h.to_reg && it->second.reg_used)) {
+                    ok = false;
+                    break;
+                }
+            }
+            for (auto &[tile, depth] : tree.proc_recvs)
+                ok = ok && proc_free(tile, t + 2 + depth);
+            if (ok)
+                return t;
+        }
+    }
+};
+
+/** Commit @p tree at send cycle @p t into both tables. */
+void
+book(sched::SlotTable &fast, LinearTable &slow, const RouteTree &tree,
+     int src, int64_t t)
+{
+    fast.take(src, t);
+    slow.take(src, t);
+    for (const TreeHop &h : tree.hops) {
+        fast.reserve(h, t + 1 + h.depth);
+        slow.reserve(h, t + 1 + h.depth);
+    }
+    for (auto &[tile, depth] : tree.proc_recvs) {
+        fast.take(tile, t + 2 + depth);
+        slow.take(tile, t + 2 + depth);
+    }
+}
+
+/**
+ * A random multicast (1-6 destinations, some switch-register only,
+ * some with the source's own register) or, one time in four, a
+ * control broadcast to every processor and a random set of switch
+ * registers.
+ */
+CommPath
+random_path(std::mt19937 &rng, const MachineConfig &m)
+{
+    CommPath p;
+    p.src_tile = static_cast<int>(rng() % m.n_tiles);
+    if (rng() % 4 == 0) {
+        p.broadcast = true;
+        for (int t = 0; t < m.n_tiles; t++) {
+            bool proc = t != p.src_tile;
+            bool reg = rng() % 2 == 0;
+            if (proc || reg)
+                p.dests.push_back({t, proc, reg});
+        }
+        return p;
+    }
+    std::set<int> tiles;
+    int want = 1 + static_cast<int>(rng() % 6);
+    while (static_cast<int>(tiles.size()) < want) {
+        int t = static_cast<int>(rng() % m.n_tiles);
+        if (t != p.src_tile)
+            tiles.insert(t);
+    }
+    for (int t : tiles) {
+        bool proc = rng() % 5 != 0;
+        bool reg = !proc || rng() % 4 == 0;
+        p.dests.push_back({t, proc, reg});
+    }
+    if (rng() % 4 == 0)
+        p.dests.push_back({p.src_tile, false, true});
+    return p;
+}
+
+RouteTree
+random_tree(std::mt19937 &rng, const MachineConfig &m, int &src)
+{
+    CommPath p = random_path(rng, m);
+    src = p.src_tile;
+    RouteOrder order = rng() % 2 ? RouteOrder::kYX : RouteOrder::kXY;
+    return build_route_tree(m, p, order);
+}
+
+TEST(SlotTable, SkipAheadMatchesLinearScan)
+{
+    int64_t searches = 0, skipped = 0;
+    for (int n : {16, 64, 128}) {
+        MachineConfig m = MachineConfig::base(n);
+        std::mt19937 rng(static_cast<unsigned>(n));
+        for (int trial = 0; trial < 12; trial++) {
+            SCOPED_TRACE(testing::Message()
+                         << "n=" << n << " trial=" << trial);
+            sched::SlotTable fast(n);
+            LinearTable slow(n);
+            const int64_t horizon = 32 + rng() % 300;
+            // Processor noise, from sparse to nearly full rows.
+            const unsigned density = rng() % 90;
+            for (int tile = 0; tile < n; tile++)
+                for (int64_t t = 0; t < horizon; t++)
+                    if (rng() % 100 < density) {
+                        fast.take(tile, t);
+                        slow.take(tile, t);
+                    }
+            // Stray switch reservations: every hop of a random tree
+            // at its own random cycle, so ports are busy in patterns
+            // no whole path would leave.
+            for (int k = 0; k < 20; k++) {
+                int src;
+                RouteTree tree = random_tree(rng, m, src);
+                for (const TreeHop &h : tree.hops) {
+                    int64_t c = rng() % horizon;
+                    fast.reserve(h, c);
+                    slow.reserve(h, c);
+                }
+            }
+            // Committed paths, each found by both searches.
+            for (int k = 0; k < 40; k++) {
+                int src;
+                RouteTree tree = random_tree(rng, m, src);
+                int64_t r = rng() % horizon;
+                int64_t t = slow.find_slot(tree, src, r);
+                ASSERT_EQ(fast.find_path_slot(tree, src, r), t);
+                searches++;
+                skipped += t - r;
+                book(fast, slow, tree, src, t);
+            }
+            // Queries on the final state, both route orders.
+            for (int k = 0; k < 40; k++) {
+                CommPath p = random_path(rng, m);
+                int64_t r = rng() % (horizon + 50);
+                for (RouteOrder order : {RouteOrder::kXY,
+                                         RouteOrder::kYX}) {
+                    RouteTree tree = build_route_tree(m, p, order);
+                    int64_t t = slow.find_slot(tree, p.src_tile, r);
+                    ASSERT_EQ(fast.find_path_slot(tree, p.src_tile, r),
+                              t);
+                    searches++;
+                    skipped += t - r;
+                }
+            }
+        }
+    }
+    // The random states must actually make searches wait.
+    EXPECT_GT(skipped, 10 * searches);
+}
+
+std::string
+panic_text(const std::function<void()> &f)
+{
+    try {
+        f();
+    } catch (const PanicError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(SlotTable, BookedRowPastTheLimitHasNoSlot)
+{
+    MachineConfig m = MachineConfig::base(16);
+    CommPath p;
+    p.src_tile = 5;
+    p.dests = {{6, true, false}, {9, true, false}};
+    RouteTree tree = build_route_tree(m, p);
+    const int64_t end = sched::kSlotSearchLimit + 64;
+
+    // A source row booked over [0, end): a search from r = 64 has
+    // nothing below r + limit == end; one from r = 65 reaches end.
+    {
+        sched::SlotTable fast(16);
+        LinearTable slow(16);
+        for (int64_t t = 0; t < end; t++) {
+            fast.take(5, t);
+            slow.take(5, t);
+        }
+        EXPECT_NE(panic_text([&] { fast.find_path_slot(tree, 5, 64); })
+                      .find("no feasible slot"),
+                  std::string::npos);
+        EXPECT_NE(panic_text([&] { slow.find_slot(tree, 5, 64); })
+                      .find("no feasible slot"),
+                  std::string::npos);
+        EXPECT_EQ(fast.find_path_slot(tree, 5, 65), end);
+        EXPECT_EQ(slow.find_slot(tree, 5, 65), end);
+    }
+    // The same through a receiver: its jump lands past the limit.
+    {
+        sched::SlotTable fast(16);
+        LinearTable slow(16);
+        for (int64_t t = 0; t < end; t++) {
+            fast.take(9, t);
+            slow.take(9, t);
+        }
+        int depth = 0;
+        for (auto &[tile, d] : tree.proc_recvs)
+            if (tile == 9)
+                depth = d;
+        int64_t r = end - 2 - depth - sched::kSlotSearchLimit;
+        EXPECT_NE(panic_text([&] { fast.find_path_slot(tree, 5, r); })
+                      .find("no feasible slot"),
+                  std::string::npos);
+        EXPECT_NE(panic_text([&] { slow.find_slot(tree, 5, r); })
+                      .find("no feasible slot"),
+                  std::string::npos);
+        EXPECT_EQ(fast.find_path_slot(tree, 5, r + 1),
+                  end - 2 - depth);
+        EXPECT_EQ(slow.find_slot(tree, 5, r + 1), end - 2 - depth);
     }
 }
 
