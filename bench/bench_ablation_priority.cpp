@@ -4,7 +4,6 @@
  * optimizer): the full cross product of
  *
  *   priority  in {ready-FIFO, level+fertility, slack-iterated}
- *   routing   in {XY, contention-aware XY/YX}
  *   placement in {static, profile-guided (--pgo)}
  *
  * over every built-in benchmark at 16 and 32 tiles.  Prints a cycles
@@ -44,29 +43,22 @@ struct SchedConfig
     const char *name;
     bool fifo;
     int iters;
-    bool route;
     bool pgo;
 };
 
 const SchedConfig kConfigs[] = {
-    {"fifo/xy", true, 0, false, false},
-    {"fifo/xy+yx", true, 0, true, false},
-    {"fifo/xy/pgo", true, 0, false, true},
-    {"fifo/xy+yx/pgo", true, 0, true, true},
-    {"prio/xy", false, 0, false, false}, // the seed configuration
-    {"prio/xy+yx", false, 0, true, false},
-    {"prio/xy/pgo", false, 0, false, true},
-    {"prio/xy+yx/pgo", false, 0, true, true},
-    {"slack/xy", false, 3, false, false},
-    {"slack/xy+yx", false, 3, true, false},
-    {"slack/xy/pgo", false, 3, false, true},
-    {"slack/xy+yx/pgo", false, 3, true, true},
+    {"fifo", true, 0, false},
+    {"fifo/pgo", true, 0, true},
+    {"prio", false, 0, false}, // the seed configuration
+    {"prio/pgo", false, 0, true},
+    {"slack", false, 3, false},
+    {"slack/pgo", false, 3, true},
 };
 constexpr int kNumConfigs =
     static_cast<int>(std::size(kConfigs));
 
 /** Index of the seed (everything off) configuration above. */
-constexpr int kSeedConfig = 4;
+constexpr int kSeedConfig = 2;
 /** Index of the everything-on configuration. */
 constexpr int kFullConfig = kNumConfigs - 1;
 
@@ -76,7 +68,6 @@ options_of(const SchedConfig &c)
     CompilerOptions opts;
     opts.orch.sched.fifo_priority = c.fifo;
     opts.orch.sched.sched_iters = c.iters;
-    opts.orch.sched.route_select = c.route;
     return opts;
 }
 
@@ -127,8 +118,7 @@ measure(const std::vector<BenchmarkProgram> &progs,
 
 // ---------------------------------------------------------------
 // Modulo-scheduling section (--modulo): the loop-dominated points,
-// base vs pipelined cycles plus per-loop achieved II vs MII, and an
-// oracle greedy-vs-optimal gap table over the small blocks.
+// base vs pipelined cycles plus per-loop achieved II vs MII.
 
 /** Per-source-loop II summary aggregated over the loop's blocks. */
 struct LoopIISummary
@@ -147,17 +137,6 @@ struct ModuloPoint
     int64_t cycles_base = 0;
     int64_t cycles_modulo = 0;
     std::vector<LoopIISummary> loops;
-};
-
-struct OracleRow
-{
-    std::string bench;
-    int tiles = 0;
-    int blocks = 0;
-    int proved_optimal = 0;
-    int64_t greedy_total = 0;
-    int64_t best_total = 0;
-    int64_t max_gap = 0;
 };
 
 const char *kLoopBenches[] = {"vpenta", "tomcatv", "life"};
@@ -211,32 +190,6 @@ measure_modulo(const std::vector<int> &sizes, int jobs)
     return pts;
 }
 
-std::vector<OracleRow>
-measure_oracle(int tiles, int64_t budget, int jobs)
-{
-    const int nb = static_cast<int>(std::size(kLoopBenches));
-    std::vector<OracleRow> rows(nb);
-    run_parallel(nb, jobs, [&](int b) {
-        const BenchmarkProgram &prog = benchmark(kLoopBenches[b]);
-        CompilerOptions opts;
-        opts.orch.sched.oracle_budget = budget;
-        CompileOutput out = compile_source(
-            prog.source, MachineConfig::base(tiles), opts);
-        OracleRow &row = rows[b];
-        row.bench = prog.name;
-        row.tiles = tiles;
-        for (const OracleReport &r : out.stats.oracle_reports) {
-            row.blocks++;
-            row.proved_optimal += r.proved_optimal ? 1 : 0;
-            row.greedy_total += r.greedy_makespan;
-            row.best_total += r.best_makespan;
-            row.max_gap = std::max(
-                row.max_gap, r.greedy_makespan - r.best_makespan);
-        }
-    });
-    return rows;
-}
-
 double
 modulo_geomean(const std::vector<ModuloPoint> &pts, int tiles,
                bool modulo)
@@ -256,7 +209,6 @@ modulo_geomean(const std::vector<ModuloPoint> &pts, int tiles,
 
 void
 print_modulo(const std::vector<ModuloPoint> &pts,
-             const std::vector<OracleRow> &oracle,
              const std::vector<int> &sizes)
 {
     std::printf("\n== modulo scheduling (--modulo): loop-dominated "
@@ -280,18 +232,6 @@ print_modulo(const std::vector<ModuloPoint> &pts,
                     "(%+.2f%%)\n",
                     t, base, mod, 100.0 * (mod - base) / base);
     }
-    std::printf("\n== oracle greedy-vs-optimal gap "
-                "(--oracle-budget) ==\n");
-    std::printf("%-14s %6s %7s %8s %8s %8s %8s\n", "Benchmark",
-                "tiles", "blocks", "optimal", "greedy", "best",
-                "max gap");
-    for (const OracleRow &r : oracle)
-        std::printf("%-14s %6d %7d %8d %8lld %8lld %8lld\n",
-                    r.bench.c_str(), r.tiles, r.blocks,
-                    r.proved_optimal,
-                    static_cast<long long>(r.greedy_total),
-                    static_cast<long long>(r.best_total),
-                    static_cast<long long>(r.max_gap));
 }
 
 double
@@ -336,9 +276,7 @@ print_table(const Measurements &m)
 
 void
 write_json(const std::string &path, const Measurements &m,
-           const std::vector<ModuloPoint> &mod,
-           const std::vector<OracleRow> &oracle,
-           int64_t oracle_budget)
+           const std::vector<ModuloPoint> &mod)
 {
     std::ofstream out(path);
     if (!out) {
@@ -424,22 +362,6 @@ write_json(const std::string &path, const Measurements &m,
             << ", \"delta_pct\": " << b3 << "}"
             << (s + 1 < tiles_seen.size() ? "," : "") << "\n";
     }
-    out << "    ]\n  },\n";
-
-    // Oracle gap section: greedy-vs-optimal over small blocks.
-    out << "  \"oracle\": {\n    \"budget\": " << oracle_budget
-        << ",\n    \"benchmarks\": [\n";
-    for (size_t i = 0; i < oracle.size(); i++) {
-        const OracleRow &r = oracle[i];
-        out << "      {\"name\": \"" << r.bench
-            << "\", \"tiles\": " << r.tiles
-            << ", \"blocks\": " << r.blocks
-            << ", \"proved_optimal\": " << r.proved_optimal
-            << ", \"greedy_makespan\": " << r.greedy_total
-            << ", \"best_makespan\": " << r.best_total
-            << ", \"max_gap\": " << r.max_gap << "}"
-            << (i + 1 < oracle.size() ? "," : "") << "\n";
-    }
     out << "    ]\n  }\n}\n";
     std::printf("wrote %s\n", path.c_str());
 }
@@ -478,15 +400,10 @@ main(int argc, char **argv)
     Measurements m = measure(progs, sizes, jobs);
     print_table(m);
 
-    // Modulo scheduling and the oracle gap: measured on the
-    // loop-dominated benchmarks, at the grid's largest size for the
-    // oracle (where blocks are smallest after partitioning).
-    const int64_t oracle_budget = 1000000;
+    // Modulo scheduling, measured on the loop-dominated benchmarks.
     std::vector<ModuloPoint> mod = measure_modulo(sizes, jobs);
-    std::vector<OracleRow> oracle =
-        measure_oracle(sizes.back(), oracle_budget, jobs);
-    print_modulo(mod, oracle, sizes);
-    write_json(json_out, m, mod, oracle, oracle_budget);
+    print_modulo(mod, sizes);
+    write_json(json_out, m, mod);
 
     // The best-of-N construction means turning every mechanism on
     // must never lose cycles versus the seed configuration.

@@ -152,16 +152,9 @@ run_rawcc_pgo(const std::string &source, const MachineConfig &machine,
     static std::mutex mu;
     static std::map<std::string, PgoPick> cache;
 
-    const SchedOptions &so = opts.orch.sched;
     std::string key = machine.name() + "/" +
-                      std::to_string(machine.n_tiles) + "/" +
-                      std::to_string(so.sched_iters) + "/" +
-                      std::to_string(so.route_select) + "/" +
-                      std::to_string(so.fifo_priority) + "/" +
-                      std::to_string(so.level_weight) + "/" +
-                      std::to_string(so.fertility_weight) + "/" +
-                      std::to_string(opts.unroll.enable) + "/" +
-                      source;
+                      std::to_string(machine.num_registers) + "/" +
+                      options_fingerprint(opts) + "/" + source;
     {
         std::lock_guard<std::mutex> lock(mu);
         auto it = cache.find(key);

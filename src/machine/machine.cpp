@@ -71,22 +71,6 @@ MachineConfig::next_hop(int from, int to) const
     return Dir::kNorth;
 }
 
-Dir
-MachineConfig::next_hop_yx(int from, int to) const
-{
-    if (from == to)
-        return Dir::kProc;
-    int fr = row_of(from), tr = row_of(to);
-    if (fr < tr)
-        return Dir::kSouth;
-    if (fr > tr)
-        return Dir::kNorth;
-    int fc = col_of(from), tc = col_of(to);
-    if (fc < tc)
-        return Dir::kEast;
-    return Dir::kWest;
-}
-
 int
 MachineConfig::neighbor(int tile, Dir d) const
 {

@@ -106,13 +106,6 @@ struct MachineConfig
      */
     Dir next_hop(int from, int to) const;
 
-    /**
-     * Next hop under the transposed (Y-then-X) dimension ordering.
-     * Same hop count as next_hop(); the alternative route lets the
-     * scheduler dodge a congested XY corner (SchedOptions::route_select).
-     */
-    Dir next_hop_yx(int from, int to) const;
-
     /** Tile adjacent to @p tile in direction @p d, or -1 off-mesh. */
     int neighbor(int tile, Dir d) const;
 

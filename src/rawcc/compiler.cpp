@@ -94,8 +94,7 @@ options_fingerprint(const CompilerOptions &opts)
         os << " " << v;
     const SchedOptions &s = opts.orch.sched;
     os << "|s:" << s.level_weight << " " << s.fertility_weight << " "
-       << s.fifo_priority << " " << s.sched_iters << " "
-       << s.route_select << " " << s.modulo << " " << s.mii_cap;
+       << s.fifo_priority << " " << s.sched_iters << " " << s.modulo;
     os << "|o:" << opts.orch.enable_replication << " "
        << opts.orch.fold_ports << " hv";
     for (int v : opts.orch.var_home_override)
@@ -266,7 +265,6 @@ orchestrate_and_link(Function fn, const MachineConfig &machine,
     out.stats.block_makespan = vp.block_makespan;
     out.stats.est_tile_busy = vp.est_tile_busy;
     out.stats.block_pipeline = vp.block_pipeline;
-    out.stats.oracle_reports = vp.oracle_reports;
     out.stats.timings.total_ms = out.stats.timings.orchestrate_ms +
                                  out.stats.timings.link_ms;
     out.fn = std::move(fn);

@@ -95,8 +95,6 @@ struct CompileStats
     std::vector<int64_t> est_tile_busy;
     /** Per-loop-block modulo-scheduling outcomes (--modulo). */
     std::vector<BlockPipelineStats> block_pipeline;
-    /** Small-block oracle reports (--oracle-budget). */
-    std::vector<OracleReport> oracle_reports;
     /** Per-stage compile time. */
     PhaseTimings timings;
     /** Block-schedule cache traffic (includes smart-homes probes). */

@@ -630,8 +630,6 @@ orchestrate(Function &fn, const MachineConfig &machine,
     std::vector<int64_t> makespans(n_blocks, 0);
     std::vector<std::vector<int64_t>> busys(n_blocks);
     std::vector<BlockPipelineStats> pstats(n_blocks);
-    std::vector<uint8_t> have_oracle(n_blocks, 0);
-    std::vector<OracleReport> oracles(n_blocks);
     std::vector<std::vector<std::vector<VInstr>>> btiles(n_blocks);
     std::vector<std::vector<std::vector<SInstr>>> bswitches(n_blocks);
 
@@ -645,26 +643,6 @@ orchestrate(Function &fn, const MachineConfig &machine,
     for (int t = 0; t < n_tiles; t++)
         any_sw_active = any_sw_active || vp.switch_active[t];
 
-    // The oracle is reporting-only and independent of the schedule
-    // cache: it runs per compile (budget-gated) so its reports exist
-    // on warm compiles too, identically to cold ones.
-    auto run_oracle = [&](int b) {
-        if (opts.sched.oracle_budget <= 0)
-            return;
-        const TaskGraph &g = ensure_graph(b);
-        const Instr &term = fn.blocks[b].terminator();
-        int bcast = -1;
-        if (needs_bcast[b])
-            bcast = g.producer_of(term.src[0]);
-        std::vector<CommPath> paths = build_comm_paths(
-            g, parts[b], machine, bcast, vp.switch_active);
-        if (oracle_search(g, parts[b], machine, paths,
-                          opts.sched.oracle_budget, oracles[b])) {
-            oracles[b].block = b;
-            have_oracle[b] = 1;
-        }
-    };
-
     Clock::time_point t_sched = Clock::now();
     run_parallel(n_blocks, n_threads, [&](int b) {
         const Instr &term = fn.blocks[b].terminator();
@@ -677,10 +655,8 @@ orchestrate(Function &fn, const MachineConfig &machine,
                 if (rehydrate_sched_payload(*blob, canons[b], term,
                                             makespans[b], busys[b],
                                             pstats[b], btiles[b],
-                                            bswitches[b])) {
-                    run_oracle(b);
+                                            bswitches[b]))
                     return;
-                }
                 // Undecodable payload (stale survivor): recompute
                 // below and re-put a fresh entry.
             }
@@ -715,7 +691,6 @@ orchestrate(Function &fn, const MachineConfig &machine,
                 canons[b], term, sched, btiles[b], bswitches[b]));
             cache.put_sched(skey, dir, e, ctr[b]);
         }
-        run_oracle(b);
     });
     vp.schedule_phase_ms = ms_since(t_sched);
 
@@ -739,8 +714,6 @@ orchestrate(Function &fn, const MachineConfig &machine,
             pstats[b].src_loop = fn.blocks[b].src_loop;
             vp.block_pipeline.push_back(pstats[b]);
         }
-        if (have_oracle[b])
-            vp.oracle_reports.push_back(oracles[b]);
         vp.cache.add(ctr[b]);
     }
 

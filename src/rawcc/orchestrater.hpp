@@ -37,7 +37,6 @@
 #include "partition/partition.hpp"
 #include "rawcc/data_partitioner.hpp"
 #include "schedule/event_scheduler.hpp"
-#include "schedule/oracle.hpp"
 #include "sim/isa.hpp"
 
 namespace raw {
@@ -164,11 +163,6 @@ struct VirtualProgram
      * (empty unless the sched options enable --modulo).
      */
     std::vector<BlockPipelineStats> block_pipeline;
-    /**
-     * Small-block oracle reports, in block order (empty unless
-     * --oracle-budget > 0); reporting-only, never affects streams.
-     */
-    std::vector<OracleReport> oracle_reports;
     /** Block-schedule cache traffic of this orchestration. */
     SchedCacheCounters cache;
     /** Wall-clock of the parallel partition phase (ms). */

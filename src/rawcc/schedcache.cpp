@@ -390,13 +390,7 @@ block_schedule_key(const BlockKey &part_key, const SchedOptions &so,
     s.num(so.fertility_weight);
     s.num(so.fifo_priority);
     s.num(so.sched_iters);
-    s.num(so.route_select);
     s.num(so.modulo);
-    s.num(so.mii_cap);
-    // The oracle never changes the emitted streams, but its reports
-    // ride in the compile stats; keying on the budget keeps a --stats
-    // run from being satisfied by an oracle-less entry and vice versa.
-    s.num(so.oracle_budget);
     s.lit("|w:");
     s.num(static_cast<int64_t>(switch_active.size()));
     for (bool v : switch_active)

@@ -9,8 +9,7 @@
 namespace raw {
 
 RouteTree
-build_route_tree(const MachineConfig &m, const CommPath &path,
-                 RouteOrder order)
+build_route_tree(const MachineConfig &m, const CommPath &path)
 {
     RouteTree tree;
     std::map<int, int> hop_of_tile; // tile -> index in tree.hops
@@ -38,9 +37,7 @@ build_route_tree(const MachineConfig &m, const CommPath &path,
         Dir in = Dir::kProc;
         int depth = 0;
         while (cur != d.tile) {
-            Dir dir = order == RouteOrder::kXY
-                          ? m.next_hop(cur, d.tile)
-                          : m.next_hop_yx(cur, d.tile);
+            Dir dir = m.next_hop(cur, d.tile);
             TreeHop &h = ensure_hop(cur, in, depth);
             h.out_mask |= static_cast<uint8_t>(1u << static_cast<int>(
                                                    dir));
@@ -60,22 +57,6 @@ build_route_tree(const MachineConfig &m, const CommPath &path,
             h.to_reg = true;
     }
     return tree;
-}
-
-bool
-same_route_tree(const RouteTree &a, const RouteTree &b)
-{
-    if (a.hops.size() != b.hops.size() ||
-        a.proc_recvs != b.proc_recvs || a.max_depth != b.max_depth)
-        return false;
-    for (size_t i = 0; i < a.hops.size(); i++) {
-        const TreeHop &x = a.hops[i], &y = b.hops[i];
-        if (x.tile != y.tile || x.in != y.in ||
-            x.out_mask != y.out_mask || x.to_reg != y.to_reg ||
-            x.depth != y.depth)
-            return false;
-    }
-    return true;
 }
 
 std::vector<CommPath>

@@ -71,23 +71,8 @@ struct RouteTree
     int max_depth = 0;
 };
 
-/** Dimension ordering of a route tree. */
-enum class RouteOrder : uint8_t {
-    kXY, ///< X first, then Y (the paper's choice)
-    kYX, ///< transposed ordering — the contention-dodging alternative
-};
-
-/**
- * Build the dimension-ordered multicast tree for @p path.  Both
- * orderings yield minimal (Manhattan) routes with identical per-
- * destination depths, so they are interchangeable in the schedule's
- * timing model; they differ only in which switches the words transit.
- */
-RouteTree build_route_tree(const MachineConfig &m, const CommPath &path,
-                           RouteOrder order = RouteOrder::kXY);
-
-/** Structural equality (same hops, same deliveries). */
-bool same_route_tree(const RouteTree &a, const RouteTree &b);
+/** Build the X-then-Y dimension-ordered multicast tree for @p path. */
+RouteTree build_route_tree(const MachineConfig &m, const CommPath &path);
 
 /**
  * Derive the communication paths of one scheduled block: one multicast

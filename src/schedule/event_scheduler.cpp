@@ -14,7 +14,8 @@ namespace {
 
 // Dependence bookkeeping, priorities and the reservation table live
 // in schedule/sched_internal.hpp, shared with the modulo scheduler
-// and the small-block oracle so all three agree on the resource model.
+// and the tests' branch-and-bound reference so all three agree on the
+// resource model.
 using sched::build_deps;
 using sched::compute_priorities;
 using sched::DepInfo;
@@ -32,17 +33,12 @@ struct PassResult
 /**
  * One greedy list-scheduling pass.  @p prio gives the priority of
  * every node (paths inherit their source node's); @p fifo ignores it
- * and serves tasks in global ready order.  @p trees_yx, when
- * non-null, enables per-path XY/YX route selection: the pass commits
- * whichever tree admits the earlier send slot (ties keep XY, so runs
- * without contention are unchanged).
+ * and serves tasks in global ready order.
  */
 PassResult
 run_pass(const TaskGraph &g, const Partition &part,
          const MachineConfig &m, const std::vector<CommPath> &paths,
-         const std::vector<RouteTree> &trees_xy,
-         const std::vector<RouteTree> *trees_yx,
-         const std::vector<uint8_t> &yx_differs, const DepInfo &dep,
+         const std::vector<RouteTree> &trees, const DepInfo &dep,
          const std::vector<int64_t> &prio, bool fifo)
 {
     const int nn = static_cast<int>(g.nodes().size());
@@ -173,25 +169,15 @@ run_pass(const TaskGraph &g, const Partition &part,
             int64_t r =
                 std::max<int64_t>(res.finish[path.src_node], 0);
 
-            const RouteTree *tree = &trees_xy[p];
-            int64_t t = slots.find_path_slot(*tree, src_tile, r);
-            if (trees_yx && yx_differs[p]) {
-                // Both orderings reach every destination at the same
-                // depth, so the earlier send wins outright.
-                int64_t t_yx =
-                    slots.find_path_slot((*trees_yx)[p], src_tile, r);
-                if (t_yx < t) {
-                    t = t_yx;
-                    tree = &(*trees_yx)[p];
-                }
-            }
+            const RouteTree &tree = trees[p];
+            int64_t t = slots.find_path_slot(tree, src_tile, r);
 
             // Commit.
             slots.take(src_tile, t);
             out.tiles[src_tile].push_back({t, TileItem::Kind::kSend,
                                            path.src_node, path.value,
                                            p});
-            for (const TreeHop &h : tree->hops) {
+            for (const TreeHop &h : tree.hops) {
                 slots.reserve(h, t + 1 + h.depth);
                 out.switches[h.tile].push_back(
                     {t + 1 + h.depth, h.in, h.out_mask, h.to_reg,
@@ -199,7 +185,7 @@ run_pass(const TaskGraph &g, const Partition &part,
                 out.makespan =
                     std::max(out.makespan, t + 2 + h.depth);
             }
-            for (auto &[tile, depth] : tree->proc_recvs) {
+            for (auto &[tile, depth] : tree.proc_recvs) {
                 int64_t rc = t + 2 + depth;
                 slots.take(tile, rc);
                 out.tiles[tile].push_back(
@@ -313,66 +299,35 @@ schedule_block(const TaskGraph &g, const Partition &part,
                const std::vector<CommPath> &paths,
                const SchedOptions &opts)
 {
-    const int np = static_cast<int>(paths.size());
-
-    std::vector<RouteTree> trees_xy;
-    trees_xy.reserve(np);
+    std::vector<RouteTree> trees;
+    trees.reserve(paths.size());
     for (const CommPath &p : paths)
-        trees_xy.push_back(build_route_tree(m, p));
+        trees.push_back(build_route_tree(m, p));
 
     DepInfo dep = build_deps(g, part, paths);
     Priorities stat = compute_priorities(g, part, m);
-    std::vector<int64_t> prio0(g.nodes().size(), 0);
+    std::vector<int64_t> prio(g.nodes().size(), 0);
     for (size_t v = 0; v < g.nodes().size(); v++)
-        prio0[v] = stat.level[v] * opts.level_weight +
-                   stat.fert[v] * opts.fertility_weight;
+        prio[v] = stat.level[v] * opts.level_weight +
+                  stat.fert[v] * opts.fertility_weight;
 
-    // Pass 0 is the seed single greedy pass; with every optimization
-    // flag off its schedule is returned untouched, and with them on
-    // it is the floor no candidate may fall below (best-of-N).
-    PassResult best = run_pass(g, part, m, paths, trees_xy, nullptr,
-                               {}, dep, prio0, opts.fifo_priority);
+    // Pass 0 is the seed single greedy pass; without --sched-iters its
+    // schedule is returned untouched, and with it it is the floor no
+    // later pass may fall below (best-of-N).
+    PassResult best =
+        run_pass(g, part, m, paths, trees, dep, prio, opts.fifo_priority);
     if (!opts.multi_pass())
         return std::move(best.sched);
 
-    std::vector<RouteTree> trees_yx;
-    std::vector<uint8_t> yx_differs;
-    bool any_yx = false;
-    if (opts.route_select) {
-        trees_yx.reserve(np);
-        yx_differs.assign(np, 0);
-        for (int p = 0; p < np; p++) {
-            trees_yx.push_back(
-                build_route_tree(m, paths[p], RouteOrder::kYX));
-            yx_differs[p] =
-                !same_route_tree(trees_xy[p], trees_yx[p]);
-            any_yx = any_yx || yx_differs[p];
-        }
-    }
-    const std::vector<RouteTree> *yx =
-        any_yx ? &trees_yx : nullptr;
-
-    auto consider = [&](PassResult &&cand) {
+    // Each pass takes its priorities from the one before it.
+    prio = realized_priorities(g, part, m, dep, stat, best, opts);
+    for (int it = 0; it < opts.sched_iters; it++) {
+        PassResult cand =
+            run_pass(g, part, m, paths, trees, dep, prio, false);
+        if (it + 1 < opts.sched_iters)
+            prio = realized_priorities(g, part, m, dep, stat, cand, opts);
         if (cand.sched.makespan < best.sched.makespan)
             best = std::move(cand);
-    };
-
-    PassResult last = run_pass(g, part, m, paths, trees_xy, yx, yx_differs,
-                               dep, prio0, opts.fifo_priority);
-    // run_pass with yx == nullptr and the same inputs would repeat
-    // pass 0 exactly; only evaluate the route-select candidate when
-    // some path actually has a distinct YX tree.
-    if (yx) {
-        PassResult copy = last; // feedback source for iteration 1
-        consider(std::move(copy));
-    }
-    for (int it = 0; it < opts.sched_iters; it++) {
-        std::vector<int64_t> prio =
-            realized_priorities(g, part, m, dep, stat, last, opts);
-        last = run_pass(g, part, m, paths, trees_xy, yx, yx_differs,
-                        dep, prio, false);
-        PassResult copy = last;
-        consider(std::move(copy));
     }
     return std::move(best.sched);
 }

@@ -27,6 +27,9 @@
 
 namespace raw {
 
+/** Most slack-driven rescheduling passes a caller may ask for. */
+constexpr int kMaxSchedIters = 16;
+
 /** Scheduling policy knobs (ablations and optimizations). */
 struct SchedOptions
 {
@@ -45,15 +48,6 @@ struct SchedOptions
      */
     int sched_iters = 0;
     /**
-     * Contention-aware route selection: when the XY-ordered route
-     * tree of a path would stall on an occupied switch port at its
-     * ready time, also evaluate the YX-ordered tree and commit
-     * whichever starts earlier (ties keep XY).  Each path still uses
-     * exactly one single-source tree, so the static ordering property
-     * and the runtime checker are unaffected.
-     */
-    bool route_select = false;
-    /**
      * Cross-tile modulo scheduling (--modulo): software-pipeline the
      * blocks that sit on CFG cycles by searching initiation intervals
      * upward from MII under per-tile window and loop-carried (wrap)
@@ -63,23 +57,9 @@ struct SchedOptions
      * schedule/modulo.hpp and docs/scheduling.md.
      */
     bool modulo = false;
-    /**
-     * Upper bound of the initiation-interval search (--mii-cap); a
-     * loop whose feasible II exceeds it falls back to the greedy
-     * schedule.
-     */
-    int mii_cap = 512;
-    /**
-     * Small-block optimal oracle (--oracle-budget): branch-and-bound
-     * over ready-task orderings with at most this many explored
-     * states per block, reporting the greedy-vs-optimal makespan gap
-     * (schedule/oracle.hpp).  0 disables; the oracle never changes
-     * the emitted schedule.
-     */
-    int64_t oracle_budget = 0;
 
     /** Any best-of-N mechanism beyond the seed single pass enabled? */
-    bool multi_pass() const { return sched_iters > 0 || route_select; }
+    bool multi_pass() const { return sched_iters > 0; }
 };
 
 /** One processor-stream entry of the schedule. */

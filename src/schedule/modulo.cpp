@@ -33,6 +33,9 @@ constexpr int64_t kSlotSearchPad = 1024;
 constexpr int kWindowRetries = 12;
 /** Skip the O(nodes * edges) flat span bound on oversized blocks. */
 constexpr int kFlatBoundNodeCap = 4000;
+/** Upper bound of the II search; a loop whose feasible II exceeds it
+ *  keeps the greedy schedule. */
+constexpr int64_t kMiiCap = 512;
 
 } // namespace
 
@@ -878,7 +881,7 @@ schedule_block_pipelined(const TaskGraph &g, const Partition &part,
     // coupling between blocks, so gains within ~6% of greedy are
     // noise there and not worth perturbing the schedule for.
     int64_t margin = std::max<int64_t>(1, greedy_ii / 16);
-    int64_t hi = std::min<int64_t>(opts.mii_cap, greedy_ii - margin);
+    int64_t hi = std::min<int64_t>(kMiiCap, greedy_ii - margin);
     int64_t ii = bounds.mii();
     // Greedy stream end cycles: the window search seeds each stream's
     // release so its window is presumed to end where greedy ended it

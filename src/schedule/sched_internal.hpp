@@ -6,9 +6,9 @@
  * Internals shared by the block schedulers.
  *
  * The greedy list scheduler (event_scheduler.cpp), the cross-tile
- * modulo scheduler (modulo.cpp) and the small-block optimal oracle
- * (oracle.cpp) all operate on the same task-graph-plus-comm-paths
- * model: identical dependence bookkeeping, identical priority
+ * modulo scheduler (modulo.cpp) and the branch-and-bound reference
+ * the scheduler tests check greedy against all operate on the same
+ * task-graph-plus-comm-paths model: identical dependence bookkeeping, identical priority
  * computation, one space-time reservation table.  This header
  * factors those pieces out so the three schedulers cannot drift on
  * the resource model — a schedule any of them accepts reserves

@@ -38,6 +38,17 @@ ms_between(Clock::time_point a, Clock::time_point b)
     return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
+/** A request parameter the daemon refuses; replied as bad_request. */
+class BadRequest : public FatalError
+{
+  public:
+    using FatalError::FatalError;
+};
+
+/** Keys a request's "options" object may set. */
+const std::set<std::string> kOptionKeys = {"pgo", "smart_homes",
+                                           "verify_ir", "sched_iters"};
+
 /** One client connection; writes are serialized by wmu. */
 struct Conn
 {
@@ -256,16 +267,19 @@ struct ServeServer::Impl
         if (!o)
             return copts;
         if (!o->is_object())
-            throw FatalError("\"options\" must be an object");
+            throw BadRequest("\"options\" must be an object");
+        for (const auto &member : o->object)
+            if (!kOptionKeys.count(member.first))
+                throw BadRequest("unknown option: \"" + member.first +
+                                 "\"");
         copts.pgo = o->bool_or("pgo", false);
         copts.smart_homes = o->bool_or("smart_homes", false);
         copts.verify_ir = o->bool_or("verify_ir", true);
         int64_t iters = o->int_or("sched_iters", 0);
-        if (iters < 0 || iters > 64)
-            throw FatalError("\"sched_iters\" must be in [0, 64]");
+        if (iters < 0 || iters > kMaxSchedIters)
+            throw BadRequest("\"sched_iters\" must be in [0, " +
+                             std::to_string(kMaxSchedIters) + "]");
         copts.orch.sched.sched_iters = static_cast<int>(iters);
-        copts.orch.sched.route_select =
-            o->bool_or("route_select", false);
         return copts;
     }
 
@@ -513,6 +527,9 @@ struct ServeServer::Impl
         } catch (const DeadlockError &e) {
             if (reply_error(p, "sim_error", e.what()))
                 count(&ServeStats::sim_errors);
+        } catch (const BadRequest &e) {
+            if (reply_error(p, "bad_request", e.what()))
+                count(&ServeStats::bad_requests);
         } catch (const FatalError &e) {
             const char *kind =
                 p.op == "simulate" ? "sim_error" : "compile_error";

@@ -1,4 +1,4 @@
-#include "schedule/oracle.hpp"
+#include "oracle.hpp"
 
 #include <algorithm>
 #include <climits>

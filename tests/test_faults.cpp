@@ -8,6 +8,7 @@
  * validation of the fault flags.
  */
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -329,29 +330,44 @@ TEST(Cli, RejectsNaNAndOutOfRangeRates)
     EXPECT_EQ(run_cli("--jitter-rate nan jacobi"), 2);
 }
 
-TEST(Cli, RejectsBadModuloKnobs)
+/** Exit status of rawcc @p args; its stderr lands in @p err. */
+int
+run_cli_stderr(const std::string &args, std::string &err)
 {
-    EXPECT_EQ(run_cli("--mii-cap 0 jacobi"), 2);
-    EXPECT_EQ(run_cli("--mii-cap -5 jacobi"), 2);
-    EXPECT_EQ(run_cli("--mii-cap 65537 jacobi"), 2);
-    EXPECT_EQ(run_cli("--mii-cap nope jacobi"), 2);
-    EXPECT_EQ(run_cli("--oracle-budget -1 jacobi"), 2);
-    EXPECT_EQ(run_cli("--oracle-budget 100000001 jacobi"), 2);
-    EXPECT_EQ(run_cli("--oracle-budget x jacobi"), 2);
-    // Missing value at end of line.
-    EXPECT_EQ(run_cli("jacobi --mii-cap"), 2);
-    EXPECT_EQ(run_cli("jacobi --oracle-budget"), 2);
+    std::string cmd =
+        std::string(RAWCC_BIN) + " " + args + " 2>&1 >/dev/null";
+    FILE *f = popen(cmd.c_str(), "r");
+    if (!f)
+        return -1;
+    char buf[256];
+    err.clear();
+    while (size_t n = std::fread(buf, 1, sizeof(buf), f))
+        err.append(buf, n);
+    int rc = pclose(f);
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
-TEST(Cli, ModuloKnobsRoundTrip)
+// --route-select, --mii-cap and --oracle-budget were deleted; a
+// script still passing them must fail loudly, not compile something
+// else.
+TEST(Cli, RemovedScheduleFlagsAreUnknown)
 {
-    // In-range values parse and compile cleanly.
-    EXPECT_EQ(run_cli("--modulo --mii-cap 64 --oracle-budget 1000 "
-                      "--tiles 4 --no-run jacobi"),
-              0);
-    EXPECT_EQ(run_cli("--mii-cap 1 --oracle-budget 0 "
-                      "--tiles 4 --no-run jacobi"),
-              0);
+    for (std::string args :
+         {"--route-select", "--mii-cap 64", "--oracle-budget 1"}) {
+        std::string err;
+        EXPECT_EQ(run_cli_stderr(args + " --tiles 4 --no-run jacobi",
+                                 err),
+                  2)
+            << args;
+        std::string flag = args.substr(0, args.find(' '));
+        EXPECT_NE(err.find("unknown option " + flag), std::string::npos)
+            << err;
+    }
+}
+
+TEST(Cli, ModuloRoundTrip)
+{
+    EXPECT_EQ(run_cli("--modulo --tiles 4 --no-run jacobi"), 0);
 }
 #endif
 

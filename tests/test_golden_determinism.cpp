@@ -36,7 +36,7 @@ struct GoldenPoint
     const char *bench;
     int tiles;
     FaultConfig faults;
-    /** Schedule-quality optimizer (--sched-iters 3 --route-select). */
+    /** Schedule-quality optimizer (--sched-iters 3). */
     bool sched_opt = false;
     /** Cross-tile modulo scheduling (--modulo). */
     bool modulo = false;
@@ -93,10 +93,8 @@ run_point(const GoldenPoint &p, int jobs = 1,
 {
     const BenchmarkProgram &prog = benchmark(p.bench);
     CompilerOptions opts;
-    if (p.sched_opt) {
+    if (p.sched_opt)
         opts.orch.sched.sched_iters = 3;
-        opts.orch.sched.route_select = true;
-    }
     opts.orch.sched.modulo = p.modulo;
     opts.orch.jobs = jobs;
     opts.orch.cache_dir = cache_dir;

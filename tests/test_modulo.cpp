@@ -1,7 +1,6 @@
 /**
  * @file
- * Cross-tile modulo scheduling tests (--modulo, schedule/modulo.hpp)
- * and the small-block optimal oracle (--oracle-budget):
+ * Cross-tile modulo scheduling tests (--modulo, schedule/modulo.hpp):
  *
  *  - loop_blocks finds exactly the blocks on CFG cycles;
  *  - a pipelined schedule is only adopted when its modeled
@@ -14,10 +13,7 @@
  *    identical prints and check arrays with the runtime checker
  *    (provenance + FIFO bounds) armed;
  *  - pipelined programs are bit-identical across --jobs widths and
- *    both simulator backends;
- *  - the oracle's incumbent is the greedy ordering, so its best
- *    makespan never exceeds the greedy makespan, and its greedy
- *    figure agrees with the schedule the compiler actually emitted.
+ *    both simulator backends.
  */
 
 #include <gtest/gtest.h>
@@ -38,7 +34,6 @@
 #include "harness/harness.hpp"
 #include "rawcc/schedcache.hpp"
 #include "schedule/modulo.hpp"
-#include "schedule/oracle.hpp"
 #include "sim/disasm.hpp"
 #include "transform/congruence.hpp"
 #include "transform/constfold.hpp"
@@ -371,51 +366,6 @@ TEST(Modulo, PipelinedBitIdenticalAcrossJobsAndBackends)
         diff_sim_backends(serial.program, FaultConfig{}, checks);
     EXPECT_GT(r.cycles, 0);
     EXPECT_NE(r.prov_hash, 0u);
-}
-
-// ---------------------------------------------------------------
-// Oracle: greedy is the incumbent, so best <= greedy always; its
-// greedy figure agrees with the emitted schedule; reports only
-// appear for blocks within the task limit.
-
-// Small enough (a handful of compute nodes and paths) to sit within
-// kOracleTaskLimit on every block.
-const char *kTinyOracle = R"(
-float a; float b;
-a = 1.5;
-b = a * 2.0 + a;
-print(b);
-)";
-
-TEST(Oracle, BestNeverWorseAndAgreesWithGreedy)
-{
-    CompilerOptions opts;
-    opts.orch.sched.oracle_budget = 200000;
-    CompileOutput out = compile_source(
-        kTinyOracle, MachineConfig::base(2), opts);
-    ASSERT_FALSE(out.stats.oracle_reports.empty())
-        << "small loop blocks must be within the oracle task limit";
-    for (const OracleReport &r : out.stats.oracle_reports) {
-        EXPECT_LE(r.best_makespan, r.greedy_makespan)
-            << "block " << r.block;
-        EXPECT_LE(r.tasks, kOracleTaskLimit);
-        EXPECT_GT(r.states, 0);
-        ASSERT_GE(r.block, 0);
-        ASSERT_LT(static_cast<size_t>(r.block),
-                  out.stats.block_makespan.size());
-        EXPECT_EQ(r.greedy_makespan,
-                  out.stats.block_makespan[r.block])
-            << "oracle incumbent must be the emitted schedule";
-    }
-}
-
-TEST(Oracle, ZeroBudgetProducesNoReports)
-{
-    CompilerOptions opts;
-    opts.orch.sched.oracle_budget = 0;
-    CompileOutput out = compile_source(
-        kTinyOracle, MachineConfig::base(2), opts);
-    EXPECT_TRUE(out.stats.oracle_reports.empty());
 }
 
 } // namespace

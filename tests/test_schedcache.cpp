@@ -121,11 +121,11 @@ TEST(SchedCache, SchedOptionChangeMissesScheduleOnly)
     EXPECT_GT(c.stats.cache.sched_misses, 0);
 }
 
-// The modulo-scheduling knobs are schedule-stage inputs: every one
-// of them must churn the schedule key (a cached greedy schedule must
-// never satisfy a --modulo compile or vice versa), and none of them
-// may touch the partition key.
-TEST(SchedCache, ModuloKnobsChangeScheduleKey)
+// Every scheduling option is a schedule-stage input: each must churn
+// the schedule key (a cached greedy schedule must never satisfy a
+// --modulo compile or vice versa), and none may touch the partition
+// key.
+TEST(SchedCache, SchedOptionsChangeScheduleKey)
 {
     BlockKey pk;
     pk.h1 = 0x1234567890abcdefULL;
@@ -140,23 +140,17 @@ TEST(SchedCache, ModuloKnobsChangeScheduleKey)
     auto base_key = key(base);
     EXPECT_EQ(key(base), base_key) << "key must be deterministic";
 
-    SchedOptions m = base;
-    m.modulo = !m.modulo;
-    EXPECT_NE(key(m), base_key) << "--modulo must churn the key";
-
-    SchedOptions c = base;
-    c.mii_cap = base.mii_cap * 2;
-    EXPECT_NE(key(c), base_key) << "--mii-cap must churn the key";
-
-    SchedOptions o = base;
-    o.oracle_budget = base.oracle_budget + 50000;
-    EXPECT_NE(key(o), base_key)
-        << "--oracle-budget must churn the key";
-
-    // All three knobs produce mutually distinct keys.
-    std::set<std::pair<uint64_t, uint64_t>> keys = {
-        base_key, key(m), key(c), key(o)};
-    EXPECT_EQ(keys.size(), 4u);
+    std::vector<SchedOptions> variants(5, base);
+    variants[0].level_weight++;
+    variants[1].fertility_weight++;
+    variants[2].fifo_priority = !base.fifo_priority;
+    variants[3].sched_iters = 3;
+    variants[4].modulo = !base.modulo;
+    std::set<std::pair<uint64_t, uint64_t>> keys = {base_key};
+    for (const SchedOptions &v : variants)
+        keys.insert(key(v));
+    EXPECT_EQ(keys.size(), variants.size() + 1)
+        << "every option must churn the key, each differently";
 }
 
 TEST(SchedCache, ModuloChangeMissesScheduleOnly)
@@ -406,9 +400,6 @@ TEST(SchedCache, FingerprintTracksEffectiveOptions)
     EXPECT_NE(options_fingerprint(a), options_fingerprint(b));
     b = a;
     b.orch.sched.modulo = true;
-    EXPECT_NE(options_fingerprint(a), options_fingerprint(b));
-    b = a;
-    b.orch.sched.mii_cap *= 2;
     EXPECT_NE(options_fingerprint(a), options_fingerprint(b));
 }
 

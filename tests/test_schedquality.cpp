@@ -1,23 +1,20 @@
 /**
  * @file
  * Schedule-quality optimizer tests (SchedOptions::sched_iters,
- * SchedOptions::route_select, CompilerOptions::pgo):
+ * CompilerOptions::pgo):
  *
  *  - best-of-N rescheduling never produces a longer block schedule
  *    than the single greedy pass, on randomized task graphs over
  *    2/4/16-tile meshes;
- *  - YX-ordered route trees satisfy the same prefix-consistency
- *    invariants as XY trees (build_route_tree's internal checks) and
- *    agree on depths, so swapping the dimension order never changes
- *    a path's latency, only its transit switches;
  *  - optimized schedules stay structurally valid (slot exclusivity,
- *    end-to-end contiguous paths under whichever tree was chosen);
+ *    end-to-end contiguous paths along the XY route tree);
  *  - the scheduler's estimated block length tracks the simulator's
  *    achieved fault-free length on straight-line programs;
  *  - fifo_priority mode orders node and path tasks by one global
  *    ready sequence (imports complete eagerly), pinned by value;
  *  - --pgo (measured best-of portfolio) never loses cycles and never
- *    changes program semantics.
+ *    changes program semantics, and its cached pick is never reused
+ *    across different compiler options.
  */
 
 #include <gtest/gtest.h>
@@ -153,81 +150,20 @@ TEST(BestOfN, NeverLongerThanSinglePass)
                 schedule(src, n, SchedOptions{}).sched.makespan;
             SchedOptions iters;
             iters.sched_iters = 3;
-            SchedOptions route;
-            route.route_select = true;
-            SchedOptions both;
-            both.sched_iters = 3;
-            both.route_select = true;
             EXPECT_LE(schedule(src, n, iters).sched.makespan, base)
                 << "sched_iters regressed, n=" << n;
-            EXPECT_LE(schedule(src, n, route).sched.makespan, base)
-                << "route_select regressed, n=" << n;
-            EXPECT_LE(schedule(src, n, both).sched.makespan, base)
-                << "combined flags regressed, n=" << n;
-        }
-    }
-}
-
-// ---------------------------------------------------------------
-// (b) YX route trees: same invariants and depths as XY.
-
-TEST(RouteTreeYX, DimensionOrderYThenX)
-{
-    MachineConfig m = MachineConfig::base(16); // 4x4
-    CommPath p;
-    p.src_tile = 0;
-    p.dests = {{10, true, false}}; // row 2, col 2
-    RouteTree t = build_route_tree(m, p, RouteOrder::kYX);
-    // Path: 0 ->S 4 ->S 8 ->E 9 ->E 10 (rows first, then columns).
-    std::map<int, Dir> in_of;
-    for (const TreeHop &h : t.hops)
-        in_of[h.tile] = h.in;
-    ASSERT_TRUE(in_of.count(4));
-    ASSERT_TRUE(in_of.count(8));
-    ASSERT_TRUE(in_of.count(9));
-    ASSERT_TRUE(in_of.count(10));
-    EXPECT_EQ(in_of[4], Dir::kNorth);
-    EXPECT_EQ(in_of[8], Dir::kNorth);
-    EXPECT_EQ(in_of[9], Dir::kWest);
-    EXPECT_EQ(in_of[10], Dir::kWest);
-    EXPECT_EQ(t.max_depth, 4);
-}
-
-TEST(RouteTreeYX, SameDepthsAsXYOnDerivedPaths)
-{
-    // Every path a real block derives must build a YX tree that
-    // passes build_route_tree's internal prefix-consistency checks
-    // (they panic on violation) and deliver to the same destinations
-    // at the same depths as the XY tree — the Manhattan distance
-    // does not depend on the dimension order.
-    for (uint32_t seed : {1u, 2u, 3u}) {
-        Ctx c = schedule(random_program(seed, 24), 16,
-                         SchedOptions{});
-        for (const CommPath &p : c.paths) {
-            RouteTree xy = build_route_tree(c.machine, p);
-            RouteTree yx =
-                build_route_tree(c.machine, p, RouteOrder::kYX);
-            EXPECT_EQ(xy.max_depth, yx.max_depth);
-            auto xr = xy.proc_recvs, yr = yx.proc_recvs;
-            std::sort(xr.begin(), xr.end());
-            std::sort(yr.begin(), yr.end());
-            EXPECT_EQ(xr, yr) << "delivery set/depth differs";
-            EXPECT_EQ(xy.hops.size(), yx.hops.size())
-                << "single-dest trees reserve equal slot counts";
         }
     }
 }
 
 // ---------------------------------------------------------------
 // Optimized schedules keep the structural guarantees of the seed
-// scheduler: exclusive slots, contiguous end-to-end paths (under
-// whichever route tree the pass committed).
+// scheduler: exclusive slots, contiguous end-to-end paths.
 
 TEST(BestOfN, OptimizedScheduleStructurallyValid)
 {
     SchedOptions so;
     so.sched_iters = 3;
-    so.route_select = true;
     for (uint32_t seed : {1u, 2u}) {
         Ctx c = schedule(random_program(seed, 24), 16, so);
         for (int t = 0; t < 16; t++) {
@@ -247,7 +183,7 @@ TEST(BestOfN, OptimizedScheduleStructurallyValid)
                 out_used[it.cycle] |= it.out_mask;
             }
         }
-        // Each send must be contiguous under the XY or the YX tree.
+        // Each send must be contiguous along its XY route tree.
         auto matches = [&](const TileItem &send,
                            const RouteTree &tree) {
             for (const TreeHop &h : tree.hops) {
@@ -275,19 +211,15 @@ TEST(BestOfN, OptimizedScheduleStructurallyValid)
             for (const TileItem &it : c.sched.tiles[t]) {
                 if (it.kind != TileItem::Kind::kSend)
                     continue;
-                const CommPath &p = c.paths[it.path];
-                bool ok =
-                    matches(it, build_route_tree(c.machine, p)) ||
-                    matches(it, build_route_tree(c.machine, p,
-                                                 RouteOrder::kYX));
-                EXPECT_TRUE(ok)
-                    << "path neither XY- nor YX-contiguous";
+                EXPECT_TRUE(matches(
+                    it, build_route_tree(c.machine, c.paths[it.path])))
+                    << "path not contiguous along its route tree";
             }
     }
 }
 
 // ---------------------------------------------------------------
-// (c) Estimated vs achieved block length, fault-free.
+// (b) Estimated vs achieved block length, fault-free.
 
 TEST(EstVsAchieved, StraightLineBlocksTrackSimulator)
 {
@@ -379,6 +311,30 @@ TEST(Pgo, NeverWorseAndSemanticsPreserved)
         << "pgo portfolio must keep the plain compile as candidate 0";
     EXPECT_EQ(tuned.check_words, plain.check_words);
     EXPECT_EQ(tuned.prints, plain.prints);
+}
+
+// The pick cache of run_rawcc_pgo stores a winner index into
+// pgo_candidates(opts), so it must key on every option that shapes
+// that list.  A --modulo PGO run after a plain one must therefore
+// equal a cold --modulo PGO run (a comment makes the source, and so
+// the key, fresh).
+TEST(Pgo, PickCacheKeysOnEveryOption)
+{
+    const BenchmarkProgram &prog = benchmark("jacobi");
+    MachineConfig m = MachineConfig::base(4);
+    CompilerOptions plain;
+    plain.pgo = true;
+    run_rawcc_pgo(prog.source, m, prog.check_array, plain);
+
+    CompilerOptions mod = plain;
+    mod.orch.sched.modulo = true;
+    RunResult after =
+        run_rawcc_pgo(prog.source, m, prog.check_array, mod);
+    RunResult cold = run_rawcc_pgo(prog.source + "\n// cold\n", m,
+                                   prog.check_array, mod);
+    EXPECT_EQ(after.cycles, cold.cycles);
+    EXPECT_EQ(after.stats.static_instrs, cold.stats.static_instrs);
+    EXPECT_EQ(after.prints, cold.prints);
 }
 
 } // namespace

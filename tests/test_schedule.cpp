@@ -1,9 +1,10 @@
 /**
  * @file
  * Communication and event-scheduler tests: dimension-ordered
- * multicast trees, comm path derivation, and structural validity of
+ * multicast trees, comm path derivation, structural validity of
  * block schedules (slot exclusivity, end-to-end contiguous paths,
- * dependence-respecting times).
+ * dependence-respecting times), and the greedy pass against the
+ * small-block branch-and-bound reference (oracle.hpp).
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "analysis/taskgraph.hpp"
 #include "frontend/lower.hpp"
 #include "frontend/parser.hpp"
+#include "oracle.hpp"
 #include "schedule/event_scheduler.hpp"
 #include "schedule/sched_internal.hpp"
 #include "transform/congruence.hpp"
@@ -232,8 +234,7 @@ random_tree(std::mt19937 &rng, const MachineConfig &m, int &src)
 {
     CommPath p = random_path(rng, m);
     src = p.src_tile;
-    RouteOrder order = rng() % 2 ? RouteOrder::kYX : RouteOrder::kXY;
-    return build_route_tree(m, p, order);
+    return build_route_tree(m, p);
 }
 
 TEST(SlotTable, SkipAheadMatchesLinearScan)
@@ -279,19 +280,15 @@ TEST(SlotTable, SkipAheadMatchesLinearScan)
                 skipped += t - r;
                 book(fast, slow, tree, src, t);
             }
-            // Queries on the final state, both route orders.
+            // Queries on the final state.
             for (int k = 0; k < 40; k++) {
                 CommPath p = random_path(rng, m);
                 int64_t r = rng() % (horizon + 50);
-                for (RouteOrder order : {RouteOrder::kXY,
-                                         RouteOrder::kYX}) {
-                    RouteTree tree = build_route_tree(m, p, order);
-                    int64_t t = slow.find_slot(tree, p.src_tile, r);
-                    ASSERT_EQ(fast.find_path_slot(tree, p.src_tile, r),
-                              t);
-                    searches++;
-                    skipped += t - r;
-                }
+                RouteTree tree = build_route_tree(m, p);
+                int64_t t = slow.find_slot(tree, p.src_tile, r);
+                ASSERT_EQ(fast.find_path_slot(tree, p.src_tile, r), t);
+                searches++;
+                skipped += t - r;
             }
         }
     }
@@ -602,6 +599,60 @@ TEST(CommPaths, BroadcastCoversAllProcsAndTargetSwitches)
     }
     EXPECT_EQ(procs, 3) << "every processor except the source";
     EXPECT_EQ(regs, 4) << "every switch register";
+}
+
+// ---------------------------------------------------------------
+// Branch-and-bound reference: greedy is its incumbent, so its best
+// makespan never exceeds the greedy one, its greedy figure is the
+// emitted schedule's, and only small blocks are searched.
+
+// A handful of compute nodes and paths: within kOracleTaskLimit on
+// 1, 2 and 4 tiles.
+const char *kTiny = R"(
+float a; float b;
+a = 1.5;
+b = a * 2.0 + a;
+print(b);
+)";
+
+/** Branchable tasks of a block: compute nodes plus paths. */
+int
+oracle_tasks(const Ctx &c)
+{
+    int n = static_cast<int>(c.paths.size());
+    for (const TGNode &nd : c.graph->nodes())
+        if (nd.kind == TGKind::kInstr)
+            n++;
+    return n;
+}
+
+TEST(Oracle, BestNeverWorseAndAgreesWithGreedy)
+{
+    for (int n : {1, 2, 4}) {
+        Ctx c = schedule(kTiny, n);
+        OracleReport r;
+        ASSERT_TRUE(oracle_search(*c.graph, c.part, c.machine, c.paths,
+                                  200000, r))
+            << "tiny block must be within the task limit, n=" << n;
+        EXPECT_EQ(r.tasks, oracle_tasks(c));
+        EXPECT_LE(r.tasks, kOracleTaskLimit);
+        EXPECT_GT(r.states, 0);
+        EXPECT_EQ(r.greedy_makespan, c.sched.makespan)
+            << "incumbent must be the emitted greedy schedule";
+        EXPECT_LE(r.best_makespan, c.sched.makespan);
+    }
+}
+
+TEST(Oracle, NoReportWithoutBudgetOrOverTaskLimit)
+{
+    Ctx tiny = schedule(kTiny, 2);
+    OracleReport r;
+    EXPECT_FALSE(oracle_search(*tiny.graph, tiny.part, tiny.machine,
+                               tiny.paths, 0, r));
+    Ctx big = schedule(kSpread, 4);
+    ASSERT_GT(oracle_tasks(big), kOracleTaskLimit);
+    EXPECT_FALSE(oracle_search(*big.graph, big.part, big.machine,
+                               big.paths, 200000, r));
 }
 
 } // namespace

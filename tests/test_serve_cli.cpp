@@ -182,6 +182,43 @@ TEST(ServeCli, RejectsGarbageLinesWithoutDying)
     EXPECT_EQ(d.stop(), 0);
 }
 
+// "options" accepts exactly the compiler options serve exposes: an
+// unknown key (such as the deleted route_select) must be refused, not
+// silently compiled as something else, and sched_iters shares the
+// CLI's 0..16 range.
+TEST(ServeCli, RejectsUnknownOptionsAndOutOfRangeSchedIters)
+{
+    ServeDaemon d;
+    d.start(RAWCC_BIN, {"--socket", test_sock("options"),
+                        "--workers", "1", "--queue-depth", "4"});
+    ServeClient c;
+    c.connect(d.endpoint());
+
+    Json unknown = c.request("{\"op\":\"compile\",\"bench\":\"jacobi\","
+                             "\"options\":{\"route_select\":true}}",
+                             15000);
+    EXPECT_EQ(unknown.str_or("error", ""), "bad_request");
+    EXPECT_NE(unknown.str_or("message", "").find("route_select"),
+              std::string::npos);
+    Json sim = c.request("{\"op\":\"simulate\",\"bench\":\"jacobi\","
+                         "\"options\":{\"mii_cap\":64}}",
+                         15000);
+    EXPECT_EQ(sim.str_or("error", ""), "bad_request");
+    Json over = c.request("{\"op\":\"compile\",\"bench\":\"jacobi\","
+                          "\"options\":{\"sched_iters\":17}}",
+                          15000);
+    EXPECT_EQ(over.str_or("error", ""), "bad_request");
+    Json max = c.request("{\"op\":\"compile\",\"bench\":\"jacobi\","
+                         "\"options\":{\"sched_iters\":16}}",
+                         15000);
+    EXPECT_TRUE(max.bool_or("ok", false)) << max.str_or("message", "");
+
+    Json st = c.request("{\"op\":\"stats\"}", 5000);
+    EXPECT_EQ(st.int_or("bad_requests", -1), 3);
+    EXPECT_EQ(st.int_or("compile_errors", -1), 0);
+    EXPECT_EQ(d.stop(), 0);
+}
+
 } // namespace
 } // namespace serve
 } // namespace raw

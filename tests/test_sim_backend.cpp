@@ -55,10 +55,8 @@ diff_point(const DiffPoint &p)
 {
     const BenchmarkProgram &prog = benchmark(p.bench);
     CompilerOptions opts;
-    if (p.sched_opt) {
+    if (p.sched_opt)
         opts.orch.sched.sched_iters = 3;
-        opts.orch.sched.route_select = true;
-    }
     CompileOutput out = compile_source(
         prog.source, MachineConfig::base(p.tiles), opts);
     CheckConfig checks;

@@ -21,7 +21,7 @@
  *
  * The committed files under tests/goldens/ were generated from the
  * pre-optimization (PR 1) simulator; the *_sched points record the
- * schedule-quality optimizer (--sched-iters 3 --route-select).
+ * schedule-quality optimizer (--sched-iters 3).
  * Regenerate only when semantics intentionally change, never for
  * performance work.
  */
@@ -41,7 +41,7 @@ struct GoldenPoint
     const char *bench;
     int tiles;
     raw::FaultConfig faults;
-    /** Schedule-quality optimizer on (--sched-iters 3 --route-select). */
+    /** Schedule-quality optimizer on (--sched-iters 3). */
     bool sched_opt = false;
     /** Cross-tile modulo scheduling on (--modulo). */
     bool modulo = false;
@@ -58,8 +58,8 @@ const GoldenPoint kPoints[] = {
     // All four fault channels at once (miss + route stalls + dyn
     // delay + jitter), pinning the multi-channel RNG streams.
     {"jacobi", 4, {0.02, 9, 7, 0.05, 3, 0.05, 6, 0.02}},
-    // Schedule-quality optimizer points: best-of-N rescheduling plus
-    // contention-aware route selection must stay deterministic too.
+    // Schedule-quality optimizer points: best-of-N rescheduling must
+    // stay deterministic too.
     {"life", 16, {}, true},
     {"cholesky", 16, {}, true},
     {"mxm", 16, {}, true},
@@ -91,10 +91,8 @@ raw::CompilerOptions
 point_options(const GoldenPoint &p)
 {
     raw::CompilerOptions opts;
-    if (p.sched_opt) {
+    if (p.sched_opt)
         opts.orch.sched.sched_iters = 3;
-        opts.orch.sched.route_select = true;
-    }
     opts.orch.sched.modulo = p.modulo;
     return opts;
 }

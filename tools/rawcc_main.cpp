@@ -41,14 +41,11 @@
  *   --no-replication   broadcast every branch (ablation)
  *   --no-port-fold     keep explicit send/receive instructions
  *   --sched-iters N    slack-driven rescheduling passes (default 0)
- *   --route-select     contention-aware XY/YX route selection
  *   --modulo           software-pipeline loop blocks (cross-tile
  *                      modulo scheduling; greedy stays the fallback)
- *   --mii-cap N        initiation-interval search cap (default 512)
- *   --oracle-budget N  branch-and-bound states per small block for
- *                      the optimal-schedule oracle report (0 = off)
- *   --sim-backend B    execution core: reference | threaded
- *   --sim-diff         run both backends, require identical results
+ *   --sim-backend B    execution core: reference | threaded | region
+ *   --sim-diff         run all three backends, require identical
+ *                      results
  *   --pgo              profile-guided placement (compile, simulate,
  *                      recompile around the measured congestion)
  *   --list-benchmarks  list the built-in Table 2 programs
@@ -94,8 +91,7 @@ usage()
         "  --point-timeout MS --jobs N\n"
         "  --cache-dir DIR --no-sched-cache\n"
         "  --no-unroll --no-replication --no-port-fold\n"
-        "  --sched-iters N --route-select --pgo\n"
-        "  --modulo --mii-cap N --oracle-budget N\n"
+        "  --sched-iters N --modulo --pgo\n"
         "  --sim-backend reference|threaded|region --sim-diff\n"
         "  --list-benchmarks\n");
 }
@@ -293,27 +289,13 @@ main(int argc, char **argv)
             opts.orch.use_cache = false;
         else if (a == "--sched-iters") {
             long n = parse_long(next(), "--sched-iters");
-            if (n < 0 || n > 16)
+            if (n < 0 || n > raw::kMaxSchedIters)
                 bad_value("--sched-iters", argv[i],
                           "a pass count in 0..16");
             opts.orch.sched.sched_iters = static_cast<int>(n);
-        } else if (a == "--route-select")
-            opts.orch.sched.route_select = true;
-        else if (a == "--modulo")
+        } else if (a == "--modulo")
             opts.orch.sched.modulo = true;
-        else if (a == "--mii-cap") {
-            long n = parse_long(next(), "--mii-cap");
-            if (n < 1 || n > 65536)
-                bad_value("--mii-cap", argv[i],
-                          "an initiation-interval cap in 1..65536");
-            opts.orch.sched.mii_cap = static_cast<int>(n);
-        } else if (a == "--oracle-budget") {
-            long n = parse_long(next(), "--oracle-budget");
-            if (n < 0 || n > 100000000)
-                bad_value("--oracle-budget", argv[i],
-                          "a state budget in 0..100000000");
-            opts.orch.sched.oracle_budget = n;
-        } else if (a == "--sim-backend") {
+        else if (a == "--sim-backend") {
             std::string b = next();
             if (b == "reference")
                 sim_backend = SimBackend::kReference;
@@ -444,18 +426,6 @@ main(int argc, char **argv)
                         static_cast<long long>(p.rec_mii),
                         static_cast<long long>(p.flat_mii),
                         p.pipelined ? " [pipelined]" : "");
-            }
-            if (!out.stats.oracle_reports.empty()) {
-                int proved = 0;
-                int64_t gap = 0;
-                for (const auto &o : out.stats.oracle_reports) {
-                    proved += o.proved_optimal ? 1 : 0;
-                    gap += o.greedy_makespan - o.best_makespan;
-                }
-                std::printf("oracle blocks:       %zu (%d proved, "
-                            "total gap %lld cycles)\n",
-                            out.stats.oracle_reports.size(), proved,
-                            static_cast<long long>(gap));
             }
             print_compile_timing(out.stats);
         }
