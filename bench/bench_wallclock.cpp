@@ -20,8 +20,11 @@
  * reference, threaded and region cores with a cycle-equality assert
  * — the "scaling" JSON section records per-mesh cycles/s for all
  * three cores plus, per run, speedup over the same benchmark's 1-tile
- * cycles and compile time with its partition-phase share; always run
- * serially for honest per-core timings);
+ * cycles and cold-cache compile time with its partition-phase share;
+ * always run serially for honest per-core timings); --sim-backend
+ * picks the sweep's core (reference | fast | region, default fast,
+ * i.e. raw::kDefaultSimBackend) or "both" for the reference core plus
+ * a per-run threaded and region re-simulation;
  * --json-out PATH overrides the output path.
  *
  * Results (cycle counts, prints) are bit-identical at any --jobs
@@ -55,8 +58,16 @@ ms_since(Clock::time_point t0)
 
 const int kSizes[] = {1, 2, 4, 8, 16, 32};
 
-/** Which execution core(s) the sweep times. */
-enum class BackendMode { kReference, kThreaded, kRegion, kBoth };
+/**
+ * Which execution core(s) the sweep times: @c primary alone, or
+ * (@c both) the reference core as primary plus the threaded and
+ * region cores timed on the same compiled program.
+ */
+struct BackendMode
+{
+    raw::SimBackend primary = raw::kDefaultSimBackend;
+    bool both = false;
+};
 
 /** One (benchmark, machine size) timing. */
 struct RunTiming
@@ -66,7 +77,7 @@ struct RunTiming
     int64_t cycles = 0;
     int64_t placement_swaps = 0;
     raw::PhaseTimings compile;
-    double sim_ms = 0;          ///< selected backend (reference in both-mode)
+    double sim_ms = 0;          ///< primary backend (reference in both-mode)
     double sim_ms_threaded = 0; ///< threaded core (both-mode only)
     double sim_ms_region = 0;   ///< region-compiled core (both-mode only)
 };
@@ -82,17 +93,12 @@ time_one(const raw::BenchmarkProgram &prog, int tiles,
         prog.source, raw::MachineConfig::base(tiles));
     rt.compile = out.stats.timings;
     rt.placement_swaps = out.stats.placement_swaps;
-    raw::SimBackend primary = raw::SimBackend::kReference;
-    if (mode == BackendMode::kThreaded)
-        primary = raw::SimBackend::kThreaded;
-    else if (mode == BackendMode::kRegion)
-        primary = raw::SimBackend::kRegion;
     Clock::time_point t0 = Clock::now();
-    raw::Simulator sim(out.program, {}, {}, primary);
+    raw::Simulator sim(out.program, {}, {}, mode.primary);
     raw::SimResult r = sim.run();
     rt.sim_ms = ms_since(t0);
     rt.cycles = r.cycles;
-    if (mode == BackendMode::kBoth) {
+    if (mode.both) {
         auto rerun = [&](raw::SimBackend backend, double &ms) {
             Clock::time_point t1 = Clock::now();
             raw::Simulator sim2(out.program, {}, {}, backend);
@@ -117,8 +123,9 @@ time_one(const raw::BenchmarkProgram &prog, int tiles,
 
 /**
  * Large-mesh scaling scenario: the full suite at 16/32/64/128 tiles
- * (past Table 3's 32-tile ceiling), each point compiled once and
- * simulated under all three cores with a cycle-equality assert.  A
+ * (past Table 3's 32-tile ceiling), each point compiled once from a
+ * cleared in-memory schedule cache and simulated under all three
+ * cores with a cycle-equality assert.  A
  * 1-tile simulation per benchmark supplies the speedup baseline.
  * Always runs serially so each core's cycles/s is an honest
  * single-thread figure.
@@ -143,12 +150,14 @@ run_scaling(bool tiny)
     for (const raw::BenchmarkProgram &prog : raw::benchmark_suite()) {
         if (tiny && prog.name != "jacobi")
             continue;
-        // 1-tile baseline cycles (cycle count is core-independent;
-        // use the threaded core, it is the cheapest way to get it).
+        // Every compile here is timed cold: the 1-32-tile sweep
+        // above (and the previous mesh) must not warm the schedule
+        // cache for this one.
+        raw::SchedCache::instance().clear_memory();
+        // 1-tile baseline cycles (cycle count is core-independent).
         raw::CompileOutput base = raw::compile_source(
             prog.source, raw::MachineConfig::base(1));
-        raw::Simulator bsim(base.program, {}, {},
-                            raw::SimBackend::kThreaded);
+        raw::Simulator bsim(base.program);
         int64_t base_cycles = bsim.run().cycles;
         for (int n : meshes) {
             if (tiny && n > 64)
@@ -157,6 +166,7 @@ run_scaling(bool tiny)
             p.name = prog.name;
             p.tiles = n;
             p.base_cycles = base_cycles;
+            raw::SchedCache::instance().clear_memory();
             Clock::time_point tc = Clock::now();
             raw::CompileOutput out = raw::compile_source(
                 prog.source, raw::MachineConfig::base(n));
@@ -373,7 +383,7 @@ write_json(const std::string &path, const std::vector<RunTiming> &runs,
                   "\"swaps_per_sec\": %.0f},\n",
                   static_cast<long long>(swaps), swaps_per_sec);
     out << buf;
-    if (mode == BackendMode::kBoth) {
+    if (mode.both) {
         double ref_cps = per_sec(cycles, sim_ms);
         double thr_cps = per_sec(cycles, sim_ms_threaded);
         double reg_cps = per_sec(cycles, sim_ms_region);
@@ -498,7 +508,7 @@ main(int argc, char **argv)
     bool tiny = false;
     bool pgo_sweep = false;
     bool scaling = false;
-    BackendMode mode = BackendMode::kReference;
+    BackendMode mode;
     for (int i = 1; i < argc; i++) {
         if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc)
             json_out = argv[++i];
@@ -510,19 +520,16 @@ main(int argc, char **argv)
         else if (std::strcmp(argv[i], "--sim-backend") == 0 &&
                  i + 1 < argc) {
             std::string b = argv[++i];
-            if (b == "reference")
-                mode = BackendMode::kReference;
-            else if (b == "threaded")
-                mode = BackendMode::kThreaded;
-            else if (b == "region")
-                mode = BackendMode::kRegion;
-            else if (b == "both")
-                mode = BackendMode::kBoth;
-            else
+            mode.both = b == "both";
+            try {
+                mode.primary = mode.both
+                                   ? raw::SimBackend::kReference
+                                   : raw::sim_backend_from_string(b);
+            } catch (const raw::FatalError &) {
                 raw::cli::bad_value("bench_wallclock", "--sim-backend",
                                     argv[i],
-                                    "reference, threaded, region or "
-                                    "both");
+                                    "reference, fast, region or both");
+            }
         } else if (std::strcmp(argv[i], "--tiny") == 0)
             tiny = true;
         else if (std::strcmp(argv[i], "--pgo-sweep") == 0)

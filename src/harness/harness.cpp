@@ -16,7 +16,7 @@ namespace {
 RunResult
 simulate(CompileOutput out, const std::string &check_array,
          const FaultConfig &faults, const CheckConfig &checks = {},
-         SimBackend backend = SimBackend::kReference)
+         SimBackend backend = kDefaultSimBackend)
 {
     RunResult r;
     r.stats = out.stats;

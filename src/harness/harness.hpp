@@ -37,11 +37,11 @@ RunResult run_rawcc(const std::string &source,
                     const CompilerOptions &opts = {},
                     const FaultConfig &faults = {},
                     const CheckConfig &checks = {},
-                    SimBackend backend = SimBackend::kReference);
+                    SimBackend backend = kDefaultSimBackend);
 
 /**
- * Differential backend check: simulate @p prog under the reference
- * and the threaded execution cores with identical fault/check
+ * Differential backend check: simulate @p prog under the reference,
+ * threaded and region execution cores with identical fault/check
  * configuration and require bit-identical observable results —
  * cycle count, every aggregate counter, the full print trace, the
  * provenance hash, the per-tile cycle-attribution profile, and the

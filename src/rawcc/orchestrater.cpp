@@ -648,8 +648,11 @@ orchestrate(Function &fn, const MachineConfig &machine,
         const Instr &term = fn.blocks[b].terminator();
         BlockKey skey;
         if (use_cache) {
-            skey = block_schedule_key(part_keys[b], opts.sched,
-                                      vp.switch_active);
+            skey = block_schedule_key(
+                part_keys[b], opts.sched, vp.switch_active,
+                opts.sched.modulo && on_cycle[b] != 0,
+                static_cast<int>(tails[b].instrs.size()),
+                any_sw_active);
             if (std::shared_ptr<const std::string> blob =
                     cache.get_sched(skey, dir, ctr[b])) {
                 if (rehydrate_sched_payload(*blob, canons[b], term,

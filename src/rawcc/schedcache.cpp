@@ -375,7 +375,8 @@ block_partition_key(const Function &fn, int b,
 
 BlockKey
 block_schedule_key(const BlockKey &part_key, const SchedOptions &so,
-                   const std::vector<bool> &switch_active)
+                   const std::vector<bool> &switch_active, bool on_cycle,
+                   int tail_len, bool any_switch_active)
 {
     BlockKey k;
     KeySink s;
@@ -395,6 +396,12 @@ block_schedule_key(const BlockKey &part_key, const SchedOptions &so,
     s.num(static_cast<int64_t>(switch_active.size()));
     for (bool v : switch_active)
         s.bit(v);
+    if (so.modulo) {
+        s.lit("|l:");
+        s.num(on_cycle);
+        s.num(tail_len);
+        s.num(any_switch_active);
+    }
     k.h1 = s.h1;
     k.h2 = s.h2;
     return k;

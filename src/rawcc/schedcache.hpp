@@ -191,11 +191,19 @@ BlockKey block_partition_key(const Function &fn, int b,
 /**
  * Schedule-stage key: partition key + scheduler options + context.
  * The digest continues the partition key's streams; text is carried
- * over (and extended) only if the partition key has it.
+ * over (and extended) only if the partition key has it.  Under
+ * SchedOptions::modulo the key also folds in the loop context
+ * analyze_loop_block reads — whether the block sits on a CFG cycle,
+ * its control-tail length and whether any switch is active — so two
+ * equal blocks, one in a loop and one not, never share an entry.
+ * Without modulo those inputs are not hashed, which keeps every
+ * default-option key unchanged.
  */
 BlockKey block_schedule_key(const BlockKey &part_key,
                             const SchedOptions &sopts,
-                            const std::vector<bool> &switch_active);
+                            const std::vector<bool> &switch_active,
+                            bool on_cycle = false, int tail_len = 0,
+                            bool any_switch_active = false);
 
 /**
  * Canonicalize freshly emitted block streams for insertion

@@ -402,8 +402,15 @@ struct ServeServer::Impl
         CompilerOptions copts = request_options(p.body);
         FaultConfig faults = request_faults(p.body);
         CheckConfig checks = request_checks(p.body);
-        SimBackend backend = sim_backend_from_string(
-            p.body.str_or("backend", "reference"));
+        SimBackend backend = kDefaultSimBackend;
+        if (p.body.find("backend")) {
+            try {
+                backend = sim_backend_from_string(
+                    p.body.str_or("backend", ""));
+            } catch (const FatalError &e) {
+                throw BadRequest(e.what());
+            }
+        }
         int64_t max_cycles =
             p.body.int_or("max_cycles", 2000000000LL);
         if (max_cycles < 1)

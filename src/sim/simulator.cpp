@@ -39,12 +39,12 @@ sim_backend_from_string(const std::string &name)
 {
     if (name == "reference")
         return SimBackend::kReference;
-    if (name == "threaded")
+    if (name == "fast" || name == "threaded")
         return SimBackend::kThreaded;
     if (name == "region")
         return SimBackend::kRegion;
     fatal("unknown simulator backend: " + name +
-          " (expected reference, threaded or region)");
+          " (expected reference or fast)");
 }
 
 const char *
@@ -61,7 +61,8 @@ Simulator::Simulator(const CompiledProgram &prog, FaultConfig faults,
                      CheckConfig checks, SimBackend backend)
     : prog_(prog),
       mem_(prog.machine.n_tiles, prog.total_words, prog.spill_slots),
-      faults_(faults), rng_(faults.seed * 0x9E3779B97F4A7C15ULL + 1),
+      faults_(faults), checks_(checks),
+      rng_(faults.seed * 0x9E3779B97F4A7C15ULL + 1),
       route_rng_((faults.seed ^ 0x526F757465ULL) *
                      0x9E3779B97F4A7C15ULL +
                  1),
@@ -391,8 +392,35 @@ SimResult
 Simulator::run(int64_t max_cycles)
 {
     arm_wall_deadline();
-    if (backend_ != SimBackend::kReference)
+    if (backend_ == SimBackend::kReference)
+        return run_reference(max_cycles);
+    try {
         return run_threaded(max_cycles); // threaded + region cores
+    } catch (const DeadlockError &e) {
+        rerun_on_reference(max_cycles, e);
+    }
+}
+
+void
+Simulator::rerun_on_reference(int64_t max_cycles,
+                              const DeadlockError &fast)
+{
+    // The fast cores only detect the freeze, at a cycle of their
+    // own; the reference core's report (exact cycle, wait-for graph)
+    // is the one callers see.
+    Simulator ref(prog_, faults_, checks_, SimBackend::kReference);
+    ref.set_trace_enabled(stats_.profile.trace_enabled);
+    if (wall_armed_)
+        ref.set_wall_deadline(wall_deadline_);
+    ref.run(max_cycles);
+    panic(std::string("simulator: the ") + sim_backend_name(backend_) +
+          " core deadlocked but the reference core did not: " +
+          fast.what());
+}
+
+SimResult
+Simulator::run_reference(int64_t max_cycles)
+{
     const int n = prog_.machine.n_tiles;
     int64_t now = 0;
     int64_t last_progress = 0;

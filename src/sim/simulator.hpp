@@ -281,10 +281,9 @@ class DeadlockError : public FatalError
     /**
      * The cycle-number-free part of the diagnosis: the blocking
      * cycle found by the wait-for-graph analysis plus the frozen
-     * per-unit pc/stall-category list.  Identical across execution
-     * backends (the detection *cycle* in what() may differ — the
-     * threaded core detects quiescent freezes earlier; see
-     * docs/performance.md "Error-path divergence").
+     * per-unit pc/stall-category list; what() adds the detection
+     * cycle.  Both come from the reference core: Simulator::run
+     * re-runs a fast core's deadlock there.
      */
     const std::string &deadlock_set() const { return set_; }
 
@@ -352,21 +351,36 @@ struct DynPlane
 /**
  * Which execution core drives the simulation.
  *
- * kReference is the original cycle-driven interpreter; kThreaded
- * pre-decodes every tile stream into flat handler records
- * (sim/threaded.cpp) and sleeps stalled units between events.
+ * kReference is the original cycle-driven interpreter and the
+ * specification: --sim-diff, diff_sim_backends, the test oracles and
+ * the deadlock re-run (Simulator::run) all run it.  kThreaded is the
+ * fast core: it pre-decodes every tile stream into flat handler
+ * records (sim/threaded.cpp) and sleeps stalled units between events.
  * kRegion is the threaded core with the region compiler armed on top:
  * decode marks straight-line runs of records that touch no FIFO and
  * draw no fault randomness (sim/region.hpp), and execution fuses each
  * run into one dispatch that runs the unit ahead of global time, then
- * parks it until the mesh catches up.  All backends produce
- * bit-identical SimResults (cycles, prints, profile sums, provenance
- * hashes) — pinned by tests/test_sim_backend.cpp and the --sim-diff
- * CLI mode.
+ * parks it until the mesh catches up.  Region measured about 1.02x
+ * over threaded on the benchmark workloads, under the 1.1x a core
+ * must earn to stay, so it is opt-in and queued for deletion (see
+ * docs/performance.md).  All backends produce bit-identical
+ * SimResults (cycles, prints, profile sums, provenance hashes) —
+ * pinned by tests/test_sim_backend.cpp and the --sim-diff CLI mode —
+ * and identical DeadlockError text.
  */
 enum class SimBackend : uint8_t { kReference = 0, kThreaded, kRegion };
 
-/** Parse "reference" / "threaded" / "region"; throws otherwise. */
+/**
+ * The core every entry point runs unless told otherwise: the
+ * Simulator constructor, the harness, rawcc, serve simulate and
+ * bench_wallclock all read this one constant.
+ */
+constexpr SimBackend kDefaultSimBackend = SimBackend::kThreaded;
+
+/**
+ * Parse "reference" or "fast" (the threaded core); the core names
+ * "threaded" and "region" are accepted too.  Throws otherwise.
+ */
 SimBackend sim_backend_from_string(const std::string &name);
 const char *sim_backend_name(SimBackend b);
 
@@ -384,10 +398,18 @@ class Simulator
     explicit Simulator(const CompiledProgram &prog,
                        FaultConfig faults = {},
                        CheckConfig checks = {},
-                       SimBackend backend = SimBackend::kReference);
+                       SimBackend backend = kDefaultSimBackend);
     ~Simulator();
 
-    /** Run to completion; throws DeadlockError on global stall. */
+    /**
+     * Run to completion; throws DeadlockError on global stall.  When
+     * a fast core deadlocks, the program is re-run on a fresh
+     * reference-core Simulator (same faults, checks, trace flag,
+     * @p max_cycles and remaining wall deadline) and that run's
+     * DeadlockError is thrown, so the report always names the
+     * reference core's exact freeze cycle.  Successful runs, timeouts
+     * and the cycle limit are never re-run.
+     */
     SimResult run(int64_t max_cycles = 2000000000LL);
 
     /**
@@ -538,6 +560,15 @@ class Simulator
 
     /** Threaded-code backend entry point (sim/threaded.cpp). */
     SimResult run_threaded(int64_t max_cycles);
+    /** The reference core's main loop. */
+    SimResult run_reference(int64_t max_cycles);
+    /**
+     * Deadlock re-run: replay this program on a fresh reference-core
+     * Simulator and let its DeadlockError propagate.  Panics if the
+     * reference core does not deadlock (a fast-core bug).
+     */
+    [[noreturn]] void rerun_on_reference(int64_t max_cycles,
+                                         const DeadlockError &fast);
     /** Shared run() postlude: idle backfill, print sort, checker. */
     void finish_run(int64_t now);
 
@@ -563,6 +594,7 @@ class Simulator
     const CompiledProgram &prog_;
     MemorySystem mem_;
     FaultConfig faults_;
+    CheckConfig checks_;
     /** Memory-miss channel stream (legacy; sequence is pinned by
      *  tests/goldens, do not reorder its draws). */
     uint64_t rng_;
@@ -614,7 +646,7 @@ class Simulator
     int wall_poll_count_ = 0;
 
     /** Selected execution core. */
-    SimBackend backend_ = SimBackend::kReference;
+    SimBackend backend_ = kDefaultSimBackend;
     /** Pre-decoded streams + sleep/wake state (threaded backend). */
     std::unique_ptr<ThreadedState, ThreadedStateDeleter> th_;
 };

@@ -76,11 +76,10 @@
  *
  * Equivalence with the reference backend (cycles, prints, profile
  * sums, provenance hashes) is pinned by tests/test_sim_backend.cpp
- * and the rawcc --sim-diff mode.  The one documented divergence is
- * the *cycle number inside DeadlockError messages*: the backends may
- * prove a frozen machine dead at different points of the stall
- * window; the reported deadlock *set* is identical (see
- * DeadlockError::deadlock_set).  Successful runs are bit-identical.
+ * and the rawcc --sim-diff mode.  A DeadlockError thrown here never
+ * reaches the caller: Simulator::run re-runs the program on the
+ * reference core and throws that report instead, so the detection
+ * cycle in what() is the reference core's on every backend.
  */
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -314,13 +313,19 @@ struct ThreadedState
     /**
      * Batched mirrors of the hottest SimResult aggregates; folded into
      * S.stats_ by flush_counters() before any code can observe them
-     * (run exit, deadlock report).
+     * (run exit).
      */
     int64_t c_instrs = 0, c_sw_instrs = 0, c_words = 0, c_pstall = 0;
     /** Region diagnostics (SimResult::regions_entered/region_cycles). */
     int64_t c_regions = 0, c_region_cycles = 0;
     /** Cycle bound for region run-ahead (max_cycles of this run). */
     int64_t region_stop = 0;
+    /**
+     * Latest cycle a run-ahead unit retired at.  The reference core
+     * sees those retires as progress cycle by cycle, so the stall
+     * window must not expire while a parked unit is still working.
+     */
+    int64_t ahead_progress = 0;
     /**
      * Batched mirror of S.progress_ for unit steps (it shares the
      * hot counter line); the dyn planes still set S.progress_.
@@ -523,7 +528,6 @@ struct ThreadedState
     int64_t region_sw_run(int t, int64_t now);
     void region_sw(int t, int64_t now);
     void pop_wheel(int64_t now);
-    void prep_deadlock(int64_t now);
     int64_t next_wake(int64_t now) const;
     void jump_forward(int64_t now, int64_t skip);
     SimResult run(int64_t max_cycles);
@@ -1922,9 +1926,10 @@ void
 ThreadedState::region_proc(int t, int64_t now)
 {
     const int32_t entry_pc = hp[t].p->pc;
-    int64_t ignored = 0;
+    int64_t last_retire = ahead_progress;
     int64_t adv =
-        straight_run(t, now, region_stop, PF_REGION, ignored);
+        straight_run(t, now, region_stop, PF_REGION, last_retire);
+    ahead_progress = std::max(ahead_progress, last_retire);
     c_regions++;
     c_region_cycles += adv;
     if (adv < kRegionMinGain && --p_credit[t][entry_pc] <= 0)
@@ -1996,6 +2001,7 @@ ThreadedState::region_sw(int t, int64_t now)
 {
     const int32_t entry_pc = hs[t].sw->pc;
     int64_t adv = region_sw_run(t, now);
+    ahead_progress = std::max(ahead_progress, now + adv - 1);
     c_regions++;
     c_region_cycles += adv;
     if (adv < kRegionMinGain && --s_credit[t][entry_pc] <= 0)
@@ -2049,33 +2055,6 @@ ThreadedState::pop_wheel(int64_t now)
             }
         }
     }
-}
-
-/**
- * Fold every pending batch into S before a deadlock report so the
- * diagnosis sees the frozen machine's true state.  Sleeping units
- * additionally pin their *stall category*: a unit that went to sleep
- * through a predictive peek never spun a cycle on the stall, so
- * last_proc/sw_cat_ would still read kIssued where the reference
- * (which spins every cycle) reports the blocking category — the one
- * divergence the deadlock-set parity test pins down.
- */
-void
-ThreadedState::prep_deadlock(int64_t now)
-{
-    for (int t = 0; t < n; t++) {
-        if (p_sleep[t].begin >= 0) {
-            const ProcCycle cat = p_sleep[t].cat;
-            flush_proc(t, now);
-            S.last_proc_cat_[t] = cat;
-        }
-        if (s_sleep[t].begin >= 0) {
-            const SwitchCycle cat = s_sleep[t].cat;
-            flush_sw(t, now);
-            S.last_sw_cat_[t] = cat;
-        }
-    }
-    flush_counters();
 }
 
 int64_t
@@ -2232,16 +2211,20 @@ ThreadedState::run(int64_t max_cycles)
         if (prog_ || S.progress_) {
             last_progress = now;
         } else {
-            if (now - last_progress > stall_limit) {
-                prep_deadlock(now);
-                S.report_deadlock(now, true, stall_limit);
-            }
+            last_progress = std::max(last_progress, ahead_progress);
+            // No wait-for-graph report here: Simulator::run replaces
+            // this error with the reference core's exact one.
+            if (now - last_progress > stall_limit)
+                throw DeadlockError("deadlock: no progress for " +
+                                    std::to_string(stall_limit) +
+                                    " cycles at cycle " +
+                                    std::to_string(now));
             if (!jitter_on) {
                 int64_t wake_at = next_wake(now);
-                if (wake_at == INT64_MAX) {
-                    prep_deadlock(now);
-                    S.report_deadlock(now, false, stall_limit);
-                }
+                if (wake_at == INT64_MAX)
+                    throw DeadlockError(
+                        "deadlock: machine frozen at cycle " +
+                        std::to_string(now));
                 int64_t skip = wake_at - now - 1;
                 skip = std::min(skip,
                                 last_progress + stall_limit - now);

@@ -151,6 +151,23 @@ TEST(SchedCache, SchedOptionsChangeScheduleKey)
         keys.insert(key(v));
     EXPECT_EQ(keys.size(), variants.size() + 1)
         << "every option must churn the key, each differently";
+
+    // Loop context (CFG cycle, control-tail length, any switch
+    // active) is a schedule input only under modulo: it must churn
+    // modulo keys and leave default keys untouched.
+    auto ctx_key = [&](const SchedOptions &so, bool cyc, int tail,
+                       bool any_sw) {
+        BlockKey k = block_schedule_key(pk, so, sw, cyc, tail, any_sw);
+        return std::make_pair(k.h1, k.h2);
+    };
+    EXPECT_EQ(ctx_key(base, true, 7, true), base_key);
+    SchedOptions mod = base;
+    mod.modulo = true;
+    std::set<std::pair<uint64_t, uint64_t>> mod_keys = {
+        ctx_key(mod, false, 0, false), ctx_key(mod, true, 0, false),
+        ctx_key(mod, false, 3, false), ctx_key(mod, false, 0, true)};
+    EXPECT_EQ(mod_keys.size(), 4u)
+        << "each loop-context input must churn a modulo key";
 }
 
 TEST(SchedCache, ModuloChangeMissesScheduleOnly)
@@ -172,6 +189,41 @@ TEST(SchedCache, ModuloChangeMissesScheduleOnly)
     EXPECT_EQ(warm.stats.cache.sched_misses, 0);
     EXPECT_EQ(disasm_program(warm.program),
               disasm_program(c.program));
+}
+
+// The modulo scheduler reads loop context outside the block's own
+// content (is the block on a CFG cycle?).  An equal block on and off
+// a cycle must not share a schedule entry, so a cold cached --modulo
+// compile has to match a cache-off one row for row and byte for byte.
+TEST(SchedCache, ModuloColdCacheMatchesCacheOff)
+{
+    auto rows = [](const CompileOutput &o) {
+        std::string r;
+        for (const BlockPipelineStats &p : o.stats.block_pipeline)
+            r += std::to_string(p.block) + " " +
+                 std::to_string(p.src_loop) + " " +
+                 std::to_string(p.pipelined) + " " +
+                 std::to_string(p.ii) + " " + std::to_string(p.mii) +
+                 " " + std::to_string(p.res_mii) + " " +
+                 std::to_string(p.rec_mii) + " " +
+                 std::to_string(p.flat_mii) + "\n";
+        return r;
+    };
+    for (const BenchmarkProgram &prog : benchmark_suite()) {
+        SCOPED_TRACE(prog.name);
+        CompilerOptions on;
+        on.orch.sched.modulo = true;
+        CompilerOptions off = on;
+        off.orch.use_cache = false;
+        SchedCache::instance().clear_memory();
+        CompileOutput cold =
+            compile_source(prog.source, MachineConfig::base(16), on);
+        CompileOutput plain =
+            compile_source(prog.source, MachineConfig::base(16), off);
+        EXPECT_EQ(rows(cold), rows(plain));
+        EXPECT_EQ(disasm_program(cold.program),
+                  disasm_program(plain.program));
+    }
 }
 
 TEST(SchedCache, PartitionOptionChangeMisses)

@@ -219,6 +219,39 @@ TEST(ServeCli, RejectsUnknownOptionsAndOutOfRangeSchedIters)
     EXPECT_EQ(d.stop(), 0);
 }
 
+// simulate runs the fast core unless the request names one; the
+// reference core must reply with the same cycles and provenance hash.
+TEST(ServeCli, SimulateDefaultsToTheFastCore)
+{
+    ServeDaemon d;
+    d.start(RAWCC_BIN, {"--socket", test_sock("backend"),
+                        "--workers", "1", "--queue-depth", "4"});
+    ServeClient c;
+    c.connect(d.endpoint());
+
+    const std::string kSim =
+        "{\"op\":\"simulate\",\"bench\":\"jacobi\",\"tiles\":4,"
+        "\"checks\":{\"provenance\":true}";
+    Json fast = c.request(kSim + "}", 15000);
+    ASSERT_TRUE(fast.bool_or("ok", false))
+        << fast.str_or("message", "");
+    EXPECT_EQ(fast.str_or("backend", ""), "threaded");
+    Json ref = c.request(kSim + ",\"backend\":\"reference\"}", 15000);
+    ASSERT_TRUE(ref.bool_or("ok", false)) << ref.str_or("message", "");
+    EXPECT_EQ(ref.str_or("backend", ""), "reference");
+    EXPECT_EQ(ref.int_or("cycles", -1), fast.int_or("cycles", -2));
+    EXPECT_EQ(ref.str_or("prov_hash", "x"), fast.str_or("prov_hash", "y"));
+    Json named = c.request(kSim + ",\"backend\":\"fast\"}", 15000);
+    EXPECT_EQ(named.str_or("backend", ""), "threaded");
+    EXPECT_EQ(named.int_or("cycles", -1), fast.int_or("cycles", -2));
+
+    Json bogus = c.request(kSim + ",\"backend\":\"bogus\"}", 15000);
+    EXPECT_EQ(bogus.str_or("error", ""), "bad_request");
+    EXPECT_NE(bogus.str_or("message", "").find("reference or fast"),
+              std::string::npos);
+    EXPECT_EQ(d.stop(), 0);
+}
+
 } // namespace
 } // namespace serve
 } // namespace raw

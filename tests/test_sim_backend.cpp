@@ -12,11 +12,18 @@
  * (covering the kRouteN + provenance paths) and left off on the
  * plain points so the kRoute1 fast path is the one being compared.
  * Also pins the region-formation gates (regions must be off under
- * every fault channel and under the checker) and deadlock-set parity
- * across all three cores.
+ * every fault channel and under the checker), that every core —
+ * the default one included — throws the reference core's exact
+ * DeadlockError text, that the default core is the fast one, and
+ * the CLI's --sim-backend spellings.
  */
 
+#include <cstdio>
+#include <optional>
 #include <string>
+#include <utility>
+
+#include <sys/wait.h>
 
 #include <gtest/gtest.h>
 
@@ -199,71 +206,275 @@ TEST(SimBackend, RegionsDisabledUnderEveryFaultChannel)
     EXPECT_EQ(regions({}, checks), 0) << "runtime checker";
 }
 
-// Minimal hand-built deadlock: two switches each waiting for a word
-// from the other before forwarding to their processor (mirror of the
-// tests/test_faults.cpp routing-cycle program).
+PInstr
+pi(Op op, int dst = -1, int a = -1, int b = -1, uint32_t imm = 0,
+   int64_t target = -1)
+{
+    PInstr p;
+    p.op = op;
+    p.dst = dst;
+    p.src[0] = a;
+    p.src[1] = b;
+    p.imm = imm;
+    p.target = target;
+    return p;
+}
+
+SInstr
+route1(Dir in, Dir out)
+{
+    SInstr s;
+    s.k = SInstr::K::kRoute;
+    s.routes = {
+        {in, static_cast<uint8_t>(1u << static_cast<int>(out)), -1}};
+    return s;
+}
+
+SInstr
+shalt()
+{
+    SInstr s;
+    s.k = SInstr::K::kHalt;
+    return s;
+}
+
 CompiledProgram
-routing_cycle()
+two_tiles()
 {
     CompiledProgram cp;
     cp.machine = MachineConfig::base(2);
     cp.tiles.resize(2);
     cp.switches.resize(2);
     cp.total_words = 16;
-    auto pi = [](Op op, int dst = -1, int a = -1) {
-        PInstr p;
-        p.op = op;
-        p.dst = dst;
-        p.src[0] = a;
-        return p;
-    };
-    auto route1 = [](Dir in, Dir out) {
-        SInstr s;
-        s.k = SInstr::K::kRoute;
-        s.routes = {{in, static_cast<uint8_t>(
-                             1u << static_cast<int>(out)),
-                     -1}};
-        return s;
-    };
-    SInstr halt;
-    halt.k = SInstr::K::kHalt;
+    cp.arrays.push_back({"a", Type::kI32, 0, 16});
+    return cp;
+}
+
+// Minimal hand-built deadlock: two switches each waiting for a word
+// from the other before forwarding to their processor (mirror of the
+// tests/test_faults.cpp routing-cycle program).
+CompiledProgram
+routing_cycle()
+{
+    CompiledProgram cp = two_tiles();
     for (int t : {0, 1})
         cp.tiles[t].code = {pi(Op::kRecv, 1), pi(Op::kSend, -1, 1),
                             pi(Op::kHalt)};
     cp.switches[0].code = {route1(Dir::kEast, Dir::kProc),
-                           route1(Dir::kProc, Dir::kEast), halt};
+                           route1(Dir::kProc, Dir::kEast), shalt()};
     cp.switches[1].code = {route1(Dir::kWest, Dir::kProc),
-                           route1(Dir::kProc, Dir::kWest), halt};
+                           route1(Dir::kProc, Dir::kWest), shalt()};
     return cp;
+}
+
+// Tile 0 loads (a miss-channel draw point), sleeps through a chain of
+// dependent divides, then receives from a switch that never routes a
+// word; tile 1 waits on the same empty link.
+CompiledProgram
+freeze_after_sleep()
+{
+    CompiledProgram cp = two_tiles();
+    PInstr load = pi(Op::kLoad, 1, 6);
+    load.array = 0;
+    cp.tiles[0].code = {pi(Op::kConst, 6, -1, -1, 0), load,
+                        pi(Op::kConst, 2, -1, -1, 3)};
+    for (int i = 0; i < 6; i++)
+        cp.tiles[0].code.push_back(pi(Op::kDiv, 1, 1, 2));
+    cp.tiles[0].code.push_back(pi(Op::kRecv, 3));
+    cp.tiles[0].code.push_back(pi(Op::kHalt));
+    cp.tiles[1].code = {pi(Op::kRecv, 1), pi(Op::kHalt)};
+    cp.switches[0].code = {route1(Dir::kEast, Dir::kProc), shalt()};
+    cp.switches[1].code = {route1(Dir::kWest, Dir::kProc), shalt()};
+    return cp;
+}
+
+// Tile 0 counts down a FIFO-free loop (one region on the region
+// core) for 3 * @p iters cycles while tile 1 blocks on a receive;
+// 60000 iterations outlast the 100k-cycle stall window.  With @p send the loop
+// ends by sending tile 1 its word and the program completes;
+// without it the machine freezes once the loop is done.
+CompiledProgram
+run_ahead_loop(int iters, bool send)
+{
+    CompiledProgram cp = two_tiles();
+    cp.tiles[0].code = {pi(Op::kConst, 1, -1, -1, iters),
+                        pi(Op::kConst, 2, -1, -1, 1),
+                        pi(Op::kAdd, 3, 2, 2),
+                        pi(Op::kSub, 1, 1, 2),
+                        pi(Op::kAdd, 3, 3, 2),
+                        pi(Op::kBranch, -1, 1, -1, 0, 3)};
+    if (send)
+        cp.tiles[0].code.push_back(pi(Op::kSend, -1, 3));
+    cp.tiles[0].code.push_back(pi(Op::kHalt));
+    cp.tiles[1].code = {pi(Op::kRecv, 1), pi(Op::kPrint, -1, 1),
+                        pi(Op::kHalt)};
+    cp.tiles[1].code[1].print_seq = 0;
+    cp.num_prints = 1;
+    cp.switches[0].code = {route1(Dir::kProc, Dir::kEast), shalt()};
+    cp.switches[1].code = {route1(Dir::kWest, Dir::kProc), shalt()};
+    return cp;
+}
+
+/**
+ * what() and deadlock_set() of a run that must deadlock, on
+ * @p backend or (nullopt) a default-constructed Simulator.
+ */
+std::pair<std::string, std::string>
+deadlock_report(const CompiledProgram &cp, const FaultConfig &f,
+                std::optional<SimBackend> backend)
+{
+    Simulator sim = backend ? Simulator(cp, f, {}, *backend)
+                            : Simulator(cp, f);
+    try {
+        sim.run();
+    } catch (const DeadlockError &e) {
+        return {e.what(), e.deadlock_set()};
+    }
+    ADD_FAILURE() << "program must deadlock ("
+                  << (backend ? sim_backend_name(*backend) : "default")
+                  << ")";
+    return {};
+}
+
+/**
+ * Every core, and the default-constructed Simulator, must throw the
+ * reference core's DeadlockError byte for byte — detection cycle
+ * included — and the same cycle-number-free deadlock_set().
+ */
+void
+expect_reference_report(const char *what, const CompiledProgram &cp,
+                        const FaultConfig &f = {})
+{
+    SCOPED_TRACE(what);
+    auto want = deadlock_report(cp, f, SimBackend::kReference);
+    EXPECT_NE(want.first.find("wait-for-graph"), std::string::npos)
+        << "exact detection must fire, not the stall-count backstop: "
+        << want.first;
+    EXPECT_EQ(deadlock_report(cp, f, std::nullopt), want)
+        << "default core";
+    for (SimBackend b : {SimBackend::kThreaded, SimBackend::kRegion})
+        EXPECT_EQ(deadlock_report(cp, f, b), want)
+            << sim_backend_name(b);
 }
 
 TEST(SimBackend, DeadlockSetParity)
 {
-    // All three cores must diagnose the same deadlock *set* (blocking
-    // cycle + blocked units).  The cycle *number* is allowed to
-    // differ — the threaded cores sleep through quiescent stretches
-    // and notice the freeze at a later timestamp (see "Error-path
-    // divergence" in docs/performance.md) — which is exactly why
-    // DeadlockError::deadlock_set() excludes it.
+    // All three cores diagnose the same deadlock set (blocking cycle
+    // + blocked units) and report it at the same cycle: a fast core
+    // that deadlocks hands the report to a reference-core re-run.
     CompiledProgram cp = routing_cycle();
-    auto set_of = [&](SimBackend b) {
-        Simulator sim(cp, {}, {}, b);
-        try {
-            sim.run();
-        } catch (const DeadlockError &e) {
-            return e.deadlock_set();
-        }
-        ADD_FAILURE() << "routing cycle must deadlock ("
-                      << sim_backend_name(b) << ")";
-        return std::string();
-    };
-    std::string ref = set_of(SimBackend::kReference);
+    std::string ref =
+        deadlock_report(cp, {}, SimBackend::kReference).second;
     EXPECT_NE(ref.find("blocking cycle"), std::string::npos) << ref;
     EXPECT_NE(ref.find("sw0@pc0"), std::string::npos) << ref;
     EXPECT_NE(ref.find("sw1@pc0"), std::string::npos) << ref;
-    EXPECT_EQ(set_of(SimBackend::kThreaded), ref);
-    EXPECT_EQ(set_of(SimBackend::kRegion), ref);
+
+    expect_reference_report("routing cycle", cp);
+    expect_reference_report("freeze after a sleep span",
+                            freeze_after_sleep());
+    // Region run-ahead retires 180k cycles of loop in one dispatch;
+    // the freeze that follows must be reported at the reference
+    // core's exact cycle, not when the stall window expires.
+    expect_reference_report("freeze after region run-ahead",
+                            run_ahead_loop(60000, false));
 }
+
+TEST(SimBackend, DeadlockReportParityUnderFaults)
+{
+    // Miss, route-stall and dyn-delay channels keep the exact
+    // frozen-machine detector on (only jitter turns it off).
+    FaultConfig f;
+    f.miss_rate = 0.5;
+    f.penalty = 7;
+    f.route_stall_rate = 0.3;
+    f.route_stall_cycles = 4;
+    f.dyn_delay_rate = 0.3;
+    f.seed = 11;
+    expect_reference_report("routing cycle", routing_cycle(), f);
+    expect_reference_report("freeze after a sleep span",
+                            freeze_after_sleep(), f);
+}
+
+TEST(SimBackend, RunAheadPastStallWindowIsNotADeadlock)
+{
+    // A region that runs ahead for longer than the stall window is
+    // progress, exactly as the reference core sees it cycle by cycle.
+    CompiledProgram cp = run_ahead_loop(60000, true);
+    SimResult r;
+    ASSERT_NO_THROW(r = diff_sim_backends(cp));
+    EXPECT_EQ(r.cycles, 180009);
+    EXPECT_EQ(r.print_text(), "60002\n");
+}
+
+TEST(SimBackend, DefaultIsTheFastCore)
+{
+    EXPECT_EQ(kDefaultSimBackend, SimBackend::kThreaded);
+    EXPECT_EQ(sim_backend_from_string("fast"), SimBackend::kThreaded);
+    EXPECT_EQ(sim_backend_from_string("threaded"),
+              SimBackend::kThreaded);
+    EXPECT_EQ(sim_backend_from_string("region"), SimBackend::kRegion);
+    EXPECT_EQ(sim_backend_from_string("reference"),
+              SimBackend::kReference);
+    EXPECT_THROW(sim_backend_from_string("bogus"), FatalError);
+
+    // A default run is bit-identical to the three-core differential.
+    const BenchmarkProgram &prog = benchmark("life");
+    CompileOutput out =
+        compile_source(prog.source, MachineConfig::base(16));
+    SimResult fast = Simulator(out.program).run();
+    SimResult ref = diff_sim_backends(out.program);
+    EXPECT_EQ(golden_summary("life", 16, {}, fast),
+              golden_summary("life", 16, {}, ref));
+}
+
+#ifdef RAWCC_BIN
+/** Exit status of rawcc @p args; its stdout lands in @p out. */
+int
+run_cli(const std::string &args, std::string &out)
+{
+    std::string cmd = std::string(RAWCC_BIN) + " " + args + " 2>&1";
+    FILE *f = popen(cmd.c_str(), "r");
+    if (!f)
+        return -1;
+    char buf[256];
+    out.clear();
+    while (size_t n = std::fread(buf, 1, sizeof(buf), f))
+        out.append(buf, n);
+    int rc = pclose(f);
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+TEST(SimBackendCli, FastIsTheThreadedCore)
+{
+    std::string fast, threaded, dflt, ref;
+    const std::string args = " --tiles 16 --check jacobi";
+    ASSERT_EQ(run_cli("--sim-backend fast" + args, fast), 0) << fast;
+    ASSERT_EQ(run_cli("--sim-backend threaded" + args, threaded), 0);
+    ASSERT_EQ(run_cli(args, dflt), 0);
+    ASSERT_EQ(run_cli("--sim-backend reference" + args, ref), 0);
+    EXPECT_EQ(fast, threaded);
+    EXPECT_EQ(dflt, threaded);
+    EXPECT_EQ(ref, threaded);
+}
+
+TEST(SimBackendCli, RejectsUnknownCore)
+{
+    std::string out;
+    EXPECT_EQ(run_cli("--sim-backend bogus --tiles 4 jacobi", out), 2);
+    EXPECT_NE(out.find("--sim-backend"), std::string::npos) << out;
+    EXPECT_NE(out.find("reference or fast"), std::string::npos) << out;
+}
+
+TEST(SimBackendCli, SimDiffBannerNamesTheCores)
+{
+    std::string out;
+    ASSERT_EQ(run_cli("--sim-diff --tiles 4 jacobi", out), 0) << out;
+    EXPECT_NE(out.find("[sim-diff: reference, fast (threaded) and "
+                       "region backends identical]"),
+              std::string::npos)
+        << out;
+}
+#endif
 
 } // namespace
 } // namespace raw

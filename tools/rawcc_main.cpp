@@ -43,9 +43,12 @@
  *   --sched-iters N    slack-driven rescheduling passes (default 0)
  *   --modulo           software-pipeline loop blocks (cross-tile
  *                      modulo scheduling; greedy stays the fallback)
- *   --sim-backend B    execution core: reference | threaded | region
- *   --sim-diff         run all three backends, require identical
- *                      results
+ *   --sim-backend B    execution core: fast (default; the threaded
+ *                      core) | reference (the specification core);
+ *                      a deadlock report always carries the reference
+ *                      core's exact cycle
+ *   --sim-diff         run the reference, fast (threaded) and region
+ *                      cores, require identical results
  *   --pgo              profile-guided placement (compile, simulate,
  *                      recompile around the measured congestion)
  *   --list-benchmarks  list the built-in Table 2 programs
@@ -92,7 +95,7 @@ usage()
         "  --cache-dir DIR --no-sched-cache\n"
         "  --no-unroll --no-replication --no-port-fold\n"
         "  --sched-iters N --modulo --pgo\n"
-        "  --sim-backend reference|threaded|region --sim-diff\n"
+        "  --sim-backend reference|fast --sim-diff\n"
         "  --list-benchmarks\n");
 }
 
@@ -189,7 +192,7 @@ main(int argc, char **argv)
     CompilerOptions opts;
     FaultConfig faults;
     CheckConfig checks;
-    SimBackend sim_backend = SimBackend::kReference;
+    SimBackend sim_backend = kDefaultSimBackend;
     bool sim_diff = false;
     long fault_campaign = 0;
     long point_timeout = 0;
@@ -296,16 +299,11 @@ main(int argc, char **argv)
         } else if (a == "--modulo")
             opts.orch.sched.modulo = true;
         else if (a == "--sim-backend") {
-            std::string b = next();
-            if (b == "reference")
-                sim_backend = SimBackend::kReference;
-            else if (b == "threaded")
-                sim_backend = SimBackend::kThreaded;
-            else if (b == "region")
-                sim_backend = SimBackend::kRegion;
-            else
-                bad_value("--sim-backend", argv[i],
-                          "reference, threaded or region");
+            try {
+                sim_backend = sim_backend_from_string(next());
+            } catch (const FatalError &) {
+                bad_value("--sim-backend", argv[i], "reference or fast");
+            }
         } else if (a == "--sim-diff")
             sim_diff = true;
         else if (a == "--pgo")
@@ -436,8 +434,8 @@ main(int argc, char **argv)
         if (sim_diff) {
             r = diff_sim_backends(out.program, faults, checks,
                                   !trace_out.empty());
-            std::printf("[sim-diff: reference, threaded and region "
-                        "backends identical]\n");
+            std::printf("[sim-diff: reference, fast (threaded) and "
+                        "region backends identical]\n");
         } else {
             Simulator sim(out.program, faults, checks, sim_backend);
             if (!trace_out.empty())
