@@ -116,124 +116,6 @@ measure(const std::vector<BenchmarkProgram> &progs,
     return m;
 }
 
-// ---------------------------------------------------------------
-// Modulo-scheduling section (--modulo): the loop-dominated points,
-// base vs pipelined cycles plus per-loop achieved II vs MII.
-
-/** Per-source-loop II summary aggregated over the loop's blocks. */
-struct LoopIISummary
-{
-    int loop = -1;
-    int blocks = 0;
-    int pipelined = 0;
-    int64_t ii = 0;  // worst (max) achieved steady-state II
-    int64_t mii = 0; // worst (max) lower bound
-};
-
-struct ModuloPoint
-{
-    std::string bench;
-    int tiles = 0;
-    int64_t cycles_base = 0;
-    int64_t cycles_modulo = 0;
-    std::vector<LoopIISummary> loops;
-};
-
-const char *kLoopBenches[] = {"vpenta", "tomcatv", "life"};
-
-std::vector<ModuloPoint>
-measure_modulo(const std::vector<int> &sizes, int jobs)
-{
-    const int nb = static_cast<int>(std::size(kLoopBenches));
-    const int ns = static_cast<int>(sizes.size());
-    std::vector<ModuloPoint> pts(nb * ns);
-    run_parallel(nb * ns, jobs, [&](int idx) {
-        const BenchmarkProgram &prog =
-            benchmark(kLoopBenches[idx / ns]);
-        const int tiles = sizes[idx % ns];
-        MachineConfig machine = MachineConfig::base(tiles);
-        ModuloPoint &pt = pts[idx];
-        pt.bench = prog.name;
-        pt.tiles = tiles;
-        pt.cycles_base = run_rawcc(prog.source, machine,
-                                   prog.check_array)
-                             .cycles;
-        CompilerOptions mod;
-        mod.orch.sched.modulo = true;
-        RunResult r =
-            run_rawcc(prog.source, machine, prog.check_array, mod);
-        pt.cycles_modulo = r.cycles;
-        // Aggregate achieved II vs MII per source loop (worst block
-        // of each loop; chunks of a split body count toward their
-        // loop).  Blocks outside any for statement land on loop -1.
-        std::vector<LoopIISummary> &ls = pt.loops;
-        for (const BlockPipelineStats &p :
-             r.stats.block_pipeline) {
-            LoopIISummary *row = nullptr;
-            for (LoopIISummary &l : ls)
-                if (l.loop == p.src_loop)
-                    row = &l;
-            if (!row) {
-                ls.push_back({p.src_loop, 0, 0, 0, 0});
-                row = &ls.back();
-            }
-            row->blocks++;
-            row->pipelined += p.pipelined ? 1 : 0;
-            row->ii = std::max(row->ii, p.ii);
-            row->mii = std::max(row->mii, p.mii);
-        }
-        std::sort(ls.begin(), ls.end(),
-                  [](const LoopIISummary &a, const LoopIISummary &b) {
-                      return a.loop < b.loop;
-                  });
-    });
-    return pts;
-}
-
-double
-modulo_geomean(const std::vector<ModuloPoint> &pts, int tiles,
-               bool modulo)
-{
-    double log_sum = 0;
-    int n = 0;
-    for (const ModuloPoint &p : pts) {
-        if (p.tiles != tiles)
-            continue;
-        int64_t c = modulo ? p.cycles_modulo : p.cycles_base;
-        log_sum += std::log(
-            static_cast<double>(std::max<int64_t>(1, c)));
-        n++;
-    }
-    return n ? std::exp(log_sum / n) : 0.0;
-}
-
-void
-print_modulo(const std::vector<ModuloPoint> &pts,
-             const std::vector<int> &sizes)
-{
-    std::printf("\n== modulo scheduling (--modulo): loop-dominated "
-                "points ==\n");
-    std::printf("%-14s %6s %12s %12s %8s\n", "Benchmark", "tiles",
-                "base", "modulo", "delta");
-    for (const ModuloPoint &p : pts)
-        std::printf("%-14s %6d %12lld %12lld %+7.2f%%\n",
-                    p.bench.c_str(), p.tiles,
-                    static_cast<long long>(p.cycles_base),
-                    static_cast<long long>(p.cycles_modulo),
-                    100.0 *
-                        static_cast<double>(p.cycles_modulo -
-                                            p.cycles_base) /
-                        static_cast<double>(
-                            std::max<int64_t>(1, p.cycles_base)));
-    for (int t : sizes) {
-        double base = modulo_geomean(pts, t, false);
-        double mod = modulo_geomean(pts, t, true);
-        std::printf("%d tiles: geomean base %.1f -> modulo %.1f "
-                    "(%+.2f%%)\n",
-                    t, base, mod, 100.0 * (mod - base) / base);
-    }
-}
-
 double
 geomean(const Measurements &m, int s, int c)
 {
@@ -275,8 +157,7 @@ print_table(const Measurements &m)
 }
 
 void
-write_json(const std::string &path, const Measurements &m,
-           const std::vector<ModuloPoint> &mod)
+write_json(const std::string &path, const Measurements &m)
 {
     std::ofstream out(path);
     if (!out) {
@@ -321,48 +202,7 @@ write_json(const std::string &path, const Measurements &m,
         }
         out << "]}" << (s + 1 < m.sizes.size() ? "," : "") << "\n";
     }
-    out << "  ],\n";
-
-    // Modulo-scheduling section: loop-dominated points, base vs
-    // pipelined cycles and per-loop achieved II vs MII.
-    out << "  \"modulo\": {\n    \"benchmarks\": [\n";
-    for (size_t i = 0; i < mod.size(); i++) {
-        const ModuloPoint &p = mod[i];
-        out << "      {\"name\": \"" << p.bench
-            << "\", \"tiles\": " << p.tiles
-            << ", \"cycles_base\": " << p.cycles_base
-            << ", \"cycles_modulo\": " << p.cycles_modulo
-            << ",\n       \"loops\": [";
-        for (size_t l = 0; l < p.loops.size(); l++) {
-            const LoopIISummary &ls = p.loops[l];
-            out << (l ? ", " : "") << "{\"loop\": " << ls.loop
-                << ", \"blocks\": " << ls.blocks
-                << ", \"pipelined\": " << ls.pipelined
-                << ", \"ii\": " << ls.ii << ", \"mii\": " << ls.mii
-                << "}";
-        }
-        out << "]}" << (i + 1 < mod.size() ? "," : "") << "\n";
-    }
-    out << "    ],\n    \"geomean\": [\n";
-    std::vector<int> tiles_seen;
-    for (const ModuloPoint &p : mod)
-        if (std::find(tiles_seen.begin(), tiles_seen.end(),
-                      p.tiles) == tiles_seen.end())
-            tiles_seen.push_back(p.tiles);
-    for (size_t s = 0; s < tiles_seen.size(); s++) {
-        double base = modulo_geomean(mod, tiles_seen[s], false);
-        double pip = modulo_geomean(mod, tiles_seen[s], true);
-        char b1[32], b2[32], b3[32];
-        std::snprintf(b1, sizeof(b1), "%.1f", base);
-        std::snprintf(b2, sizeof(b2), "%.1f", pip);
-        std::snprintf(b3, sizeof(b3), "%.4f",
-                      base > 0 ? 100.0 * (pip - base) / base : 0.0);
-        out << "      {\"tiles\": " << tiles_seen[s]
-            << ", \"base\": " << b1 << ", \"modulo\": " << b2
-            << ", \"delta_pct\": " << b3 << "}"
-            << (s + 1 < tiles_seen.size() ? "," : "") << "\n";
-    }
-    out << "    ]\n  }\n}\n";
+    out << "  ]\n}\n";
     std::printf("wrote %s\n", path.c_str());
 }
 
@@ -399,11 +239,7 @@ main(int argc, char **argv)
 
     Measurements m = measure(progs, sizes, jobs);
     print_table(m);
-
-    // Modulo scheduling, measured on the loop-dominated benchmarks.
-    std::vector<ModuloPoint> mod = measure_modulo(sizes, jobs);
-    print_modulo(mod, sizes);
-    write_json(json_out, m, mod);
+    write_json(json_out, m);
 
     // The best-of-N construction means turning every mechanism on
     // must never lose cycles versus the seed configuration.

@@ -48,9 +48,6 @@ struct SizeResult
     int tiles = 0;
     int64_t cycles = 0;
     double speedup = 0;
-    /** Same point compiled with --modulo (software pipelining). */
-    int64_t modulo_cycles = 0;
-    double modulo_speedup = 0;
     /** Proc cycle-category totals summed over tiles. */
     std::array<int64_t, raw::kNumProcCycleCats> occupancy{};
 };
@@ -96,17 +93,6 @@ measure(int jobs)
                          ? static_cast<double>(base.cycles) /
                                static_cast<double>(par.cycles)
                          : 0.0;
-        raw::CompilerOptions mod;
-        mod.orch.sched.modulo = true;
-        raw::RunResult piped = raw::run_rawcc(
-            prog.source, raw::MachineConfig::base(n),
-            prog.check_array, mod);
-        sr.modulo_cycles = piped.cycles;
-        sr.modulo_speedup =
-            piped.cycles > 0
-                ? static_cast<double>(base.cycles) /
-                      static_cast<double>(piped.cycles)
-                : 0.0;
         for (const raw::TileProfile &tp : par.sim.profile.tiles)
             for (int c = 0; c < raw::kNumProcCycleCats; c++)
                 sr.occupancy[c] += tp.proc_cycles[c];
@@ -119,10 +105,6 @@ measure(int jobs)
             std::printf("  %-9.2f", sr.speedup);
         std::printf("   (seq RT %lld cycles)\n",
                     static_cast<long long>(br.baseline_cycles));
-        std::printf("%-14s", "  [+modulo]");
-        for (const SizeResult &sr : br.sizes)
-            std::printf("  %-9.2f", sr.modulo_speedup);
-        std::printf("\n");
         auto it = kPaper.find(br.name);
         if (it != kPaper.end()) {
             std::printf("%-14s", "  [paper]");
@@ -162,14 +144,9 @@ write_json(const std::string &path,
             char speedup[32];
             std::snprintf(speedup, sizeof(speedup), "%.4f",
                           sr.speedup);
-            char mod_speedup[32];
-            std::snprintf(mod_speedup, sizeof(mod_speedup), "%.4f",
-                          sr.modulo_speedup);
             out << "        {\"tiles\": " << sr.tiles
                 << ", \"cycles\": " << sr.cycles
                 << ", \"speedup\": " << speedup
-                << ", \"modulo_cycles\": " << sr.modulo_cycles
-                << ", \"modulo_speedup\": " << mod_speedup
                 << ", \"occupancy\": {";
             for (int c = 0; c < raw::kNumProcCycleCats; c++)
                 out << (c ? ", " : "") << "\""

@@ -39,7 +39,6 @@ Stmt::clone() const
     s->cmp = cmp;
     s->iv_residue = iv_residue;
     s->iv_modulus = iv_modulus;
-    s->loop_id = loop_id;
     return s;
 }
 

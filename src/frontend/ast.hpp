@@ -99,13 +99,6 @@ struct Stmt
      */
     int64_t iv_residue = 0;
     int64_t iv_modulus = 1;
-    /**
-     * Stable source-loop identity, assigned pre-order by the unroller
-     * before any unrolling or peeling; clones inherit it, so every
-     * block lowered from any copy of this loop's body can be traced
-     * back to the one source loop (per-loop II reporting).
-     */
-    int loop_id = -1;
 
     /** Deep copy. */
     StmtPtr clone() const;

@@ -275,7 +275,6 @@ class Lowerer
             cmp = Op::kCmpGe;
         ValueId cond = b_->emit(cmp, Type::kI32, iv, bound);
         int body = new_block("for_body");
-        b_->fn().blocks[body].src_loop = s.loop_id;
         int exit;
         {
             // The exit block is outside the fact's scope.

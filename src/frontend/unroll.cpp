@@ -1,12 +1,13 @@
 #include "frontend/unroll.hpp"
 
-#include <functional>
 
 #include <map>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "ir/eval.hpp"
+#include "ir/type.hpp"
 #include "support/error.hpp"
 #include "support/mathutil.hpp"
 
@@ -117,20 +118,28 @@ const_eval(const Expr &e, const ConstEnv &consts)
     Affine a = affine_of(e, consts);
     if (a.valid && a.coeffs.empty())
         return a.c0;
-    // Allow a few non-affine constant folds (/, %, <<).
+    // Allow a few non-affine constant folds (/, %, <<, >>), evaluated
+    // on 32-bit words by the IR's reference semantics so the folded
+    // value is the one the program computes at run time.
     if (e.kind == ExprKind::kBinary) {
+        Op op;
+        if (e.op == "/")
+            op = Op::kDiv;
+        else if (e.op == "%")
+            op = Op::kRem;
+        else if (e.op == "<<")
+            op = Op::kShl;
+        else if (e.op == ">>")
+            op = Op::kShr;
+        else
+            return std::nullopt;
         auto l = const_eval(*e.kids[0], consts);
         auto r = const_eval(*e.kids[1], consts);
-        if (l && r) {
-            if (e.op == "/" && *r != 0)
-                return *l / *r;
-            if (e.op == "%" && *r != 0)
-                return *l % *r;
-            if (e.op == "<<")
-                return *l << *r;
-            if (e.op == ">>")
-                return *l >> *r;
-        }
+        uint32_t out;
+        if (l && r &&
+            eval_op(op, int_bits(static_cast<int32_t>(*l)),
+                    int_bits(static_cast<int32_t>(*r)), out))
+            return bits_int(out);
     }
     return std::nullopt;
 }
@@ -485,20 +494,6 @@ unroll_program(Program &prog, const UnrollOptions &opts)
     for (const StmtPtr &s : prog.stmts)
         if (s->kind == StmtKind::kDeclArray)
             dims[s->name] = s->dims;
-
-    // Stamp source-loop identities before any transformation so
-    // unrolled and peeled copies inherit them via clone().
-    int next_loop_id = 0;
-    std::function<void(const std::vector<StmtPtr> &)> stamp =
-        [&](const std::vector<StmtPtr> &stmts) {
-            for (const StmtPtr &s : stmts) {
-                if (s->kind == StmtKind::kFor)
-                    s->loop_id = next_loop_id++;
-                stamp(s->body);
-                stamp(s->else_body);
-            }
-        };
-    stamp(prog.stmts);
 
     Unroller u(opts, dims, consts);
     u.run(prog.stmts);

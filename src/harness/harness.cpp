@@ -45,10 +45,11 @@ run_rawcc(const std::string &source, const MachineConfig &machine,
 SimResult
 diff_sim_backends(const CompiledProgram &prog,
                   const FaultConfig &faults, const CheckConfig &checks,
-                  bool trace)
+                  bool trace, int64_t wall_budget_ms)
 {
     Simulator ref(prog, faults, checks, SimBackend::kReference);
     ref.set_trace_enabled(trace);
+    ref.set_wall_budget_ms(wall_budget_ms);
     SimResult a = ref.run();
 
     // Every non-reference core is held to the same bit-identical
@@ -59,6 +60,7 @@ diff_sim_backends(const CompiledProgram &prog,
         const std::string bn = sim_backend_name(backend);
         Simulator alt(prog, faults, checks, backend);
         alt.set_trace_enabled(trace);
+        alt.set_wall_budget_ms(wall_budget_ms);
         SimResult b = alt.run();
 
         auto mismatch = [&](const std::string &what, int64_t va,

@@ -47,11 +47,14 @@ RunResult run_rawcc(const std::string &source,
  * provenance hash, the per-tile cycle-attribution profile, and the
  * final contents of every named array.  Throws FatalError naming the
  * first divergent field otherwise.  Returns the (identical) result.
+ * A nonzero @p wall_budget_ms bounds each core's run
+ * (Simulator::set_wall_budget_ms).
  */
 SimResult diff_sim_backends(const CompiledProgram &prog,
                             const FaultConfig &faults = {},
                             const CheckConfig &checks = {},
-                            bool trace = false);
+                            bool trace = false,
+                            int64_t wall_budget_ms = 0);
 
 /**
  * Profile-guided run: like run_rawcc with opts.pgo, but the

@@ -24,8 +24,9 @@ eval_op(Op op, uint32_t a, uint32_t b, uint32_t &out)
       case Op::kAdd:    return i(static_cast<int64_t>(ia) + ib);
       case Op::kSub:    return i(static_cast<int64_t>(ia) - ib);
       case Op::kMul:    return i(static_cast<int64_t>(ia) * ib);
-      case Op::kDiv:    return i(ib == 0 ? 0 : ia / ib);
-      case Op::kRem:    return i(ib == 0 ? 0 : ia % ib);
+      // Divided in 64 bits so INT32_MIN / -1 wraps instead of trapping.
+      case Op::kDiv:    return i(ib == 0 ? 0 : static_cast<int64_t>(ia) / ib);
+      case Op::kRem:    return i(ib == 0 ? 0 : static_cast<int64_t>(ia) % ib);
       case Op::kAnd:    return i(ia & ib);
       case Op::kOr:     return i(ia | ib);
       case Op::kXor:    return i(ia ^ ib);

@@ -8,8 +8,9 @@
  * This single evaluator is used by BOTH the constant folder and the
  * tile simulator, so compile-time folding and run-time execution agree
  * bit-for-bit by construction.  Integer ops wrap modulo 2^32; integer
- * division by zero yields 0 (documented rawc semantics); floats are
- * IEEE single precision.
+ * division by zero yields 0 (documented rawc semantics), and the one
+ * overflowing quotient wraps: INT32_MIN / -1 is INT32_MIN and
+ * INT32_MIN % -1 is 0; floats are IEEE single precision.
  */
 
 #include <cstdint>

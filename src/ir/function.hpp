@@ -61,13 +61,6 @@ struct Block
      * variables at entry to this block (Section 5.3 staticization).
      */
     std::vector<EntryFact> entry_facts;
-    /**
-     * Source loop whose body this block was lowered from (-1: none).
-     * Blocks derived from the same source loop share the id even
-     * across unrolled/peeled copies and block splits (per-loop II
-     * reporting groups on it).
-     */
-    int src_loop = -1;
 
     /** The terminator instruction (last in the block). */
     const Instr &terminator() const { return instrs.back(); }

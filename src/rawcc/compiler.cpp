@@ -94,7 +94,7 @@ options_fingerprint(const CompilerOptions &opts)
         os << " " << v;
     const SchedOptions &s = opts.orch.sched;
     os << "|s:" << s.level_weight << " " << s.fertility_weight << " "
-       << s.fifo_priority << " " << s.sched_iters << " " << s.modulo;
+       << s.fifo_priority << " " << s.sched_iters;
     os << "|o:" << opts.orch.enable_replication << " "
        << opts.orch.fold_ports << " hv";
     for (int v : opts.orch.var_home_override)
@@ -148,15 +148,6 @@ pgo_candidates(const CompilerOptions &base, const PlacementFeedback &fb)
     {
         CompilerOptions c = plain;
         c.smart_homes = true;
-        add(c);
-    }
-    // Modulo scheduling optimizes the modeled steady-state II, which
-    // can trade away flat makespan; when the base compile pipelines,
-    // race the plain greedy schedule too so the measured pick keeps
-    // whichever the machine actually runs faster.
-    if (plain.orch.sched.modulo) {
-        CompilerOptions c = plain;
-        c.orch.sched.modulo = false;
         add(c);
     }
     // More aggressive loop peeling: staticizes more references at
@@ -264,7 +255,6 @@ orchestrate_and_link(Function fn, const MachineConfig &machine,
     out.stats.static_instrs = out.program.static_instrs();
     out.stats.block_makespan = vp.block_makespan;
     out.stats.est_tile_busy = vp.est_tile_busy;
-    out.stats.block_pipeline = vp.block_pipeline;
     out.stats.timings.total_ms = out.stats.timings.orchestrate_ms +
                                  out.stats.timings.link_ms;
     out.fn = std::move(fn);

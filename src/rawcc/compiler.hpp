@@ -93,8 +93,6 @@ struct CompileStats
     std::vector<int64_t> block_makespan;
     /** Scheduler-estimated issue slots per tile (all blocks). */
     std::vector<int64_t> est_tile_busy;
-    /** Per-loop-block modulo-scheduling outcomes (--modulo). */
-    std::vector<BlockPipelineStats> block_pipeline;
     /** Per-stage compile time. */
     PhaseTimings timings;
     /** Block-schedule cache traffic (includes smart-homes probes). */

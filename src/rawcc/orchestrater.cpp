@@ -11,7 +11,6 @@
 
 #include "harness/parallel.hpp"
 #include "rawcc/schedcache.hpp"
-#include "schedule/modulo.hpp"
 #include "support/error.hpp"
 #include "transform/congruence.hpp"
 #include "transform/rename.hpp"
@@ -629,36 +628,21 @@ orchestrate(Function &fn, const MachineConfig &machine,
     // ---- Phase 2 (parallel): schedule + emit every block. -------
     std::vector<int64_t> makespans(n_blocks, 0);
     std::vector<std::vector<int64_t>> busys(n_blocks);
-    std::vector<BlockPipelineStats> pstats(n_blocks);
     std::vector<std::vector<std::vector<VInstr>>> btiles(n_blocks);
     std::vector<std::vector<std::vector<SInstr>>> bswitches(n_blocks);
-
-    // Modulo scheduling targets blocks on CFG cycles; the CFG is
-    // frozen by now (all mutation happened serially above), so the
-    // loop-block mask is computed once, outside the fan-out.
-    std::vector<uint8_t> on_cycle;
-    if (opts.sched.modulo)
-        on_cycle = loop_blocks(fn);
-    bool any_sw_active = false;
-    for (int t = 0; t < n_tiles; t++)
-        any_sw_active = any_sw_active || vp.switch_active[t];
 
     Clock::time_point t_sched = Clock::now();
     run_parallel(n_blocks, n_threads, [&](int b) {
         const Instr &term = fn.blocks[b].terminator();
         BlockKey skey;
         if (use_cache) {
-            skey = block_schedule_key(
-                part_keys[b], opts.sched, vp.switch_active,
-                opts.sched.modulo && on_cycle[b] != 0,
-                static_cast<int>(tails[b].instrs.size()),
-                any_sw_active);
+            skey = block_schedule_key(part_keys[b], opts.sched,
+                                      vp.switch_active);
             if (std::shared_ptr<const std::string> blob =
                     cache.get_sched(skey, dir, ctr[b])) {
                 if (rehydrate_sched_payload(*blob, canons[b], term,
                                             makespans[b], busys[b],
-                                            pstats[b], btiles[b],
-                                            bswitches[b]))
+                                            btiles[b], bswitches[b]))
                     return;
                 // Undecodable payload (stale survivor): recompute
                 // below and re-put a fresh entry.
@@ -673,19 +657,10 @@ orchestrate(Function &fn, const MachineConfig &machine,
         }
         std::vector<CommPath> paths = build_comm_paths(
             g, parts[b], machine, bcast, vp.switch_active);
-        LoopPipelineInfo loop;
-        if (opts.sched.modulo)
-            loop = analyze_loop_block(
-                fn, b, g, on_cycle[b] != 0,
-                static_cast<int>(tails[b].instrs.size()),
-                any_sw_active);
-        BlockSchedule sched = schedule_block_pipelined(
-            g, parts[b], machine, paths, opts.sched, loop);
+        BlockSchedule sched =
+            schedule_block(g, parts[b], machine, paths, opts.sched);
         makespans[b] = sched.makespan;
         busys[b] = sched.tile_busy;
-        pstats[b] = {b,         fn.blocks[b].src_loop, sched.pipelined,
-                     sched.ii,  sched.mii,             sched.res_mii,
-                     sched.rec_mii, sched.flat_mii};
         emit_block_streams(fn, b, g, sched, tails[b], repl, svreg,
                            vp.switch_active, pseq[b], machine,
                            btiles[b], bswitches[b]);
@@ -709,13 +684,6 @@ orchestrate(Function &fn, const MachineConfig &machine,
             vp.est_tile_busy[t] += busys[b][t];
             vp.tiles[t][b] = std::move(btiles[b][t]);
             vp.switches[t][b] = std::move(bswitches[b][t]);
-        }
-        // Loop blocks carry mii >= 1 (whether computed or rehydrated
-        // from a cached payload); everything else stays all-zero.
-        if (opts.sched.modulo && pstats[b].mii > 0) {
-            pstats[b].block = b;
-            pstats[b].src_loop = fn.blocks[b].src_loop;
-            vp.block_pipeline.push_back(pstats[b]);
         }
         vp.cache.add(ctr[b]);
     }

@@ -41,26 +41,6 @@
 
 namespace raw {
 
-/**
- * Modulo-scheduling outcome of one loop block (--modulo).  Collected
- * for every block on a CFG cycle; `pipelined` records whether the
- * modulo schedule beat the greedy fallback (schedule/modulo.hpp).
- */
-struct BlockPipelineStats
-{
-    int block = -1;
-    /** Source loop the block was lowered from (-1: none). */
-    int src_loop = -1;
-    bool pipelined = false;
-    /** Modeled steady-state initiation interval of the emitted sched. */
-    int64_t ii = 0;
-    /** Lower bound max(res_mii, rec_mii, flat_mii). */
-    int64_t mii = 0;
-    int64_t res_mii = 0;
-    int64_t rec_mii = 0;
-    int64_t flat_mii = 0;
-};
-
 /** A processor instruction over value ids (pre register allocation). */
 struct VInstr
 {
@@ -158,11 +138,6 @@ struct VirtualProgram
      * partitioning the paper lists as future work.
      */
     std::map<ValueId, std::map<int, int>> var_votes;
-    /**
-     * Per-loop-block modulo-scheduling outcomes, in block order
-     * (empty unless the sched options enable --modulo).
-     */
-    std::vector<BlockPipelineStats> block_pipeline;
     /** Block-schedule cache traffic of this orchestration. */
     SchedCacheCounters cache;
     /** Wall-clock of the parallel partition phase (ms). */

@@ -21,7 +21,7 @@
 
 namespace raw {
 
-const char *const kSchedCacheVersion = "rawsc-3";
+const char *const kSchedCacheVersion = "rawsc-4";
 
 void
 SchedCacheCounters::add(const SchedCacheCounters &o)
@@ -375,8 +375,7 @@ block_partition_key(const Function &fn, int b,
 
 BlockKey
 block_schedule_key(const BlockKey &part_key, const SchedOptions &so,
-                   const std::vector<bool> &switch_active, bool on_cycle,
-                   int tail_len, bool any_switch_active)
+                   const std::vector<bool> &switch_active)
 {
     BlockKey k;
     KeySink s;
@@ -391,17 +390,10 @@ block_schedule_key(const BlockKey &part_key, const SchedOptions &so,
     s.num(so.fertility_weight);
     s.num(so.fifo_priority);
     s.num(so.sched_iters);
-    s.num(so.modulo);
     s.lit("|w:");
     s.num(static_cast<int64_t>(switch_active.size()));
     for (bool v : switch_active)
         s.bit(v);
-    if (so.modulo) {
-        s.lit("|l:");
-        s.num(on_cycle);
-        s.num(tail_len);
-        s.num(any_switch_active);
-    }
     k.h1 = s.h1;
     k.h2 = s.h2;
     return k;
@@ -447,12 +439,6 @@ dehydrate_streams(const BlockCanon &canon, const Instr &term,
     SchedEntry e;
     e.makespan = sched.makespan;
     e.tile_busy = sched.tile_busy;
-    e.pipelined = sched.pipelined ? 1 : 0;
-    e.ii = sched.ii;
-    e.mii = sched.mii;
-    e.res_mii = sched.res_mii;
-    e.rec_mii = sched.rec_mii;
-    e.flat_mii = sched.flat_mii;
     e.tiles.resize(tiles.size());
     for (size_t t = 0; t < tiles.size(); t++) {
         e.tiles[t].reserve(tiles[t].size());
@@ -600,12 +586,6 @@ serialize_sched(std::string &s, const SchedEntry &e)
     put(s, static_cast<int64_t>(e.tile_busy.size()));
     for (int64_t v : e.tile_busy)
         put(s, v);
-    put(s, static_cast<int64_t>(e.pipelined));
-    put(s, e.ii);
-    put(s, e.mii);
-    put(s, e.res_mii);
-    put(s, e.rec_mii);
-    put(s, e.flat_mii);
     put(s, static_cast<int64_t>(e.tiles.size()));
     for (const auto &code : e.tiles) {
         put(s, static_cast<int64_t>(code.size()));
@@ -809,7 +789,6 @@ rehydrate_sched_payload(const std::string &payload,
                         const BlockCanon &canon, const Instr &term,
                         int64_t &makespan,
                         std::vector<int64_t> &tile_busy,
-                        BlockPipelineStats &pipe,
                         std::vector<std::vector<VInstr>> &tiles_out,
                         std::vector<std::vector<SInstr>> &switches_out)
 {
@@ -821,12 +800,6 @@ rehydrate_sched_payload(const std::string &payload,
     tile_busy.resize(n);
     for (int64_t k = 0; k < n; k++)
         tile_busy[k] = r.i();
-    pipe.pipelined = r.i() != 0;
-    pipe.ii = r.i();
-    pipe.mii = r.i();
-    pipe.res_mii = r.i();
-    pipe.rec_mii = r.i();
-    pipe.flat_mii = r.i();
     n = r.i();
     if (!r.ok || n < 0 || n > (1 << 20))
         return false;

@@ -132,17 +132,6 @@ struct SchedEntry
     int64_t makespan = 0;
     std::vector<int64_t> tile_busy;
     /**
-     * Modulo-scheduling outcome (BlockSchedule metadata): carrying it
-     * in the payload keeps --stats and the quality benches identical
-     * between cold and warm compiles.
-     */
-    uint8_t pipelined = 0;
-    int64_t ii = 0;
-    int64_t mii = 0;
-    int64_t res_mii = 0;
-    int64_t rec_mii = 0;
-    int64_t flat_mii = 0;
-    /**
      * Per-tile processor / switch streams in canonical form: value
      * and array ids canonicalized, print_seq relative to the block's
      * first print, branch targets replaced by terminator slots
@@ -191,24 +180,16 @@ BlockKey block_partition_key(const Function &fn, int b,
 /**
  * Schedule-stage key: partition key + scheduler options + context.
  * The digest continues the partition key's streams; text is carried
- * over (and extended) only if the partition key has it.  Under
- * SchedOptions::modulo the key also folds in the loop context
- * analyze_loop_block reads — whether the block sits on a CFG cycle,
- * its control-tail length and whether any switch is active — so two
- * equal blocks, one in a loop and one not, never share an entry.
- * Without modulo those inputs are not hashed, which keeps every
- * default-option key unchanged.
+ * over (and extended) only if the partition key has it.
  */
 BlockKey block_schedule_key(const BlockKey &part_key,
                             const SchedOptions &sopts,
-                            const std::vector<bool> &switch_active,
-                            bool on_cycle = false, int tail_len = 0,
-                            bool any_switch_active = false);
+                            const std::vector<bool> &switch_active);
 
 /**
  * Canonicalize freshly emitted block streams for insertion
  * (dehydrate).  @p term is the block's terminator (target slots);
- * @p sched supplies the makespan, busy estimate and pipeline stats.
+ * @p sched supplies the makespan and busy estimate.
  */
 SchedEntry dehydrate_streams(const BlockCanon &canon, const Instr &term,
                              const BlockSchedule &sched,
@@ -228,7 +209,6 @@ bool rehydrate_sched_payload(const std::string &payload,
                              const BlockCanon &canon, const Instr &term,
                              int64_t &makespan,
                              std::vector<int64_t> &tile_busy,
-                             BlockPipelineStats &pipe,
                              std::vector<std::vector<VInstr>> &tiles_out,
                              std::vector<std::vector<SInstr>> &switches_out);
 

@@ -13,9 +13,8 @@ namespace raw {
 namespace {
 
 // Dependence bookkeeping, priorities and the reservation table live
-// in schedule/sched_internal.hpp, shared with the modulo scheduler
-// and the tests' branch-and-bound reference so all three agree on the
-// resource model.
+// in schedule/sched_internal.hpp, shared with the tests' branch-and-
+// bound reference so both agree on the resource model.
 using sched::build_deps;
 using sched::compute_priorities;
 using sched::DepInfo;

@@ -47,16 +47,6 @@ struct SchedOptions
      * so compile time stays near the single-pass cost.
      */
     int sched_iters = 0;
-    /**
-     * Cross-tile modulo scheduling (--modulo): software-pipeline the
-     * blocks that sit on CFG cycles by searching initiation intervals
-     * upward from MII under per-tile window and loop-carried (wrap)
-     * constraints; the greedy list schedule stays the fallback and
-     * the floor — a pipelined schedule is only adopted when its
-     * modeled steady-state II beats the greedy one's.  See
-     * schedule/modulo.hpp and docs/scheduling.md.
-     */
-    bool modulo = false;
 
     /** Any best-of-N mechanism beyond the seed single pass enabled? */
     bool multi_pass() const { return sched_iters > 0; }
@@ -109,19 +99,6 @@ struct BlockSchedule
      * (sim/profile.hpp) to validate the scheduler's cost model.
      */
     std::vector<int64_t> tile_busy;
-
-    // ---- Modulo-scheduling metadata (loop blocks only). ----------
-    /** The modulo schedule was adopted over the greedy fallback. */
-    bool pipelined = false;
-    /** Modeled steady-state initiation interval of this schedule. */
-    int64_t ii = 0;
-    /** Lower bound the II search started from (max of the below). */
-    int64_t mii = 0;
-    /** Resource bound: busiest proc/switch slot count + control tail. */
-    int64_t res_mii = 0;
-    /** Recurrence bound over loop-carried import->writeback chains. */
-    int64_t rec_mii = 0;
-    int64_t flat_mii = 0;
 };
 
 /** Schedule one block. */

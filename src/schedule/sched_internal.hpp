@@ -5,13 +5,13 @@
  * @file
  * Internals shared by the block schedulers.
  *
- * The greedy list scheduler (event_scheduler.cpp), the cross-tile
- * modulo scheduler (modulo.cpp) and the branch-and-bound reference
- * the scheduler tests check greedy against all operate on the same
- * task-graph-plus-comm-paths model: identical dependence bookkeeping, identical priority
+ * The greedy list scheduler (event_scheduler.cpp) and the branch-
+ * and-bound reference the scheduler tests check it against
+ * (tests/oracle.cpp) operate on the same task-graph-plus-comm-paths
+ * model: identical dependence bookkeeping, identical priority
  * computation, one space-time reservation table.  This header
- * factors those pieces out so the three schedulers cannot drift on
- * the resource model — a schedule any of them accepts reserves
+ * factors those pieces out so the two schedulers cannot drift on
+ * the resource model — a schedule either of them accepts reserves
  * processor slots and switch ports under exactly the same rules.
  */
 

@@ -417,9 +417,9 @@ class Simulator
      * elapses, the run throws SimTimeoutError at the next poll point
      * (the clock is polled every few thousand simulated cycles, so
      * enforcement lags the deadline by microseconds, not seconds).
-     * 0 disables the budget.  Both execution backends honor it; the
-     * fault-campaign driver (--point-timeout) and the serve daemon's
-     * per-request deadlines are the intended users.
+     * 0 disables the budget.  Every execution core honors it;
+     * rawcc's --point-timeout (one run or each campaign point) and
+     * the serve daemon's per-request deadlines are the intended users.
      */
     void set_wall_budget_ms(int64_t ms) { wall_budget_ms_ = ms; }
 

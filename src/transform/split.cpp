@@ -79,13 +79,10 @@ split_block(Function &fn, int block_id, size_t max_len)
     // Lay the chunks out as a chain of blocks.
     std::vector<int> chunk_blocks(n_chunks);
     chunk_blocks[0] = block_id;
-    for (int c = 1; c < n_chunks; c++) {
+    for (int c = 1; c < n_chunks; c++)
         chunk_blocks[c] =
             fn.new_block(fn.blocks[block_id].name + "_part" +
                          std::to_string(c));
-        fn.blocks[chunk_blocks[c]].src_loop =
-            fn.blocks[block_id].src_loop;
-    }
 
     std::unordered_set<ValueId> written;
     for (int c = 0; c < n_chunks; c++) {

@@ -8,8 +8,10 @@
  * validation of the fault flags.
  */
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 
 #include <sys/wait.h>
@@ -319,6 +321,39 @@ run_cli(const std::string &args)
     return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
+// --point-timeout bounds a plain run too, not only campaign points:
+// a program that never terminates ends with the structured timeout
+// error and a nonzero exit instead of running to the cycle limit,
+// on the default core and on each core --sim-diff runs.
+TEST(Cli, PointTimeoutBoundsAPlainRun)
+{
+    std::string path = ::testing::TempDir() + "spin.rawc";
+    std::ofstream(path) << "int i; i = 0; while (1) { i = i + 1; }\n";
+    for (const char *extra : {"", " --sim-diff"}) {
+        SCOPED_TRACE(extra);
+        std::string cmd = std::string(RAWCC_BIN) + " " + path +
+                          " --tiles 16 --point-timeout 300" + extra +
+                          " 2>&1";
+        auto t0 = std::chrono::steady_clock::now();
+        FILE *f = popen(cmd.c_str(), "r");
+        ASSERT_NE(f, nullptr);
+        char buf[256];
+        std::string out;
+        while (size_t n = std::fread(buf, 1, sizeof(buf), f))
+            out.append(buf, n);
+        int rc = pclose(f);
+        double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+        ASSERT_TRUE(WIFEXITED(rc));
+        EXPECT_NE(WEXITSTATUS(rc), 0) << out;
+        EXPECT_NE(out.find("wall-clock budget exceeded (300 ms)"),
+                  std::string::npos)
+            << out;
+        EXPECT_LT(secs, 10.0);
+    }
+}
+
 TEST(Cli, RejectsNaNAndOutOfRangeRates)
 {
     EXPECT_EQ(run_cli("--miss-rate nan jacobi"), 2);
@@ -347,13 +382,13 @@ run_cli_stderr(const std::string &args, std::string &err)
     return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
-// --route-select, --mii-cap and --oracle-budget were deleted; a
-// script still passing them must fail loudly, not compile something
-// else.
+// --route-select, --mii-cap, --oracle-budget and --modulo were
+// deleted; a script still passing them must fail loudly, not compile
+// something else.
 TEST(Cli, RemovedScheduleFlagsAreUnknown)
 {
-    for (std::string args :
-         {"--route-select", "--mii-cap 64", "--oracle-budget 1"}) {
+    for (std::string args : {"--route-select", "--mii-cap 64",
+                             "--oracle-budget 1", "--modulo"}) {
         std::string err;
         EXPECT_EQ(run_cli_stderr(args + " --tiles 4 --no-run jacobi",
                                  err),
@@ -363,11 +398,6 @@ TEST(Cli, RemovedScheduleFlagsAreUnknown)
         EXPECT_NE(err.find("unknown option " + flag), std::string::npos)
             << err;
     }
-}
-
-TEST(Cli, ModuloRoundTrip)
-{
-    EXPECT_EQ(run_cli("--modulo --tiles 4 --no-run jacobi"), 0);
 }
 #endif
 

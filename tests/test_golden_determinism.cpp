@@ -38,8 +38,6 @@ struct GoldenPoint
     FaultConfig faults;
     /** Schedule-quality optimizer (--sched-iters 3). */
     bool sched_opt = false;
-    /** Cross-tile modulo scheduling (--modulo). */
-    bool modulo = false;
 };
 
 // Must stay in sync with kPoints in tools/golden_gen.cpp.
@@ -54,9 +52,6 @@ const GoldenPoint kPoints[] = {
     {"cholesky", 16, {}, true},
     {"mxm", 16, {}, true},
     {"jacobi", 16, {}, true},
-    {"life", 16, {}, false, true},
-    {"jacobi", 16, {}, false, true},
-    {"mxm", 16, {}, false, true},
 };
 
 std::string
@@ -66,8 +61,6 @@ point_name(const GoldenPoint &p)
         std::string(p.bench) + "_n" + std::to_string(p.tiles);
     if (p.sched_opt)
         name += "_sched";
-    if (p.modulo)
-        name += "_mod";
     if (p.faults.multi_channel())
         name += "_mfault";
     else if (p.faults.miss_rate > 0)
@@ -95,7 +88,6 @@ run_point(const GoldenPoint &p, int jobs = 1,
     CompilerOptions opts;
     if (p.sched_opt)
         opts.orch.sched.sched_iters = 3;
-    opts.orch.sched.modulo = p.modulo;
     opts.orch.jobs = jobs;
     opts.orch.cache_dir = cache_dir;
     RunResult r =

@@ -58,6 +58,26 @@ TEST(Eval, IntegerSemantics)
     EXPECT_EQ(bits_int(out), 1);
 }
 
+TEST(Eval, IntMinByMinusOneWraps)
+{
+    // The one quotient that overflows 32 bits wraps (and its
+    // remainder is 0) instead of trapping the host.
+    uint32_t out;
+    ASSERT_TRUE(eval_op(Op::kDiv, int_bits(INT32_MIN), int_bits(-1),
+                        out));
+    EXPECT_EQ(bits_int(out), INT32_MIN);
+    ASSERT_TRUE(eval_op(Op::kRem, int_bits(INT32_MIN), int_bits(-1),
+                        out));
+    EXPECT_EQ(bits_int(out), 0);
+    ASSERT_TRUE(eval_op(Op::kDiv, int_bits(INT32_MIN), int_bits(1),
+                        out));
+    EXPECT_EQ(bits_int(out), INT32_MIN);
+    ASSERT_TRUE(eval_op(Op::kDiv, int_bits(-7), int_bits(2), out));
+    EXPECT_EQ(bits_int(out), -3);
+    ASSERT_TRUE(eval_op(Op::kRem, int_bits(-7), int_bits(2), out));
+    EXPECT_EQ(bits_int(out), -1);
+}
+
 TEST(Eval, FloatSemantics)
 {
     uint32_t out;

@@ -122,9 +122,7 @@ TEST(SchedCache, SchedOptionChangeMissesScheduleOnly)
 }
 
 // Every scheduling option is a schedule-stage input: each must churn
-// the schedule key (a cached greedy schedule must never satisfy a
-// --modulo compile or vice versa), and none may touch the partition
-// key.
+// the schedule key, and none may touch the partition key.
 TEST(SchedCache, SchedOptionsChangeScheduleKey)
 {
     BlockKey pk;
@@ -140,90 +138,16 @@ TEST(SchedCache, SchedOptionsChangeScheduleKey)
     auto base_key = key(base);
     EXPECT_EQ(key(base), base_key) << "key must be deterministic";
 
-    std::vector<SchedOptions> variants(5, base);
+    std::vector<SchedOptions> variants(4, base);
     variants[0].level_weight++;
     variants[1].fertility_weight++;
     variants[2].fifo_priority = !base.fifo_priority;
     variants[3].sched_iters = 3;
-    variants[4].modulo = !base.modulo;
     std::set<std::pair<uint64_t, uint64_t>> keys = {base_key};
     for (const SchedOptions &v : variants)
         keys.insert(key(v));
     EXPECT_EQ(keys.size(), variants.size() + 1)
         << "every option must churn the key, each differently";
-
-    // Loop context (CFG cycle, control-tail length, any switch
-    // active) is a schedule input only under modulo: it must churn
-    // modulo keys and leave default keys untouched.
-    auto ctx_key = [&](const SchedOptions &so, bool cyc, int tail,
-                       bool any_sw) {
-        BlockKey k = block_schedule_key(pk, so, sw, cyc, tail, any_sw);
-        return std::make_pair(k.h1, k.h2);
-    };
-    EXPECT_EQ(ctx_key(base, true, 7, true), base_key);
-    SchedOptions mod = base;
-    mod.modulo = true;
-    std::set<std::pair<uint64_t, uint64_t>> mod_keys = {
-        ctx_key(mod, false, 0, false), ctx_key(mod, true, 0, false),
-        ctx_key(mod, false, 3, false), ctx_key(mod, false, 0, true)};
-    EXPECT_EQ(mod_keys.size(), 4u)
-        << "each loop-context input must churn a modulo key";
-}
-
-TEST(SchedCache, ModuloChangeMissesScheduleOnly)
-{
-    SchedCache::instance().clear_memory();
-    CompilerOptions opts;
-    compile_with(kProg, opts);
-
-    CompilerOptions changed = opts;
-    changed.orch.sched.modulo = true;
-    CompileOutput c = compile_with(kProg, changed);
-    // Partitions are schedule-agnostic; the schedule tier must be
-    // recomputed under pipelining.
-    EXPECT_EQ(c.stats.cache.part_misses, 0);
-    EXPECT_GT(c.stats.cache.sched_misses, 0);
-
-    // And the pipelined entries hit on a warm recompile.
-    CompileOutput warm = compile_with(kProg, changed);
-    EXPECT_EQ(warm.stats.cache.sched_misses, 0);
-    EXPECT_EQ(disasm_program(warm.program),
-              disasm_program(c.program));
-}
-
-// The modulo scheduler reads loop context outside the block's own
-// content (is the block on a CFG cycle?).  An equal block on and off
-// a cycle must not share a schedule entry, so a cold cached --modulo
-// compile has to match a cache-off one row for row and byte for byte.
-TEST(SchedCache, ModuloColdCacheMatchesCacheOff)
-{
-    auto rows = [](const CompileOutput &o) {
-        std::string r;
-        for (const BlockPipelineStats &p : o.stats.block_pipeline)
-            r += std::to_string(p.block) + " " +
-                 std::to_string(p.src_loop) + " " +
-                 std::to_string(p.pipelined) + " " +
-                 std::to_string(p.ii) + " " + std::to_string(p.mii) +
-                 " " + std::to_string(p.res_mii) + " " +
-                 std::to_string(p.rec_mii) + " " +
-                 std::to_string(p.flat_mii) + "\n";
-        return r;
-    };
-    for (const BenchmarkProgram &prog : benchmark_suite()) {
-        SCOPED_TRACE(prog.name);
-        CompilerOptions on;
-        on.orch.sched.modulo = true;
-        CompilerOptions off = on;
-        off.orch.use_cache = false;
-        SchedCache::instance().clear_memory();
-        CompileOutput cold =
-            compile_source(prog.source, MachineConfig::base(16), on);
-        CompileOutput plain =
-            compile_source(prog.source, MachineConfig::base(16), off);
-        EXPECT_EQ(rows(cold), rows(plain));
-        EXPECT_EQ(disasm_program(cold.program),
-                  disasm_program(plain.program));
-    }
 }
 
 TEST(SchedCache, PartitionOptionChangeMisses)
@@ -381,6 +305,102 @@ TEST(SchedCache, VersionStampMismatchDropsEntry)
     fs::remove_all(dir);
 }
 
+/** Byte length of the LEB128 varint starting at @p at. */
+size_t
+varint_len(const std::string &s, size_t at)
+{
+    size_t n = 1;
+    while (at + n <= s.size() && (s[at + n - 1] & 0x80))
+        n++;
+    return n;
+}
+
+/**
+ * Re-stamp a current-format entry file with @p version and a valid
+ * checksum.  With @p old_layout, a schedule payload also gets the six
+ * since-removed software-pipelining fields (zero) after its tile_busy
+ * array, as the previous format (rawsc-3) wrote it.
+ */
+std::string
+restamp(const std::string &body, const std::string &version,
+        bool old_layout)
+{
+    const std::string head =
+        std::string("RAWSC ") + kSchedCacheVersion + "\n";
+    EXPECT_EQ(body.compare(0, head.size(), head), 0);
+    const std::string new_head = "RAWSC " + version + "\n";
+    std::string out = new_head + body.substr(head.size(),
+                                             body.size() - 21 -
+                                                 head.size());
+    if (old_layout) {
+        // "<kind> <klen>\n<key>\n<payload>\n": skip to the payload,
+        // then past makespan, the tile count and its busy words.
+        size_t hdr = out.find('\n', new_head.size());
+        size_t klen = std::stoul(out.substr(new_head.size() + 2));
+        size_t at = hdr + 1 + klen + 1;
+        at += varint_len(out, at);
+        int64_t n_busy = out[at] >> 1; // zigzag, one byte here
+        at += varint_len(out, at);
+        for (int64_t k = 0; k < n_busy; k++)
+            at += varint_len(out, at);
+        out.insert(at, std::string(6, '\0'));
+    }
+    uint64_t h = 1469598103934665603ull; // FNV-1a 64, as the tier
+    for (unsigned char ch : out) {
+        h ^= ch;
+        h *= 1099511628211ull;
+    }
+    char crc[32];
+    std::snprintf(crc, sizeof(crc), "crc %016llx\n",
+                  static_cast<unsigned long long>(h));
+    return out + crc;
+}
+
+// A cache directory left by the previous payload layout must miss
+// and be recomputed, never decoded under the current layout: the
+// old schedule payload carries six extra fields the current reader
+// would take for stream data.
+TEST(SchedCache, PreviousFormatEntriesMissAndRecompute)
+{
+    std::string dir = fresh_dir("rawsc3");
+    SchedCache::instance().clear_memory();
+    CompilerOptions opts;
+    opts.orch.cache_dir = dir;
+    const std::string want =
+        disasm_program(compile_with(kProg, opts).program);
+
+    int rewritten = 0;
+    for (const fs::directory_entry &e : fs::directory_iterator(dir)) {
+        std::string path = e.path().string();
+        std::ifstream in(path, std::ios::binary);
+        std::string body((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+        in.close();
+        // Re-stamping with the current version reproduces the file,
+        // so the checksum below is valid and only the stamp differs.
+        ASSERT_EQ(restamp(body, kSchedCacheVersion, false), body);
+        const bool sched = e.path().filename().string()[0] == 's';
+        std::ofstream(path, std::ios::binary | std::ios::trunc)
+            << restamp(body, "rawsc-3", sched);
+        rewritten += sched;
+    }
+    ASSERT_GT(rewritten, 0);
+
+    SchedCache::instance().clear_memory();
+    CompileOutput again = compile_with(kProg, opts);
+    EXPECT_EQ(again.stats.cache.disk_hits, 0);
+    EXPECT_GT(again.stats.cache.disk_corrupt, 0);
+    EXPECT_EQ(disasm_program(again.program), want);
+
+    // The recomputed entries were rewritten in the current format.
+    SchedCache::instance().clear_memory();
+    CompileOutput fixed = compile_with(kProg, opts);
+    EXPECT_GT(fixed.stats.cache.disk_hits, 0);
+    EXPECT_EQ(fixed.stats.cache.disk_corrupt, 0);
+    EXPECT_EQ(disasm_program(fixed.program), want);
+    fs::remove_all(dir);
+}
+
 TEST(SchedCache, ValidateCacheDirErrors)
 {
     EXPECT_THROW(validate_cache_dir(""), FatalError);
@@ -449,9 +469,6 @@ TEST(SchedCache, FingerprintTracksEffectiveOptions)
     EXPECT_NE(options_fingerprint(a), options_fingerprint(b));
     b = a;
     b.smart_homes = true;
-    EXPECT_NE(options_fingerprint(a), options_fingerprint(b));
-    b = a;
-    b.orch.sched.modulo = true;
     EXPECT_NE(options_fingerprint(a), options_fingerprint(b));
 }
 

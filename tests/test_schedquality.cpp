@@ -315,9 +315,9 @@ TEST(Pgo, NeverWorseAndSemanticsPreserved)
 
 // The pick cache of run_rawcc_pgo stores a winner index into
 // pgo_candidates(opts), so it must key on every option that shapes
-// that list.  A --modulo PGO run after a plain one must therefore
-// equal a cold --modulo PGO run (a comment makes the source, and so
-// the key, fresh).
+// that list.  A --sched-iters 3 PGO run after a plain one must
+// therefore equal a cold --sched-iters 3 PGO run (a comment makes the
+// source, and so the key, fresh).
 TEST(Pgo, PickCacheKeysOnEveryOption)
 {
     const BenchmarkProgram &prog = benchmark("jacobi");
@@ -326,12 +326,12 @@ TEST(Pgo, PickCacheKeysOnEveryOption)
     plain.pgo = true;
     run_rawcc_pgo(prog.source, m, prog.check_array, plain);
 
-    CompilerOptions mod = plain;
-    mod.orch.sched.modulo = true;
+    CompilerOptions iters = plain;
+    iters.orch.sched.sched_iters = 3;
     RunResult after =
-        run_rawcc_pgo(prog.source, m, prog.check_array, mod);
+        run_rawcc_pgo(prog.source, m, prog.check_array, iters);
     RunResult cold = run_rawcc_pgo(prog.source + "\n// cold\n", m,
-                                   prog.check_array, mod);
+                                   prog.check_array, iters);
     EXPECT_EQ(after.cycles, cold.cycles);
     EXPECT_EQ(after.stats.static_instrs, cold.stats.static_instrs);
     EXPECT_EQ(after.prints, cold.prints);

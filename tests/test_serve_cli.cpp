@@ -183,9 +183,9 @@ TEST(ServeCli, RejectsGarbageLinesWithoutDying)
 }
 
 // "options" accepts exactly the compiler options serve exposes: an
-// unknown key (such as the deleted route_select) must be refused, not
-// silently compiled as something else, and sched_iters shares the
-// CLI's 0..16 range.
+// unknown key (such as the deleted route_select, or modulo, which
+// serve never exposed) must be refused, not silently compiled as
+// something else, and sched_iters shares the CLI's 0..16 range.
 TEST(ServeCli, RejectsUnknownOptionsAndOutOfRangeSchedIters)
 {
     ServeDaemon d;
@@ -208,14 +208,48 @@ TEST(ServeCli, RejectsUnknownOptionsAndOutOfRangeSchedIters)
                           "\"options\":{\"sched_iters\":17}}",
                           15000);
     EXPECT_EQ(over.str_or("error", ""), "bad_request");
+    Json mod = c.request("{\"op\":\"compile\",\"bench\":\"jacobi\","
+                         "\"options\":{\"modulo\":true}}",
+                         15000);
+    EXPECT_EQ(mod.str_or("error", ""), "bad_request");
     Json max = c.request("{\"op\":\"compile\",\"bench\":\"jacobi\","
                          "\"options\":{\"sched_iters\":16}}",
                          15000);
     EXPECT_TRUE(max.bool_or("ok", false)) << max.str_or("message", "");
 
     Json st = c.request("{\"op\":\"stats\"}", 5000);
-    EXPECT_EQ(st.int_or("bad_requests", -1), 3);
+    EXPECT_EQ(st.int_or("bad_requests", -1), 4);
     EXPECT_EQ(st.int_or("compile_errors", -1), 0);
+    EXPECT_EQ(d.stop(), 0);
+}
+
+// INT32_MIN / -1 (and % -1) used to trap the host with SIGFPE, so
+// one request took the whole daemon down.  Both ops must now reply,
+// and the daemon must keep serving.
+TEST(ServeCli, IntMinByMinusOneKeepsTheDaemonUp)
+{
+    ServeDaemon d;
+    d.start(RAWCC_BIN, {"--socket", test_sock("intmin"),
+                        "--workers", "1", "--queue-depth", "4"});
+    ServeClient c;
+    c.connect(d.endpoint());
+
+    for (const char *src :
+         {"print(-2147483648 / -1);\\n",
+          "int a; int b; a = -2147483648; b = -1; print(a % b);\\n"}) {
+        SCOPED_TRACE(src);
+        const std::string body = std::string("\"source\":\"") + src +
+                                 "\",\"tiles\":1}";
+        Json comp = c.request("{\"op\":\"compile\"," + body, 15000);
+        EXPECT_TRUE(comp.bool_or("ok", false))
+            << comp.str_or("message", "");
+        Json sim = c.request("{\"op\":\"simulate\"," + body, 15000);
+        EXPECT_TRUE(sim.bool_or("ok", false))
+            << sim.str_or("message", "");
+        EXPECT_EQ(sim.int_or("prints", -1), 1);
+    }
+    Json ping = c.request("{\"op\":\"ping\"}", 5000);
+    EXPECT_TRUE(ping.bool_or("ok", false));
     EXPECT_EQ(d.stop(), 0);
 }
 

@@ -19,9 +19,11 @@
  */
 
 #include <cstdio>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <sys/wait.h>
 
@@ -463,6 +465,44 @@ TEST(SimBackendCli, RejectsUnknownCore)
     EXPECT_EQ(run_cli("--sim-backend bogus --tiles 4 jacobi", out), 2);
     EXPECT_NE(out.find("--sim-backend"), std::string::npos) << out;
     EXPECT_NE(out.find("reference or fast"), std::string::npos) << out;
+}
+
+// INT32_MIN / -1 overflows a 32-bit quotient; it must wrap (and the
+// remainder be 0) wherever the program is evaluated: folded at
+// compile time (the first two programs), or run by a core (the while
+// loop hides the operands from the folder), on every core, with and
+// without the unroller, and sequentially.
+TEST(SimBackendCli, IntMinByMinusOneWrapsEverywhere)
+{
+    const std::pair<const char *, const char *> kProgs[] = {
+        {"print(-2147483648 / -1);\n", "-2147483648\n"},
+        {"int a; int b; a = -2147483648; b = -1; print(a % b);\n",
+         "0\n"},
+        {"int x; int y; int n; x = 0; y = 0; n = 0;\n"
+         "while (n < 1) { x = x - 2147483647; y = y - 1; n = n + 1; }\n"
+         "x = x - 1; print(x / y); print(x % y);\n",
+         "-2147483648\n0\n"},
+    };
+    int k = 0;
+    for (const auto &[src, want] : kProgs) {
+        std::string path = ::testing::TempDir() + "intmin" +
+                           std::to_string(k++) + ".rawc";
+        std::ofstream(path) << src;
+        std::vector<std::string> runs = {"--baseline"};
+        for (const char *core : {"reference", "fast", "region"})
+            for (const char *unroll : {"", " --no-unroll"})
+                for (const char *tiles : {"1", "4"})
+                    runs.push_back(std::string("--sim-backend ") +
+                                   core + unroll + " --tiles " +
+                                   tiles);
+        for (const std::string &args : runs) {
+            std::string out;
+            EXPECT_EQ(run_cli(args + " " + path, out), 0)
+                << args << ": " << out;
+            EXPECT_EQ(out.substr(0, out.find('[')), want)
+                << args << ": " << out;
+        }
+    }
 }
 
 TEST(SimBackendCli, SimDiffBannerNamesTheCores)

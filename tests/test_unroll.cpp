@@ -216,6 +216,31 @@ for (i = 0; i < n; i = i + 1) { A[i] = i; }
     EXPECT_EQ(st.loops_peeled, 1) << "trip 8 < distance 16";
 }
 
+TEST(Unroll, ConstFoldUsesWordSemantics)
+{
+    auto loop_to = [](const std::string &bound) {
+        return parse_program("int A[64];\nint i;\nfor (i = 0; i < " +
+                             bound +
+                             "; i = i + 1) { A[i] = i; }\n");
+    };
+    // Folded bounds follow the IR's 32-bit semantics: shift counts
+    // are masked to 5 bits, so each bound is 8 (trip 8 < distance
+    // 16: peeled).
+    for (const char *bound : {"(1 << 35)", "(64 >> 35)", "(1 << -29)"}) {
+        SCOPED_TRACE(bound);
+        Program p = loop_to(bound);
+        UnrollStats st = unroll_program(p, opts_for(16));
+        EXPECT_EQ(st.loops_peeled, 1);
+        EXPECT_EQ(find_for(p.stmts), nullptr);
+    }
+    // INT32_MIN / -1 wraps to INT32_MIN instead of trapping: the
+    // loop is never entered, so there is nothing to unroll (a 64-bit
+    // fold would see 2^31 iterations and unroll them).
+    Program p = loop_to("(-2147483648 / -1)");
+    UnrollStats st = unroll_program(p, opts_for(16));
+    EXPECT_EQ(st.loops_unrolled + st.loops_peeled, 0);
+}
+
 TEST(Unroll, DisabledByOption)
 {
     Program p = parse_program(R"(

@@ -43,8 +43,6 @@ struct GoldenPoint
     raw::FaultConfig faults;
     /** Schedule-quality optimizer on (--sched-iters 3). */
     bool sched_opt = false;
-    /** Cross-tile modulo scheduling on (--modulo). */
-    bool modulo = false;
 };
 
 const GoldenPoint kPoints[] = {
@@ -64,11 +62,6 @@ const GoldenPoint kPoints[] = {
     {"cholesky", 16, {}, true},
     {"mxm", 16, {}, true},
     {"jacobi", 16, {}, true},
-    // Modulo-scheduling points: software-pipelined loop blocks must
-    // stay deterministic and checker-clean too.
-    {"life", 16, {}, false, true},
-    {"jacobi", 16, {}, false, true},
-    {"mxm", 16, {}, false, true},
 };
 
 std::string
@@ -78,8 +71,6 @@ point_filename(const GoldenPoint &p)
                        std::to_string(p.tiles);
     if (p.sched_opt)
         name += "_sched";
-    if (p.modulo)
-        name += "_mod";
     if (p.faults.multi_channel())
         name += "_mfault";
     else if (p.faults.miss_rate > 0)
@@ -93,7 +84,6 @@ point_options(const GoldenPoint &p)
     raw::CompilerOptions opts;
     if (p.sched_opt)
         opts.orch.sched.sched_iters = 3;
-    opts.orch.sched.modulo = p.modulo;
     return opts;
 }
 

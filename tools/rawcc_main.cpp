@@ -29,9 +29,11 @@
  *   --fault-campaign N sweep N fault points (seeds x channels x
  *                      intensities) and verify bit-identical results
  *   --campaign-out F   campaign JSON report path
- *   --point-timeout MS wall-clock budget per campaign point; a point
- *                      over budget reports a structured "timeout"
- *                      outcome instead of stalling the sweep
+ *   --point-timeout MS wall-clock budget per simulated run or
+ *                      campaign point; a run over budget fails with
+ *                      a structured timeout error, a campaign point
+ *                      reports a "timeout" outcome instead of
+ *                      stalling the sweep
  *   --jobs N           worker threads (0 = all cores): campaign
  *                      points, and per-block compile phases
  *   --cache-dir D      on-disk block-schedule cache (created if
@@ -41,8 +43,6 @@
  *   --no-replication   broadcast every branch (ablation)
  *   --no-port-fold     keep explicit send/receive instructions
  *   --sched-iters N    slack-driven rescheduling passes (default 0)
- *   --modulo           software-pipeline loop blocks (cross-tile
- *                      modulo scheduling; greedy stays the fallback)
  *   --sim-backend B    execution core: fast (default; the threaded
  *                      core) | reference (the specification core);
  *                      a deadlock report always carries the reference
@@ -94,7 +94,7 @@ usage()
         "  --point-timeout MS --jobs N\n"
         "  --cache-dir DIR --no-sched-cache\n"
         "  --no-unroll --no-replication --no-port-fold\n"
-        "  --sched-iters N --modulo --pgo\n"
+        "  --sched-iters N --pgo\n"
         "  --sim-backend reference|fast --sim-diff\n"
         "  --list-benchmarks\n");
 }
@@ -296,9 +296,7 @@ main(int argc, char **argv)
                 bad_value("--sched-iters", argv[i],
                           "a pass count in 0..16");
             opts.orch.sched.sched_iters = static_cast<int>(n);
-        } else if (a == "--modulo")
-            opts.orch.sched.modulo = true;
-        else if (a == "--sim-backend") {
+        } else if (a == "--sim-backend") {
             try {
                 sim_backend = sim_backend_from_string(next());
             } catch (const FatalError &) {
@@ -408,23 +406,6 @@ main(int argc, char **argv)
                         static_cast<long long>(out.stats.spill_ops));
             std::printf("folded port ops:     %d\n",
                         out.stats.folded_port_ops);
-            if (!out.stats.block_pipeline.empty()) {
-                int piped = 0;
-                for (const auto &p : out.stats.block_pipeline)
-                    piped += p.pipelined ? 1 : 0;
-                std::printf("loop blocks piped:   %d of %zu\n", piped,
-                            out.stats.block_pipeline.size());
-                for (const auto &p : out.stats.block_pipeline)
-                    std::printf(
-                        "  block %-4d loop %-3d ii %-5lld mii %-5lld "
-                        "(res %lld rec %lld flat %lld)%s\n",
-                        p.block, p.src_loop, static_cast<long long>(p.ii),
-                        static_cast<long long>(p.mii),
-                        static_cast<long long>(p.res_mii),
-                        static_cast<long long>(p.rec_mii),
-                        static_cast<long long>(p.flat_mii),
-                        p.pipelined ? " [pipelined]" : "");
-            }
             print_compile_timing(out.stats);
         }
         if (!do_run)
@@ -433,13 +414,14 @@ main(int argc, char **argv)
         SimResult r;
         if (sim_diff) {
             r = diff_sim_backends(out.program, faults, checks,
-                                  !trace_out.empty());
+                                  !trace_out.empty(), point_timeout);
             std::printf("[sim-diff: reference, fast (threaded) and "
                         "region backends identical]\n");
         } else {
             Simulator sim(out.program, faults, checks, sim_backend);
             if (!trace_out.empty())
                 sim.set_trace_enabled(true);
+            sim.set_wall_budget_ms(point_timeout);
             r = sim.run();
         }
         std::fputs(r.print_text().c_str(), stdout);
