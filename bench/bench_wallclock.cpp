@@ -13,10 +13,10 @@
  * N); --tiny runs a single small config so CI can
  * smoke-test the harness in well under a second (ctest label
  * perf-smoke); --pgo-sweep adds the compile-throughput scenario (a
- * PGO portfolio over compile-heavy points, timed with the schedule
- * cache off / cold / warm — the "pgo_sweep" JSON section records the
- * warm speedup); --scaling adds the large-mesh scenario (the full
- * suite at 16/32/64/128 tiles, each point simulated under the
+ * PGO portfolio over compile-heavy points, timed with the in-memory
+ * schedule cache off / cold / warm — the "pgo_sweep" JSON section
+ * records the warm speedup); --scaling adds the large-mesh scenario
+ * (the full suite at 16/32/64/128 tiles, each point simulated under the
  * reference, threaded and region cores with a cycle-equality assert
  * — the "scaling" JSON section records per-mesh cycles/s for all
  * three cores plus, per run, speedup over the same benchmark's 1-tile
@@ -465,11 +465,9 @@ write_json(const std::string &path, const std::vector<RunTiming> &runs,
         out << buf;
         std::snprintf(
             buf, sizeof(buf),
-            "    \"warm_cache\": {\"hits\": %lld, \"misses\": %lld, "
-            "\"disk_hits\": %lld},\n",
+            "    \"warm_cache\": {\"hits\": %lld, \"misses\": %lld},\n",
             static_cast<long long>(pgo.warm_cache.hits()),
-            static_cast<long long>(pgo.warm_cache.misses()),
-            static_cast<long long>(pgo.warm_cache.disk_hits));
+            static_cast<long long>(pgo.warm_cache.misses()));
         out << buf;
         out << "    \"points\": [";
         for (size_t i = 0; i < pgo.names.size(); i++) {

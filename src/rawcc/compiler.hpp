@@ -144,7 +144,7 @@ std::vector<CompilerOptions> pgo_candidates(
  * Canonical serialization of every option that can change the
  * compiled program.  Two option sets with equal fingerprints compile
  * any source to the same output; knobs that only affect how the
- * compiler runs (verify_ir, pgo driver flag, jobs, cache tiers) are
+ * compiler runs (verify_ir, the pgo flag, jobs, use_cache) are
  * excluded.  pgo_candidates() uses this to drop duplicate candidates
  * before racing them.
  */

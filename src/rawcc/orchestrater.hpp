@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "analysis/replication.hpp"
@@ -55,19 +54,13 @@ struct VInstr
     int target_block = -1;
 };
 
-/** Hit/miss/traffic counters of the block-schedule cache. */
+/** Hit/miss counters of the block-schedule cache. */
 struct SchedCacheCounters
 {
     int64_t part_hits = 0;
     int64_t part_misses = 0;
     int64_t sched_hits = 0;
     int64_t sched_misses = 0;
-    /** Hits served from --cache-dir (also counted in *_hits). */
-    int64_t disk_hits = 0;
-    /** Entries dropped for version/checksum/key mismatch. */
-    int64_t disk_corrupt = 0;
-    int64_t bytes_read = 0;
-    int64_t bytes_written = 0;
 
     int64_t hits() const { return part_hits + sched_hits; }
     int64_t misses() const { return part_misses + sched_misses; }
@@ -89,8 +82,6 @@ struct OrchestraterOptions
     int jobs = 1;
     /** Consult/fill the in-memory block-schedule cache. */
     bool use_cache = true;
-    /** On-disk cache tier directory; empty = memory tier only. */
-    std::string cache_dir;
     /** Disable control replication (every branch broadcasts). */
     bool enable_replication = true;
     /** Fold communication ports into instruction operands

@@ -1,27 +1,14 @@
 #include "rawcc/schedcache.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <mutex>
-#include <sstream>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 
 #include "support/error.hpp"
 
 namespace raw {
-
-const char *const kSchedCacheVersion = "rawsc-4";
 
 void
 SchedCacheCounters::add(const SchedCacheCounters &o)
@@ -30,10 +17,6 @@ SchedCacheCounters::add(const SchedCacheCounters &o)
     part_misses += o.part_misses;
     sched_hits += o.sched_hits;
     sched_misses += o.sched_misses;
-    disk_hits += o.disk_hits;
-    disk_corrupt += o.disk_corrupt;
-    bytes_read += o.bytes_read;
-    bytes_written += o.bytes_written;
 }
 
 // ---------------------------------------------------------------
@@ -177,50 +160,18 @@ block_canon(const Function &fn, int b, const std::vector<VInstr> &tail,
 
 namespace {
 
-/** Append a decimal int plus separator (fast path, no snprintf). */
-void
-app(std::string &s, int64_t v)
-{
-    char buf[24];
-    char *p = buf + sizeof(buf);
-    *--p = ' ';
-    uint64_t u = v < 0 ? ~static_cast<uint64_t>(v) + 1
-                       : static_cast<uint64_t>(v);
-    do {
-        *--p = static_cast<char>('0' + u % 10);
-        u /= 10;
-    } while (u);
-    if (v < 0)
-        *--p = '-';
-    s.append(p, static_cast<size_t>(buf + sizeof(buf) - p));
-}
-
 constexpr uint64_t kFnvBasis = 1469598103934665603ull;
 constexpr uint64_t kFnvBasis2 = 0x9e3779b97f4a7c15ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
 
-uint64_t
-fnv1a64(const std::string &s, uint64_t h = kFnvBasis)
-{
-    for (unsigned char ch : s) {
-        h ^= ch;
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
 /**
- * Streams key content into the two FNV digests and, optionally, the
- * canonical key text.  The digests run over the raw field bytes (not
- * the decimal text), so a hash-only key never formats a single
- * digit; text and digest are each deterministic functions of the
- * same content, which is all content addressing needs.
+ * Streams key content into the two FNV digests.  The digests run
+ * over the raw field bytes, so building a key never formats a digit.
  */
 struct KeySink
 {
     uint64_t h1 = kFnvBasis;
     uint64_t h2 = kFnvBasis2;
-    std::string *text = nullptr;
 
     void
     raw(const void *p, size_t n)
@@ -235,30 +186,15 @@ struct KeySink
         h2 = b;
     }
 
-    void
-    lit(const char *s)
-    {
-        size_t n = std::strlen(s);
-        raw(s, n);
-        if (text)
-            text->append(s, n);
-    }
+    void lit(const char *s) { raw(s, std::strlen(s)); }
 
-    void
-    num(int64_t v)
-    {
-        raw(&v, sizeof v);
-        if (text)
-            app(*text, v);
-    }
+    void num(int64_t v) { raw(&v, sizeof v); }
 
     void
     bit(bool v)
     {
         char c = v ? '1' : '0';
         raw(&c, 1);
-        if (text)
-            text->push_back(c);
     }
 };
 
@@ -286,15 +222,10 @@ block_partition_key(const Function &fn, int b,
                     const ReplicationAnalysis &repl,
                     const VarLiveness &live,
                     const std::vector<int> &svreg_of, int svreg_count,
-                    const PartitionOptions &popts, bool want_text)
+                    const PartitionOptions &popts)
 {
     BlockKey k;
     KeySink s;
-    if (want_text) {
-        k.text.reserve(256 + 48 * fn.blocks[b].instrs.size());
-        s.text = &k.text;
-    }
-    s.lit(kSchedCacheVersion);
     s.lit("|m:");
     s.num(svreg_count);
     s.num(machine.n_tiles);
@@ -381,10 +312,6 @@ block_schedule_key(const BlockKey &part_key, const SchedOptions &so,
     KeySink s;
     s.h1 = part_key.h1;
     s.h2 = part_key.h2;
-    if (!part_key.text.empty()) {
-        k.text = part_key.text;
-        s.text = &k.text;
-    }
     s.lit("|s:");
     s.num(so.level_weight);
     s.num(so.fertility_weight);
@@ -406,18 +333,6 @@ block_schedule_key(const BlockKey &part_key, const SchedOptions &so,
 namespace {
 
 int32_t
-target_to_slot(int32_t target, const Instr &term)
-{
-    if (target < 0)
-        return target;
-    if (term.op == Op::kBranch && target == term.target[1])
-        return kTargetSlot1;
-    check(target == term.target[0],
-          "schedcache: stream target is not a terminator target");
-    return kTargetSlot0;
-}
-
-int32_t
 slot_to_target(int32_t slot, const Instr &term)
 {
     if (slot == kTargetSlot0)
@@ -425,6 +340,26 @@ slot_to_target(int32_t slot, const Instr &term)
     if (slot == kTargetSlot1)
         return term.target[1];
     check(slot < 0, "schedcache: cached stream carries a raw target");
+    return slot;
+}
+
+/**
+ * Terminator slot of a stream instruction's target, chosen by role:
+ * the conditional branch takes target[0], the jump after it
+ * target[1], and a lone jump target[0].  The target value alone is
+ * ambiguous when both branch targets name one block, and an entry
+ * slotted by value there would send the taken branch of every other
+ * block hitting it to that block's fall-through target.
+ */
+int32_t
+target_to_slot(int32_t target, bool is_jump, const Instr &term)
+{
+    if (target < 0)
+        return target;
+    int32_t slot = is_jump && term.op == Op::kBranch ? kTargetSlot1
+                                                     : kTargetSlot0;
+    check(slot_to_target(slot, term) == target,
+          "schedcache: stream target is not its terminator slot");
     return slot;
 }
 
@@ -449,7 +384,8 @@ dehydrate_streams(const BlockCanon &canon, const Instr &term,
             v.array = canon.canon_array(v.array);
             if (v.print_seq >= 0)
                 v.print_seq -= canon.print_base;
-            v.target_block = target_to_slot(v.target_block, term);
+            v.target_block = target_to_slot(
+                v.target_block, v.op == Op::kJump, term);
             e.tiles[t].push_back(v);
         }
     }
@@ -460,7 +396,8 @@ dehydrate_streams(const BlockCanon &canon, const Instr &term,
             si.target = si.target < 0
                             ? si.target
                             : target_to_slot(
-                                  static_cast<int32_t>(si.target), term);
+                                  static_cast<int32_t>(si.target),
+                                  si.k == SInstr::K::kJump, term);
             e.switches[t].push_back(std::move(si));
         }
     }
@@ -471,7 +408,7 @@ dehydrate_streams(const BlockCanon &canon, const Instr &term,
 // decodes payload bytes directly, so it needs the Reader.
 
 // ---------------------------------------------------------------
-// Entry serialization (disk tier).
+// Entry serialization.
 // ---------------------------------------------------------------
 
 namespace {
@@ -627,161 +564,6 @@ serialize_sched(std::string &s, const SchedEntry &e)
 // (defined after this namespace), which fuses parsing with the remap
 // onto the hitting block's real ids.
 
-// ------------------------------------------------------------
-// Disk tier.
-// ------------------------------------------------------------
-
-std::string
-entry_path(const std::string &dir, char kind, const BlockKey &key)
-{
-    // The 128-bit content digest names the file; the stored key text
-    // is still byte-verified on read.
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "/%c%016" PRIx64 "%016" PRIx64
-                  ".rsc",
-                  kind, key.h1, key.h2);
-    return dir + buf;
-}
-
-std::string
-file_body(char kind, const std::string &key, const std::string &payload)
-{
-    std::string s = "RAWSC ";
-    s += kSchedCacheVersion;
-    s += "\n";
-    s.push_back(kind);
-    s += " ";
-    app(s, static_cast<int64_t>(key.size()));
-    s += "\n";
-    s += key;
-    s += "\n";
-    s += payload;
-    s += "\n";
-    return s;
-}
-
-bool
-write_entry_file(const std::string &path, const std::string &body_in)
-{
-    std::string body = body_in;
-    char crc[32];
-    std::snprintf(crc, sizeof(crc), "crc %016" PRIx64 "\n",
-                  fnv1a64(body));
-    body += crc;
-    // Crash-safe publish: write a per-writer unique temp file in the
-    // same directory, fdatasync it, then atomically rename(2) into
-    // place.  A reader can never observe a torn entry (the name only
-    // exists once the bytes do), concurrent writers of the same key
-    // are idempotent (identical payloads, last rename wins), and a
-    // process killed mid-write leaves only a stale .tmp — swept by
-    // validate_cache_dir, never mistaken for an entry.
-    static std::atomic<uint64_t> seq{0};
-    std::string tmp = path + ".tmp" +
-                      std::to_string(static_cast<uint64_t>(getpid())) +
-                      "." + std::to_string(seq.fetch_add(1));
-    int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
-    if (fd < 0)
-        return false;
-    size_t off = 0;
-    while (off < body.size()) {
-        ssize_t n = ::write(fd, body.data() + off, body.size() - off);
-        if (n <= 0) {
-            ::close(fd);
-            ::unlink(tmp.c_str());
-            return false;
-        }
-        off += static_cast<size_t>(n);
-    }
-    // Data must hit the disk before the rename publishes the name;
-    // otherwise a power cut can leave a fully-named, half-written
-    // entry that only the CRC catches (as a counted drop).
-    if (::fdatasync(fd) != 0 || ::close(fd) != 0) {
-        ::unlink(tmp.c_str());
-        return false;
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        std::filesystem::remove(tmp, ec);
-        return false;
-    }
-    return true;
-}
-
-/**
- * Read and validate one cache file.  Returns the payload substring on
- * success; any structural problem (missing file aside) bumps
- * @p corrupt.
- */
-bool
-read_entry_file(const std::string &path, char kind,
-                const std::string &key, std::string &payload,
-                SchedCacheCounters &c)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream os;
-    os << in.rdbuf();
-    std::string body = os.str();
-    c.bytes_read += static_cast<int64_t>(body.size());
-    auto corrupt = [&]() {
-        c.disk_corrupt++;
-        return false;
-    };
-    // Trailing checksum line: "crc <16 hex>\n".
-    if (body.size() < 22)
-        return corrupt();
-    size_t crc_at = body.size() - 21;
-    if (body.compare(crc_at, 4, "crc ") != 0)
-        return corrupt();
-    uint64_t want = 0;
-    for (size_t k = crc_at + 4; k < body.size() - 1; k++) {
-        char ch = body[k];
-        int d = ch >= '0' && ch <= '9'   ? ch - '0'
-                : ch >= 'a' && ch <= 'f' ? ch - 'a' + 10
-                                         : -1;
-        if (d < 0)
-            return corrupt();
-        want = (want << 4) | static_cast<uint64_t>(d);
-    }
-    if (fnv1a64(body.substr(0, crc_at)) != want)
-        return corrupt();
-    std::string expect_head =
-        std::string("RAWSC ") + kSchedCacheVersion + "\n";
-    if (body.compare(0, expect_head.size(), expect_head) != 0)
-        return corrupt(); // version mismatch: rebuild
-    if (body[expect_head.size()] != kind)
-        return corrupt();
-    // Header line "<kind> <klen> \n" is decimal text; the payload is
-    // binary, so it never goes through this parse.
-    const char *hp = body.data() + expect_head.size() + 2;
-    const char *hend = body.data() + crc_at;
-    int64_t klen = 0;
-    bool any_digit = false;
-    while (hp < hend && *hp >= '0' && *hp <= '9') {
-        klen = klen * 10 + (*hp++ - '0');
-        any_digit = true;
-    }
-    if (!any_digit)
-        return corrupt();
-    const char *kstart = hp;
-    while (kstart < hend && (*kstart == ' ' || *kstart == '\n'))
-        kstart++;
-    if (klen > hend - kstart)
-        return corrupt();
-    if (std::string_view(kstart, static_cast<size_t>(klen)) != key)
-        return corrupt(); // hash collision or foreign entry
-    // The payload sits between two single '\n' delimiters; being
-    // binary, its bounds come from position, never from scanning.
-    const char *pstart = kstart + klen;
-    if (hend - pstart < 2 || *pstart != '\n' || hend[-1] != '\n')
-        return corrupt();
-    payload.assign(pstart + 1,
-                   static_cast<size_t>(hend - 1 - (pstart + 1)));
-    return true;
-}
-
 } // namespace
 
 bool
@@ -934,23 +716,65 @@ SchedCache::instance()
     return c;
 }
 
-namespace {
-
-/**
- * Insert a partition entry into the in-memory map (st.mu held).  A
- * probe-carrying entry replaces a probe-less one for the same key;
- * otherwise first insert wins (identical payloads).
- */
-void
-insert_part_locked(CacheState &st, const KeyDigest &key,
-                   const std::shared_ptr<const PartBlob> &blob)
+std::shared_ptr<const PartEntry>
+SchedCache::get_part(const BlockKey &key, bool need_probe,
+                     SchedCacheCounters &c)
 {
-    auto it = st.part.find(key);
+    CacheState &st = state();
+    std::shared_ptr<const PartBlob> blob;
+    {
+        std::lock_guard<std::mutex> lock(st.mu);
+        auto it = st.part.find(digest(key));
+        if (it == st.part.end() ||
+            (need_probe && !it->second->probe_valid)) {
+            c.part_misses++;
+            st.totals.part_misses++;
+            return nullptr;
+        }
+        c.part_hits++;
+        st.totals.part_hits++;
+        blob = it->second;
+    }
+    auto e = std::make_shared<PartEntry>();
+    Reader r{blob->payload.data(),
+             blob->payload.data() + blob->payload.size()};
+    check(parse_part(r, *e),
+          "schedcache: resident partition entry unparsable");
+    return e;
+}
+
+std::shared_ptr<const std::string>
+SchedCache::get_sched(const BlockKey &key, SchedCacheCounters &c)
+{
+    CacheState &st = state();
+    std::lock_guard<std::mutex> lock(st.mu);
+    auto it = st.sched.find(digest(key));
+    if (it == st.sched.end()) {
+        c.sched_misses++;
+        st.totals.sched_misses++;
+        return nullptr;
+    }
+    c.sched_hits++;
+    st.totals.sched_hits++;
+    return it->second;
+}
+
+void
+SchedCache::put_part(const BlockKey &key,
+                     std::shared_ptr<const PartEntry> e)
+{
+    CacheState &st = state();
+    auto blob = std::make_shared<PartBlob>();
+    blob->probe_valid = e->probe_valid;
+    serialize_part(blob->payload, *e);
+    // A probe-carrying entry replaces a probe-less one for the same
+    // key; otherwise first insert wins (identical payloads).
+    std::lock_guard<std::mutex> lock(st.mu);
+    auto it = st.part.find(digest(key));
     if (it == st.part.end()) {
         if (st.bytes < kMemoryCapBytes) {
-            st.bytes +=
-                static_cast<int64_t>(blob->payload.size()) + 64;
-            st.part.emplace(key, blob);
+            st.bytes += static_cast<int64_t>(blob->payload.size()) + 64;
+            st.part.emplace(digest(key), blob);
         }
     } else if (blob->probe_valid && !it->second->probe_valid) {
         st.bytes += static_cast<int64_t>(blob->payload.size()) -
@@ -959,155 +783,17 @@ insert_part_locked(CacheState &st, const KeyDigest &key,
     }
 }
 
-} // namespace
-
-std::shared_ptr<const PartEntry>
-SchedCache::get_part(const BlockKey &key, const std::string &dir,
-                     bool need_probe, SchedCacheCounters &c)
-{
-    CacheState &st = state();
-    std::shared_ptr<const PartBlob> blob;
-    {
-        std::lock_guard<std::mutex> lock(st.mu);
-        auto it = st.part.find(digest(key));
-        if (it != st.part.end() &&
-            (!need_probe || it->second->probe_valid)) {
-            c.part_hits++;
-            st.totals.part_hits++;
-            blob = it->second;
-        }
-    }
-    if (blob) {
-        auto e = std::make_shared<PartEntry>();
-        Reader r{blob->payload.data(),
-                 blob->payload.data() + blob->payload.size()};
-        check(parse_part(r, *e),
-              "schedcache: resident partition entry unparsable");
-        return e;
-    }
-    if (!dir.empty()) {
-        check(!key.text.empty(),
-              "schedcache: disk get without key text");
-        std::string payload;
-        if (read_entry_file(entry_path(dir, 'p', key), 'p', key.text,
-                            payload, c)) {
-            auto e = std::make_shared<PartEntry>();
-            Reader r{payload.data(), payload.data() + payload.size()};
-            if (parse_part(r, *e)) {
-                if (!need_probe || e->probe_valid) {
-                    c.part_hits++;
-                    c.disk_hits++;
-                    auto b = std::make_shared<PartBlob>();
-                    b->probe_valid = e->probe_valid;
-                    b->payload = std::move(payload);
-                    std::lock_guard<std::mutex> lock(st.mu);
-                    st.totals.part_hits++;
-                    st.totals.disk_hits++;
-                    insert_part_locked(st, digest(key), b);
-                    return e;
-                }
-                // Entry is intact but lacks the probe mask this
-                // compile needs: recompute and re-put the upgrade.
-            } else {
-                c.disk_corrupt++;
-            }
-        }
-    }
-    c.part_misses++;
-    std::lock_guard<std::mutex> lock(st.mu);
-    st.totals.part_misses++;
-    return nullptr;
-}
-
-std::shared_ptr<const std::string>
-SchedCache::get_sched(const BlockKey &key, const std::string &dir,
-                      SchedCacheCounters &c)
-{
-    CacheState &st = state();
-    {
-        std::lock_guard<std::mutex> lock(st.mu);
-        auto it = st.sched.find(digest(key));
-        if (it != st.sched.end()) {
-            c.sched_hits++;
-            st.totals.sched_hits++;
-            return it->second;
-        }
-    }
-    if (!dir.empty()) {
-        check(!key.text.empty(),
-              "schedcache: disk get without key text");
-        std::string payload;
-        if (read_entry_file(entry_path(dir, 's', key), 's', key.text,
-                            payload, c)) {
-            c.sched_hits++;
-            c.disk_hits++;
-            auto b = std::make_shared<std::string>(std::move(payload));
-            std::lock_guard<std::mutex> lock(st.mu);
-            st.totals.sched_hits++;
-            st.totals.disk_hits++;
-            if (st.bytes < kMemoryCapBytes &&
-                st.sched.emplace(digest(key), b).second)
-                st.bytes += static_cast<int64_t>(b->size()) + 64;
-            return b;
-        }
-    }
-    c.sched_misses++;
-    std::lock_guard<std::mutex> lock(st.mu);
-    st.totals.sched_misses++;
-    return nullptr;
-}
-
 void
-SchedCache::put_part(const BlockKey &key, const std::string &dir,
-                     std::shared_ptr<const PartEntry> e,
-                     SchedCacheCounters &c)
-{
-    CacheState &st = state();
-    auto blob = std::make_shared<PartBlob>();
-    blob->probe_valid = e->probe_valid;
-    serialize_part(blob->payload, *e);
-    {
-        std::lock_guard<std::mutex> lock(st.mu);
-        insert_part_locked(st, digest(key), blob);
-    }
-    if (!dir.empty()) {
-        check(!key.text.empty(),
-              "schedcache: disk put without key text");
-        std::string body = file_body('p', key.text, blob->payload);
-        if (write_entry_file(entry_path(dir, 'p', key), body)) {
-            c.bytes_written += static_cast<int64_t>(body.size()) + 21;
-            std::lock_guard<std::mutex> lock(st.mu);
-            st.totals.bytes_written +=
-                static_cast<int64_t>(body.size()) + 21;
-        }
-    }
-}
-
-void
-SchedCache::put_sched(const BlockKey &key, const std::string &dir,
-                      std::shared_ptr<const SchedEntry> e,
-                      SchedCacheCounters &c)
+SchedCache::put_sched(const BlockKey &key,
+                      std::shared_ptr<const SchedEntry> e)
 {
     CacheState &st = state();
     auto blob = std::make_shared<std::string>();
     serialize_sched(*blob, *e);
-    {
-        std::lock_guard<std::mutex> lock(st.mu);
-        if (st.bytes < kMemoryCapBytes &&
-            st.sched.emplace(digest(key), blob).second)
-            st.bytes += static_cast<int64_t>(blob->size()) + 64;
-    }
-    if (!dir.empty()) {
-        check(!key.text.empty(),
-              "schedcache: disk put without key text");
-        std::string body = file_body('s', key.text, *blob);
-        if (write_entry_file(entry_path(dir, 's', key), body)) {
-            c.bytes_written += static_cast<int64_t>(body.size()) + 21;
-            std::lock_guard<std::mutex> lock(st.mu);
-            st.totals.bytes_written +=
-                static_cast<int64_t>(body.size()) + 21;
-        }
-    }
+    std::lock_guard<std::mutex> lock(st.mu);
+    if (st.bytes < kMemoryCapBytes &&
+        st.sched.emplace(digest(key), blob).second)
+        st.bytes += static_cast<int64_t>(blob->size()) + 64;
 }
 
 void
@@ -1134,48 +820,6 @@ SchedCache::totals() const
     CacheState &st = state();
     std::lock_guard<std::mutex> lock(st.mu);
     return st.totals;
-}
-
-void
-validate_cache_dir(const std::string &dir)
-{
-    if (dir.empty())
-        fatal("--cache-dir: empty path");
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        fatal("--cache-dir: cannot create '" + dir +
-              "': " + ec.message());
-    if (!std::filesystem::is_directory(dir, ec) || ec)
-        fatal("--cache-dir: '" + dir + "' is not a directory");
-    std::string probe = dir + "/.rawcc-probe-" +
-                        std::to_string(static_cast<uint64_t>(getpid()));
-    {
-        std::ofstream out(probe, std::ios::binary);
-        out << "probe";
-        if (!out)
-            fatal("--cache-dir: '" + dir + "' is not writable");
-    }
-    std::filesystem::remove(probe, ec);
-
-    // Sweep temp files orphaned by killed writers.  Only temps that
-    // have sat untouched for a while are removed: a live writer's
-    // temp exists for milliseconds, so an age threshold keeps the
-    // sweep safe under concurrent processes sharing the directory.
-    const auto cutoff = std::filesystem::file_time_type::clock::now() -
-                        std::chrono::minutes(10);
-    for (const auto &ent :
-         std::filesystem::directory_iterator(dir, ec)) {
-        if (ec)
-            break;
-        const std::string name = ent.path().filename().string();
-        if (name.find(".rsc.tmp") == std::string::npos)
-            continue;
-        std::error_code tec;
-        auto mtime = std::filesystem::last_write_time(ent.path(), tec);
-        if (!tec && mtime < cutoff)
-            std::filesystem::remove(ent.path(), tec);
-    }
 }
 
 } // namespace raw

@@ -18,10 +18,10 @@
  * the flight and share the leader's result.  Failure handoff: if the
  * leader throws, the error is NOT cached — the leader's own caller
  * sees the exception, and exactly one waiter is promoted to a fresh
- * leader and retries (transient failures — OOM, a disk-tier hiccup —
- * must not fan one error out to N clients).  A waiter whose deadline
- * expires before the leader finishes gets a kTimeout outcome; the
- * flight itself keeps running and still populates the cache.
+ * leader and retries (a transient failure such as OOM must not fan
+ * one error out to N clients).  A waiter whose deadline expires
+ * before the leader finishes gets a kTimeout outcome; the flight
+ * itself keeps running and still populates the cache.
  *
  * Eviction is LRU by entries and approximate bytes.  All methods are
  * thread-safe; one mutex guards the maps (operations are pointer

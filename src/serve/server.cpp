@@ -262,7 +262,6 @@ struct ServeServer::Impl
         // from per-compile fan-out.
         copts.orch.jobs = 1;
         copts.orch.use_cache = true;
-        copts.orch.cache_dir = opts.cache_dir;
         const Json *o = body.find("options");
         if (!o)
             return copts;
@@ -934,9 +933,6 @@ struct ServeServer::Impl
             std::lock_guard<std::mutex> lock(stats_mu);
             s = st;
         }
-        // The disk cache tier is write-through with fdatasync before
-        // each atomic rename, so there is nothing left to flush —
-        // every published entry is already durable.
         logf("exit: %lld completed, %lld shed, %lld timeouts, "
              "%lld cancelled; cache %lld hits / %lld compiles",
              static_cast<long long>(s.completed),
@@ -1068,7 +1064,6 @@ serve_usage()
         "  --queue-depth N    admission queue depth (default 16)\n"
         "  --cache-entries N  request-cache entries (default 64)\n"
         "  --cache-mb N       request-cache size cap (default 256)\n"
-        "  --cache-dir DIR    on-disk block-schedule cache tier\n"
         "  --timeout MS       default per-request deadline\n"
         "  --max-timeout MS   per-request deadline ceiling\n"
         "  --drain MS         drain budget on SIGTERM/SIGINT\n"
@@ -1122,8 +1117,6 @@ serve_main(int argc, char **argv)
                 static_cast<int64_t>(num("--cache-mb", 1, 65536,
                                          "MB in [1, 65536]"))
                 << 20;
-        } else if (a == "--cache-dir") {
-            opts.cache_dir = next("--cache-dir");
         } else if (a == "--timeout") {
             opts.default_timeout_ms =
                 num("--timeout", 1, 86400000,

@@ -52,8 +52,6 @@ struct ServeOptions
     /** Request-cache capacity. */
     int cache_entries = 64;
     int64_t cache_bytes = 256 << 20;
-    /** Disk tier for the block-schedule cache; empty = memory only. */
-    std::string cache_dir;
     /** Default / maximum per-request deadline (ms). */
     int64_t default_timeout_ms = 30000;
     int64_t max_timeout_ms = 120000;

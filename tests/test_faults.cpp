@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include <sys/wait.h>
 
@@ -354,17 +355,6 @@ TEST(Cli, PointTimeoutBoundsAPlainRun)
     }
 }
 
-TEST(Cli, RejectsNaNAndOutOfRangeRates)
-{
-    EXPECT_EQ(run_cli("--miss-rate nan jacobi"), 2);
-    EXPECT_EQ(run_cli("--miss-rate 1.5 jacobi"), 2);
-    EXPECT_EQ(run_cli("--miss-rate -0.1 jacobi"), 2);
-    EXPECT_EQ(run_cli("--miss-penalty -3 jacobi"), 2);
-    EXPECT_EQ(run_cli("--route-stall-rate nan jacobi"), 2);
-    EXPECT_EQ(run_cli("--dyn-delay-rate 2 jacobi"), 2);
-    EXPECT_EQ(run_cli("--jitter-rate nan jacobi"), 2);
-}
-
 /** Exit status of rawcc @p args; its stderr lands in @p err. */
 int
 run_cli_stderr(const std::string &args, std::string &err)
@@ -382,13 +372,53 @@ run_cli_stderr(const std::string &args, std::string &err)
     return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
-// --route-select, --mii-cap, --oracle-budget and --modulo were
-// deleted; a script still passing them must fail loudly, not compile
-// something else.
+// An output path that cannot be written is reported before the
+// compile and the run, not after a program that may never end.
+TEST(Cli, UnwritableOutputFailsBeforeRunning)
+{
+    std::string path = ::testing::TempDir() + "spin.rawc";
+    std::ofstream(path) << "int i; i = 0; while (1) { i = i + 1; }\n";
+    std::string missing = ::testing::TempDir() + "no-such-dir/";
+    const std::pair<std::string, std::string> cases[] = {
+        {path + " --tiles 16 --point-timeout 5000 --trace-out " +
+             missing + "t.json",
+         "cannot open trace output: " + missing + "t.json"},
+        {"life --tiles 16 --fault-campaign 8 --campaign-out " +
+             missing + "c.json",
+         "cannot write campaign report: " + missing + "c.json"},
+    };
+    for (const auto &[args, message] : cases) {
+        std::string err;
+        auto t0 = std::chrono::steady_clock::now();
+        int rc = run_cli_stderr(args, err);
+        double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+        EXPECT_EQ(rc, 1) << args << "\n" << err;
+        EXPECT_NE(err.find(message), std::string::npos) << err;
+        EXPECT_LT(secs, 2.0) << args;
+    }
+}
+
+TEST(Cli, RejectsNaNAndOutOfRangeRates)
+{
+    EXPECT_EQ(run_cli("--miss-rate nan jacobi"), 2);
+    EXPECT_EQ(run_cli("--miss-rate 1.5 jacobi"), 2);
+    EXPECT_EQ(run_cli("--miss-rate -0.1 jacobi"), 2);
+    EXPECT_EQ(run_cli("--miss-penalty -3 jacobi"), 2);
+    EXPECT_EQ(run_cli("--route-stall-rate nan jacobi"), 2);
+    EXPECT_EQ(run_cli("--dyn-delay-rate 2 jacobi"), 2);
+    EXPECT_EQ(run_cli("--jitter-rate nan jacobi"), 2);
+}
+
+// --route-select, --mii-cap, --oracle-budget, --modulo and
+// --cache-dir were deleted; a script still passing them must fail
+// loudly, not compile something else.
 TEST(Cli, RemovedScheduleFlagsAreUnknown)
 {
     for (std::string args : {"--route-select", "--mii-cap 64",
-                             "--oracle-budget 1", "--modulo"}) {
+                             "--oracle-budget 1", "--modulo",
+                             "--cache-dir D"}) {
         std::string err;
         EXPECT_EQ(run_cli_stderr(args + " --tiles 4 --no-run jacobi",
                                  err),

@@ -3,7 +3,11 @@
  * Robustness property tests: malformed or randomly mutated inputs
  * must produce clean FatalError diagnostics — never crashes, hangs
  * or internal panics from the frontend; and randomly generated valid
- * programs must survive the whole pipeline.
+ * programs must survive the whole pipeline, differentially: the same
+ * results as the sequential baseline on every mesh, the reference
+ * and default simulator cores in exact agreement, and a parallel
+ * cache-off compile byte-identical to the serial cached one.
+ * ctest label fuzz-smoke.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +15,7 @@
 #include <sstream>
 
 #include "harness/harness.hpp"
+#include "sim/disasm.hpp"
 
 namespace raw {
 namespace {
@@ -81,7 +86,7 @@ print(s);
         int edits = 1 + rnd(4);
         for (int e = 0; e < edits; e++) {
             int pos = rnd(static_cast<int>(s.size()));
-            switch (rnd(3)) {
+            switch (rnd(4)) {
               case 0:
                 s[pos] = glyphs[rnd(sizeof(glyphs) - 1)];
                 break;
@@ -99,7 +104,9 @@ print(s);
 }
 
 /** Structured random generation: always-valid programs that must
- *  compile AND verify against the baseline on two machine sizes. */
+ *  compile AND verify against the baseline at 1/4/16 tiles with
+ *  unroll on and off, on the reference and the default core, and
+ *  compile to the same program at --jobs 4 as at --jobs 1. */
 TEST(Fuzz, RandomValidProgramsVerify)
 {
     uint64_t rng = 777;
@@ -109,13 +116,13 @@ TEST(Fuzz, RandomValidProgramsVerify)
         rng ^= rng << 17;
         return static_cast<int>(rng % static_cast<uint64_t>(m));
     };
-    for (int trial = 0; trial < 8; trial++) {
+    for (int trial = 0; trial < 32; trial++) {
         std::ostringstream os;
         os << "int A[24];\nint i; int t;\n";
         os << "for (i = 0; i < 24; i = i + 1) { A[i] = (i * "
            << (1 + rnd(9)) << ") % " << (2 + rnd(7)) << "; }\n";
         for (int k = 0; k < 3 + rnd(4); k++) {
-            switch (rnd(3)) {
+            switch (rnd(4)) {
               case 0:
                 os << "for (i = " << rnd(3) << "; i < "
                    << (10 + rnd(14)) << "; i = i + " << (1 + rnd(2))
@@ -127,6 +134,15 @@ TEST(Fuzz, RandomValidProgramsVerify)
                    << "if (t > " << rnd(6) << ") { A[" << rnd(24)
                    << "] = t - 1; } else { A[" << rnd(24)
                    << "] = t + 1; }\n";
+                break;
+              case 2:
+                // One-armed if, body often empty: a branch whose two
+                // targets coincide.
+                os << "t = A[" << rnd(24) << "];\n"
+                   << "if (t > " << rnd(6) << ") {";
+                if (rnd(2))
+                    os << " A[" << rnd(24) << "] = t + 1;";
+                os << " }\n";
                 break;
               default:
                 os << "t = " << (3 + rnd(20)) << ";\n"
@@ -140,15 +156,32 @@ TEST(Fuzz, RandomValidProgramsVerify)
            << "print(cs);\n";
         std::string src = os.str();
         RunResult base = run_baseline(src, "A");
-        for (int n : {4, 16}) {
-            RunResult par =
-                run_rawcc(src, MachineConfig::base(n), "A");
-            EXPECT_EQ(par.check_words, base.check_words)
-                << "trial " << trial << " n " << n << "\n"
-                << src;
-            EXPECT_EQ(par.prints, base.prints)
-                << "trial " << trial << " n " << n;
-        }
+        for (int n : {1, 4, 16})
+            for (bool unroll : {true, false}) {
+                SCOPED_TRACE("trial " + std::to_string(trial) + " n " +
+                             std::to_string(n) + " unroll " +
+                             std::to_string(unroll) + "\n" + src);
+                const MachineConfig machine = MachineConfig::base(n);
+                CompilerOptions opts;
+                opts.unroll.enable = unroll;
+                RunResult ref = run_rawcc(src, machine, "A", opts, {}, {},
+                                          SimBackend::kReference);
+                RunResult dflt = run_rawcc(src, machine, "A", opts);
+                EXPECT_EQ(ref.check_words, base.check_words);
+                EXPECT_EQ(ref.prints, base.prints);
+                EXPECT_EQ(dflt.check_words, ref.check_words);
+                EXPECT_EQ(dflt.prints, ref.prints);
+                EXPECT_EQ(dflt.cycles, ref.cycles);
+
+                CompilerOptions par = opts;
+                par.orch.jobs = 4;
+                par.orch.use_cache = false;
+                EXPECT_EQ(
+                    disasm_program(
+                        compile_source(src, machine, par).program),
+                    disasm_program(
+                        compile_source(src, machine, opts).program));
+            }
     }
 }
 

@@ -14,9 +14,6 @@
  * intentional semantic change.
  */
 
-#include <unistd.h>
-
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -81,15 +78,13 @@ read_golden(const GoldenPoint &p)
 }
 
 std::string
-run_point(const GoldenPoint &p, int jobs = 1,
-          const std::string &cache_dir = {})
+run_point(const GoldenPoint &p, int jobs = 1)
 {
     const BenchmarkProgram &prog = benchmark(p.bench);
     CompilerOptions opts;
     if (p.sched_opt)
         opts.orch.sched.sched_iters = 3;
     opts.orch.jobs = jobs;
-    opts.orch.cache_dir = cache_dir;
     RunResult r =
         run_rawcc(prog.source, MachineConfig::base(p.tiles),
                   prog.check_array, opts, p.faults);
@@ -119,25 +114,17 @@ TEST(GoldenDeterminism, ParallelCompileColdAndWarmCacheMatch)
 {
     // The full matrix the compile-throughput layer promises: every
     // golden point, compiled serially and with per-block worker
-    // threads, with a cold cache and a warm one (in-memory dropped
-    // between sweeps so the warm pass replays from disk), must stay
-    // byte-identical to the recorded output.
-    namespace fs = std::filesystem;
+    // threads, with a cold cache and a warm one (the cache is
+    // cleared only before the cold pass, so the warm pass replays
+    // every block from memory), must stay byte-identical to the
+    // recorded output.
     for (int jobs : {1, 4}) {
-        fs::path dir = fs::path(::testing::TempDir()) /
-                       ("golden_rsc_j" + std::to_string(jobs) + "_" +
-                        std::to_string(::getpid()));
-        fs::remove_all(dir);
-        fs::create_directories(dir);
-        for (const char *pass : {"cold", "warm"}) {
-            SchedCache::instance().clear_memory();
+        SchedCache::instance().clear_memory();
+        for (const char *pass : {"cold", "warm"})
             for (const GoldenPoint &p : kPoints)
-                EXPECT_EQ(run_point(p, jobs, dir.string()),
-                          read_golden(p))
+                EXPECT_EQ(run_point(p, jobs), read_golden(p))
                     << point_name(p) << " jobs=" << jobs << " "
                     << pass;
-        }
-        fs::remove_all(dir);
     }
 }
 

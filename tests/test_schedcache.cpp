@@ -2,22 +2,12 @@
  * @file
  * Block-schedule cache tests: key canonicalization (alpha-equivalent
  * blocks hit, scheduling-relevant option changes miss), warm-compile
- * identity, the on-disk tier (survival across a simulated restart,
- * corruption and truncation recovery, concurrent reader/writer/vandal
- * stress, stale-temp sweeping), cache-dir validation, and the PGO
+ * identity against cache-off and serial compiles, and the PGO
  * candidate dedupe built on options_fingerprint().
  */
 
-#include <unistd.h>
-
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,12 +15,9 @@
 #include "harness/harness.hpp"
 #include "rawcc/schedcache.hpp"
 #include "sim/disasm.hpp"
-#include "support/error.hpp"
 
 namespace raw {
 namespace {
-
-namespace fs = std::filesystem;
 
 // Two loops plus a data-dependent branch: enough blocks to exercise
 // partition and schedule entries, small enough to compile fast.
@@ -61,18 +48,6 @@ CompileOutput
 compile_with(const char *src, CompilerOptions opts)
 {
     return compile_source(src, MachineConfig::base(4), opts);
-}
-
-/** Unique empty scratch directory under the test temp root. */
-std::string
-fresh_dir(const char *tag)
-{
-    fs::path d = fs::path(::testing::TempDir()) /
-                 (std::string("rawsc_") + tag + "_" +
-                  std::to_string(::getpid()));
-    fs::remove_all(d);
-    fs::create_directories(d);
-    return d.string();
 }
 
 TEST(SchedCache, WarmRecompileHitsEverything)
@@ -198,223 +173,45 @@ TEST(SchedCache, ParallelJobsMatchSerial)
     }
 }
 
-TEST(SchedCache, DiskTierSurvivesRestart)
+// A block whose branch targets coincide (an empty if body) and one
+// whose targets differ can share a key: targets are position
+// information, resolved on the way out.  An entry written by the
+// first must still send the second's taken branch to its own taken
+// target; slotting the targets by value sent it to the fall-through
+// and skipped the body (this program printed 3 instead of 4).
+TEST(SchedCache, SharedEntryKeepsBranchTargetRoles)
 {
-    std::string dir = fresh_dir("disk");
-    SchedCache::instance().clear_memory();
-    CompilerOptions opts;
-    opts.orch.cache_dir = dir;
-    CompileOutput cold = compile_with(kProg, opts);
-    EXPECT_GT(cold.stats.cache.bytes_written, 0);
-
-    // Dropping the in-memory tier simulates a fresh process; every
-    // entry must come back from disk.
-    SchedCache::instance().clear_memory();
-    CompileOutput warm = compile_with(kProg, opts);
-    EXPECT_EQ(warm.stats.cache.part_misses, 0);
-    EXPECT_EQ(warm.stats.cache.sched_misses, 0);
-    EXPECT_GT(warm.stats.cache.disk_hits, 0);
-    EXPECT_EQ(warm.stats.cache.disk_corrupt, 0);
-    EXPECT_EQ(disasm_program(warm.program),
-              disasm_program(cold.program));
-    fs::remove_all(dir);
-}
-
-TEST(SchedCache, CorruptDiskEntriesRecomputedCleanly)
-{
-    std::string dir = fresh_dir("corrupt");
-    SchedCache::instance().clear_memory();
-    CompilerOptions opts;
-    opts.orch.cache_dir = dir;
-    CompileOutput cold = compile_with(kProg, opts);
-
-    // Damage every entry a different way: truncation, checksum
-    // flips, garbage, and an empty file.
-    int i = 0;
-    for (const fs::directory_entry &e : fs::directory_iterator(dir)) {
-        std::string path = e.path().string();
-        std::ifstream in(path, std::ios::binary);
-        std::string body((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        in.close();
-        switch (i++ % 4) {
-        case 0:
-            body.resize(body.size() / 2); // truncate
-            break;
-        case 1:
-            body[body.size() / 2] ^= 0x5a; // flip payload byte
-            break;
-        case 2:
-            body = "not a cache entry"; // garbage
-            break;
-        case 3:
-            body.clear(); // empty file
-            break;
-        }
-        std::ofstream out(path,
-                          std::ios::binary | std::ios::trunc);
-        out << body;
+    const char *empty_if = R"(
+int A[8]; int i; int t;
+for (i = 0; i < 8; i = i + 1) { A[i] = i; }
+t = A[3];
+if (t > 2) { }
+print(t);
+)";
+    const char *full_if = R"(
+int A[8]; int i; int t;
+for (i = 0; i < 8; i = i + 1) { A[i] = i; }
+t = A[3];
+if (t > 2) { t = t + 1; }
+print(t);
+)";
+    CompilerOptions off;
+    off.orch.use_cache = false;
+    for (int n : {1, 4}) {
+        SchedCache::instance().clear_memory();
+        compile_source(empty_if, MachineConfig::base(n), {});
+        CompileOutput hit =
+            compile_source(full_if, MachineConfig::base(n), {});
+        EXPECT_GT(hit.stats.cache.sched_hits, 0) << n;
+        EXPECT_EQ(disasm_program(hit.program),
+                  disasm_program(
+                      compile_source(full_if, MachineConfig::base(n), off)
+                          .program))
+            << n;
+        EXPECT_EQ(run_rawcc(full_if, MachineConfig::base(n)).prints,
+                  "4\n")
+            << n;
     }
-
-    SchedCache::instance().clear_memory();
-    CompileOutput again = compile_with(kProg, opts);
-    EXPECT_GT(again.stats.cache.disk_corrupt, 0);
-    EXPECT_EQ(again.stats.cache.disk_hits, 0);
-    // Corruption must never change the program, only cost a
-    // recompute (and a rewrite of the damaged entries).
-    EXPECT_EQ(disasm_program(again.program),
-              disasm_program(cold.program));
-    EXPECT_GT(again.stats.cache.bytes_written, 0);
-
-    // The rewritten entries are valid again.
-    SchedCache::instance().clear_memory();
-    CompileOutput fixed = compile_with(kProg, opts);
-    EXPECT_GT(fixed.stats.cache.disk_hits, 0);
-    EXPECT_EQ(fixed.stats.cache.disk_corrupt, 0);
-    fs::remove_all(dir);
-}
-
-TEST(SchedCache, VersionStampMismatchDropsEntry)
-{
-    std::string dir = fresh_dir("version");
-    SchedCache::instance().clear_memory();
-    CompilerOptions opts;
-    opts.orch.cache_dir = dir;
-    compile_with(kProg, opts);
-
-    // Rewrite each entry's version header; everything else is
-    // intact, but a stamp mismatch alone must force a recompute.
-    for (const fs::directory_entry &e : fs::directory_iterator(dir)) {
-        std::string path = e.path().string();
-        std::ifstream in(path, std::ios::binary);
-        std::string body((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        in.close();
-        size_t at = body.find(kSchedCacheVersion);
-        ASSERT_NE(at, std::string::npos);
-        body[at + 1] = 'X';
-        std::ofstream out(path,
-                          std::ios::binary | std::ios::trunc);
-        out << body;
-    }
-
-    SchedCache::instance().clear_memory();
-    CompileOutput again = compile_with(kProg, opts);
-    EXPECT_EQ(again.stats.cache.disk_hits, 0);
-    EXPECT_GT(again.stats.cache.disk_corrupt, 0);
-    fs::remove_all(dir);
-}
-
-/** Byte length of the LEB128 varint starting at @p at. */
-size_t
-varint_len(const std::string &s, size_t at)
-{
-    size_t n = 1;
-    while (at + n <= s.size() && (s[at + n - 1] & 0x80))
-        n++;
-    return n;
-}
-
-/**
- * Re-stamp a current-format entry file with @p version and a valid
- * checksum.  With @p old_layout, a schedule payload also gets the six
- * since-removed software-pipelining fields (zero) after its tile_busy
- * array, as the previous format (rawsc-3) wrote it.
- */
-std::string
-restamp(const std::string &body, const std::string &version,
-        bool old_layout)
-{
-    const std::string head =
-        std::string("RAWSC ") + kSchedCacheVersion + "\n";
-    EXPECT_EQ(body.compare(0, head.size(), head), 0);
-    const std::string new_head = "RAWSC " + version + "\n";
-    std::string out = new_head + body.substr(head.size(),
-                                             body.size() - 21 -
-                                                 head.size());
-    if (old_layout) {
-        // "<kind> <klen>\n<key>\n<payload>\n": skip to the payload,
-        // then past makespan, the tile count and its busy words.
-        size_t hdr = out.find('\n', new_head.size());
-        size_t klen = std::stoul(out.substr(new_head.size() + 2));
-        size_t at = hdr + 1 + klen + 1;
-        at += varint_len(out, at);
-        int64_t n_busy = out[at] >> 1; // zigzag, one byte here
-        at += varint_len(out, at);
-        for (int64_t k = 0; k < n_busy; k++)
-            at += varint_len(out, at);
-        out.insert(at, std::string(6, '\0'));
-    }
-    uint64_t h = 1469598103934665603ull; // FNV-1a 64, as the tier
-    for (unsigned char ch : out) {
-        h ^= ch;
-        h *= 1099511628211ull;
-    }
-    char crc[32];
-    std::snprintf(crc, sizeof(crc), "crc %016llx\n",
-                  static_cast<unsigned long long>(h));
-    return out + crc;
-}
-
-// A cache directory left by the previous payload layout must miss
-// and be recomputed, never decoded under the current layout: the
-// old schedule payload carries six extra fields the current reader
-// would take for stream data.
-TEST(SchedCache, PreviousFormatEntriesMissAndRecompute)
-{
-    std::string dir = fresh_dir("rawsc3");
-    SchedCache::instance().clear_memory();
-    CompilerOptions opts;
-    opts.orch.cache_dir = dir;
-    const std::string want =
-        disasm_program(compile_with(kProg, opts).program);
-
-    int rewritten = 0;
-    for (const fs::directory_entry &e : fs::directory_iterator(dir)) {
-        std::string path = e.path().string();
-        std::ifstream in(path, std::ios::binary);
-        std::string body((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        in.close();
-        // Re-stamping with the current version reproduces the file,
-        // so the checksum below is valid and only the stamp differs.
-        ASSERT_EQ(restamp(body, kSchedCacheVersion, false), body);
-        const bool sched = e.path().filename().string()[0] == 's';
-        std::ofstream(path, std::ios::binary | std::ios::trunc)
-            << restamp(body, "rawsc-3", sched);
-        rewritten += sched;
-    }
-    ASSERT_GT(rewritten, 0);
-
-    SchedCache::instance().clear_memory();
-    CompileOutput again = compile_with(kProg, opts);
-    EXPECT_EQ(again.stats.cache.disk_hits, 0);
-    EXPECT_GT(again.stats.cache.disk_corrupt, 0);
-    EXPECT_EQ(disasm_program(again.program), want);
-
-    // The recomputed entries were rewritten in the current format.
-    SchedCache::instance().clear_memory();
-    CompileOutput fixed = compile_with(kProg, opts);
-    EXPECT_GT(fixed.stats.cache.disk_hits, 0);
-    EXPECT_EQ(fixed.stats.cache.disk_corrupt, 0);
-    EXPECT_EQ(disasm_program(fixed.program), want);
-    fs::remove_all(dir);
-}
-
-TEST(SchedCache, ValidateCacheDirErrors)
-{
-    EXPECT_THROW(validate_cache_dir(""), FatalError);
-    // A path under /proc cannot be created.
-    EXPECT_THROW(validate_cache_dir("/proc/rawsc-no-such-dir"),
-                 FatalError);
-    // A regular file is not a usable directory.
-    std::string dir = fresh_dir("file");
-    std::string file = dir + "/plain";
-    std::ofstream(file) << "x";
-    EXPECT_THROW(validate_cache_dir(file), FatalError);
-    // A writable directory validates (and is created on demand).
-    EXPECT_NO_THROW(validate_cache_dir(dir + "/sub/dir"));
-    fs::remove_all(dir);
 }
 
 TEST(SchedCache, PgoCandidatesDuplicateFree)
@@ -456,7 +253,6 @@ TEST(SchedCache, FingerprintTracksEffectiveOptions)
     b.pgo = !b.pgo;
     b.orch.jobs = 8;
     b.orch.use_cache = false;
-    b.orch.cache_dir = "/tmp/x";
     EXPECT_EQ(options_fingerprint(a), options_fingerprint(b));
     // ...every program-affecting knob does.
     b.orch.sched.sched_iters = 5;
@@ -470,125 +266,6 @@ TEST(SchedCache, FingerprintTracksEffectiveOptions)
     b = a;
     b.smart_homes = true;
     EXPECT_NE(options_fingerprint(a), options_fingerprint(b));
-}
-
-// Concurrent writers, readers and an active vandal on one shared
-// --cache-dir: the serve daemon's workers do exactly this.  Torn or
-// damaged entries may cost recomputes (counted as disk_corrupt) but
-// must never change the compiled program or crash a compile.
-TEST(SchedCache, ConcurrentDiskTierStressStaysConsistent)
-{
-    std::string dir = fresh_dir("stress");
-    SchedCache::instance().clear_memory();
-    CompilerOptions opts;
-    opts.orch.cache_dir = dir;
-
-    // Reference programs, compiled before the chaos starts.
-    const std::string want_a = disasm_program(
-        compile_with(kProg, opts).program);
-    const std::string want_b = disasm_program(
-        compile_with(kProgRenamed, opts).program);
-
-    std::atomic<bool> stop{false};
-    std::atomic<int> mismatches{0};
-    std::atomic<int> throws{0};
-
-    // Vandal: continuously truncate / byte-flip / vaporize entries
-    // while compilers read and rewrite them.
-    std::thread vandal([&] {
-        namespace fs = std::filesystem;
-        uint64_t k = 0;
-        while (!stop.load()) {
-            std::error_code ec;
-            for (const auto &ent : fs::directory_iterator(dir, ec)) {
-                if (ec)
-                    break;
-                std::string path = ent.path().string();
-                if (path.find(".tmp") != std::string::npos)
-                    continue; // never race a live writer's temp
-                switch (k++ % 3) {
-                case 0:
-                    fs::resize_file(path, 7, ec);
-                    break;
-                case 1: {
-                    std::ofstream f(path, std::ios::binary |
-                                              std::ios::app);
-                    f << "junk";
-                    break;
-                }
-                case 2:
-                    fs::remove(path, ec);
-                    break;
-                }
-            }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(1));
-        }
-    });
-
-    constexpr int kThreads = 4;
-    constexpr int kIters = 6;
-    std::vector<std::thread> compilers;
-    for (int t = 0; t < kThreads; t++)
-        compilers.emplace_back([&, t] {
-            for (int i = 0; i < kIters; i++) {
-                // Drop the memory tier so every iteration actually
-                // exercises the (vandalized) disk tier.
-                SchedCache::instance().clear_memory();
-                const char *src = (t + i) % 2 ? kProgRenamed : kProg;
-                const std::string &want =
-                    (t + i) % 2 ? want_b : want_a;
-                try {
-                    CompileOutput out = compile_with(src, opts);
-                    if (disasm_program(out.program) != want)
-                        mismatches.fetch_add(1);
-                } catch (const std::exception &) {
-                    throws.fetch_add(1);
-                }
-            }
-        });
-    for (auto &t : compilers)
-        t.join();
-    stop.store(true);
-    vandal.join();
-
-    EXPECT_EQ(mismatches.load(), 0)
-        << "disk-tier damage must never change compiled output";
-    EXPECT_EQ(throws.load(), 0)
-        << "disk-tier damage must never escape as an exception";
-
-    // The directory is still a valid cache after the abuse.
-    SchedCache::instance().clear_memory();
-    CompileOutput fixed = compile_with(kProg, opts);
-    EXPECT_EQ(disasm_program(fixed.program), want_a);
-    std::filesystem::remove_all(dir);
-}
-
-// Orphaned writer temps (a writer killed mid-publish) are swept by
-// validate_cache_dir once they are clearly stale; a fresh temp — a
-// live concurrent writer — must survive the sweep.
-TEST(SchedCache, StaleTempSweepSparesLiveWriters)
-{
-    namespace fs = std::filesystem;
-    std::string dir = fresh_dir("sweep");
-
-    std::string stale = dir + "/deadbeef.rsc.tmp12345.0";
-    std::string live = dir + "/deadbeef.rsc.tmp12345.1";
-    {
-        std::ofstream(stale, std::ios::binary) << "half-written";
-        std::ofstream(live, std::ios::binary) << "half-written";
-    }
-    // Age the stale temp past the 10-minute sweep threshold.
-    fs::last_write_time(
-        stale, fs::file_time_type::clock::now() -
-                   std::chrono::minutes(60));
-
-    validate_cache_dir(dir);
-    EXPECT_FALSE(fs::exists(stale))
-        << "orphaned temp must be swept";
-    EXPECT_TRUE(fs::exists(live))
-        << "a recent temp may belong to a live writer";
-    fs::remove_all(dir);
 }
 
 } // namespace

@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <string>
 
 #include "serve/client.hpp"
@@ -221,6 +223,27 @@ TEST(ServeCli, RejectsUnknownOptionsAndOutOfRangeSchedIters)
     EXPECT_EQ(st.int_or("bad_requests", -1), 4);
     EXPECT_EQ(st.int_or("compile_errors", -1), 0);
     EXPECT_EQ(d.stop(), 0);
+}
+
+// --cache-dir (the deleted on-disk schedule-cache tier) must be
+// refused at startup.  `timeout` bounds the run should the daemon
+// ever accept the flag and start serving instead.
+TEST(ServeCli, RemovedCacheDirFlagIsUnknown)
+{
+    std::string cmd = std::string("timeout 10 ") + RAWCC_BIN +
+                      " serve --cache-dir D --port 0"
+                      " 2>&1 >/dev/null";
+    FILE *f = popen(cmd.c_str(), "r");
+    ASSERT_NE(f, nullptr);
+    char buf[256];
+    std::string err;
+    while (size_t n = std::fread(buf, 1, sizeof(buf), f))
+        err.append(buf, n);
+    int rc = pclose(f);
+    ASSERT_TRUE(WIFEXITED(rc));
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << err;
+    EXPECT_NE(err.find("unknown flag: --cache-dir"), std::string::npos)
+        << err;
 }
 
 // INT32_MIN / -1 (and % -1) used to trap the host with SIGFPE, so

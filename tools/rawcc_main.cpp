@@ -36,8 +36,6 @@
  *                      stalling the sweep
  *   --jobs N           worker threads (0 = all cores): campaign
  *                      points, and per-block compile phases
- *   --cache-dir D      on-disk block-schedule cache (created if
- *                      missing; must be writable)
  *   --no-sched-cache   disable the in-memory block-schedule cache
  *   --no-unroll        disable affine staticization (ablation)
  *   --no-replication   broadcast every branch (ablation)
@@ -62,6 +60,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -71,7 +70,6 @@
 #include "harness/harness.hpp"
 #include "harness/parallel.hpp"
 #include "ir/printer.hpp"
-#include "rawcc/schedcache.hpp"
 #include "serve/server.hpp"
 #include "sim/disasm.hpp"
 #include "sim/profile.hpp"
@@ -92,8 +90,7 @@ usage()
         "  --dyn-delay-rate R --dyn-delay-cycles P --jitter-rate R\n"
         "  --check --fault-campaign N --campaign-out FILE\n"
         "  --point-timeout MS --jobs N\n"
-        "  --cache-dir DIR --no-sched-cache\n"
-        "  --no-unroll --no-replication --no-port-fold\n"
+        "  --no-sched-cache --no-unroll --no-replication --no-port-fold\n"
         "  --sched-iters N --pgo\n"
         "  --sim-backend reference|fast --sim-diff\n"
         "  --list-benchmarks\n");
@@ -146,14 +143,23 @@ print_compile_timing(const raw::CompileStats &st)
                 static_cast<long long>(c.part_misses),
                 static_cast<long long>(c.sched_hits),
                 static_cast<long long>(c.sched_misses));
-    if (c.disk_hits || c.disk_corrupt || c.bytes_read ||
-        c.bytes_written)
-        std::printf("sched cache disk:    %lld hit(s), %lld "
-                    "dropped, %lld bytes read, %lld written\n",
-                    static_cast<long long>(c.disk_hits),
-                    static_cast<long long>(c.disk_corrupt),
-                    static_cast<long long>(c.bytes_read),
-                    static_cast<long long>(c.bytes_written));
+}
+
+/**
+ * Fail with "<what><path>" unless @p path can be opened for writing,
+ * so a bad output path is reported before the compile and the run
+ * rather than after them.  The probe appends nothing and removes a
+ * file it had to create.
+ */
+void
+require_writable(const std::string &path, const std::string &what)
+{
+    std::error_code ec;
+    const bool existed = std::filesystem::exists(path, ec);
+    if (!std::ofstream(path, std::ios::app))
+        raw::fatal(what + path);
+    if (!existed)
+        std::filesystem::remove(path, ec);
 }
 
 std::string
@@ -286,9 +292,7 @@ main(int argc, char **argv)
                 bad_value("--jobs", argv[i],
                           "a worker count in 0..4096");
             opts.orch.jobs = static_cast<int>(jobs);
-        } else if (a == "--cache-dir")
-            opts.orch.cache_dir = next();
-        else if (a == "--no-sched-cache")
+        } else if (a == "--no-sched-cache")
             opts.orch.use_cache = false;
         else if (a == "--sched-iters") {
             long n = parse_long(next(), "--sched-iters");
@@ -334,8 +338,6 @@ main(int argc, char **argv)
     }
 
     try {
-        if (!opts.orch.cache_dir.empty())
-            validate_cache_dir(opts.orch.cache_dir);
         std::string src = load_input(input);
         int n_tiles = static_cast<int>(tiles);
         MachineConfig machine;
@@ -350,17 +352,20 @@ main(int argc, char **argv)
 
         if (fault_campaign > 0) {
             // Campaign mode: the input must name a built-in
-            // benchmark; benchmark() rejects anything else.
-            CampaignReport rep = run_fault_campaign(
-                input, machine, static_cast<int>(fault_campaign),
-                faults.seed, static_cast<int>(jobs), opts,
-                point_timeout);
-            std::printf("%s\n", rep.summary().c_str());
+            // benchmark; benchmark() rejects anything else.  Both
+            // checks run before the sweep, not after it.
+            benchmark(input);
             std::string path =
                 campaign_out.empty()
                     ? "campaign_" + input + "_n" +
                           std::to_string(n_tiles) + ".json"
                     : campaign_out;
+            require_writable(path, "cannot write campaign report: ");
+            CampaignReport rep = run_fault_campaign(
+                input, machine, static_cast<int>(fault_campaign),
+                faults.seed, static_cast<int>(jobs), opts,
+                point_timeout);
+            std::printf("%s\n", rep.summary().c_str());
             std::ofstream js(path);
             if (!js)
                 fatal("cannot write campaign report: " + path);
@@ -369,6 +374,8 @@ main(int argc, char **argv)
                         path.c_str());
             return rep.clean() ? 0 : 1;
         }
+        if (do_run && !trace_out.empty())
+            require_writable(trace_out, "cannot open trace output: ");
 
         CompileOutput out =
             baseline ? compile_baseline_for(
