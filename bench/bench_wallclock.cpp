@@ -17,14 +17,14 @@
  * schedule cache off / cold / warm — the "pgo_sweep" JSON section
  * records the warm speedup); --scaling adds the large-mesh scenario
  * (the full suite at 16/32/64/128 tiles, each point simulated under the
- * reference, threaded and region cores with a cycle-equality assert
- * — the "scaling" JSON section records per-mesh cycles/s for all
- * three cores plus, per run, speedup over the same benchmark's 1-tile
- * cycles and cold-cache compile time with its partition-phase share;
- * always run serially for honest per-core timings); --sim-backend
- * picks the sweep's core (reference | fast | region, default fast,
- * i.e. raw::kDefaultSimBackend) or "both" for the reference core plus
- * a per-run threaded and region re-simulation;
+ * reference and threaded cores with a cycle-equality assert — the
+ * "scaling" JSON section records per-mesh cycles/s for both cores
+ * plus, per run, speedup over the same benchmark's 1-tile cycles and
+ * cold-cache compile time with its partition-phase share; always run
+ * serially for honest per-core timings); --sim-backend picks the
+ * sweep's core (reference | fast, default fast, i.e.
+ * raw::kDefaultSimBackend) or "both" for the reference core plus a
+ * per-run threaded re-simulation;
  * --json-out PATH overrides the output path.
  *
  * Results (cycle counts, prints) are bit-identical at any --jobs
@@ -60,8 +60,8 @@ const int kSizes[] = {1, 2, 4, 8, 16, 32};
 
 /**
  * Which execution core(s) the sweep times: @c primary alone, or
- * (@c both) the reference core as primary plus the threaded and
- * region cores timed on the same compiled program.
+ * (@c both) the reference core as primary plus the threaded core
+ * timed on the same compiled program.
  */
 struct BackendMode
 {
@@ -79,7 +79,6 @@ struct RunTiming
     raw::PhaseTimings compile;
     double sim_ms = 0;          ///< primary backend (reference in both-mode)
     double sim_ms_threaded = 0; ///< threaded core (both-mode only)
-    double sim_ms_region = 0;   ///< region-compiled core (both-mode only)
 };
 
 RunTiming
@@ -99,24 +98,20 @@ time_one(const raw::BenchmarkProgram &prog, int tiles,
     rt.sim_ms = ms_since(t0);
     rt.cycles = r.cycles;
     if (mode.both) {
-        auto rerun = [&](raw::SimBackend backend, double &ms) {
-            Clock::time_point t1 = Clock::now();
-            raw::Simulator sim2(out.program, {}, {}, backend);
-            raw::SimResult r2 = sim2.run();
-            ms = ms_since(t1);
-            if (r2.cycles != r.cycles) {
-                std::fprintf(stderr,
-                             "%s n=%d: backend cycle mismatch "
-                             "(reference %lld, %s %lld)\n",
-                             prog.name.c_str(), tiles,
-                             static_cast<long long>(r.cycles),
-                             raw::sim_backend_name(backend),
-                             static_cast<long long>(r2.cycles));
-                std::exit(1);
-            }
-        };
-        rerun(raw::SimBackend::kThreaded, rt.sim_ms_threaded);
-        rerun(raw::SimBackend::kRegion, rt.sim_ms_region);
+        Clock::time_point t1 = Clock::now();
+        raw::Simulator sim2(out.program, {}, {},
+                            raw::SimBackend::kThreaded);
+        raw::SimResult r2 = sim2.run();
+        rt.sim_ms_threaded = ms_since(t1);
+        if (r2.cycles != r.cycles) {
+            std::fprintf(stderr,
+                         "%s n=%d: backend cycle mismatch "
+                         "(reference %lld, threaded %lld)\n",
+                         prog.name.c_str(), tiles,
+                         static_cast<long long>(r.cycles),
+                         static_cast<long long>(r2.cycles));
+            std::exit(1);
+        }
     }
     return rt;
 }
@@ -124,8 +119,8 @@ time_one(const raw::BenchmarkProgram &prog, int tiles,
 /**
  * Large-mesh scaling scenario: the full suite at 16/32/64/128 tiles
  * (past Table 3's 32-tile ceiling), each point compiled once from a
- * cleared in-memory schedule cache and simulated under all three
- * cores with a cycle-equality assert.  A
+ * cleared in-memory schedule cache and simulated under both cores
+ * with a cycle-equality assert.  A
  * 1-tile simulation per benchmark supplies the speedup baseline.
  * Always runs serially so each core's cycles/s is an honest
  * single-thread figure.
@@ -139,7 +134,7 @@ struct ScalePoint
     double compile_ms = 0;
     double partition_ms = 0; ///< orchestrate's partition phase
     double schedule_ms = 0;  ///< orchestrate's schedule phase
-    double ref_ms = 0, thr_ms = 0, reg_ms = 0;
+    double ref_ms = 0, thr_ms = 0;
 };
 
 std::vector<ScalePoint>
@@ -183,29 +178,26 @@ run_scaling(bool tiny)
             p.cycles = run_core(raw::SimBackend::kReference, p.ref_ms);
             int64_t ct =
                 run_core(raw::SimBackend::kThreaded, p.thr_ms);
-            int64_t cr = run_core(raw::SimBackend::kRegion, p.reg_ms);
-            if (ct != p.cycles || cr != p.cycles) {
-                std::fprintf(
-                    stderr,
-                    "scaling %s n=%d: backend cycle mismatch "
-                    "(reference %lld, threaded %lld, region %lld)\n",
-                    p.name.c_str(), n,
-                    static_cast<long long>(p.cycles),
-                    static_cast<long long>(ct),
-                    static_cast<long long>(cr));
+            if (ct != p.cycles) {
+                std::fprintf(stderr,
+                             "scaling %s n=%d: backend cycle mismatch "
+                             "(reference %lld, threaded %lld)\n",
+                             p.name.c_str(), n,
+                             static_cast<long long>(p.cycles),
+                             static_cast<long long>(ct));
                 std::exit(1);
             }
             std::printf("  scaling %-14s n=%-4d %9lld cycles  "
                         "(%.2fx vs n=1)  compile %8.1f ms "
                         "(partition %8.1f, schedule %8.1f)  "
-                        "sim ref %7.1f / thr %7.1f / reg %7.1f ms\n",
+                        "sim ref %7.1f / thr %7.1f ms\n",
                         p.name.c_str(), n,
                         static_cast<long long>(p.cycles),
                         p.cycles > 0 ? static_cast<double>(base_cycles) /
                                            static_cast<double>(p.cycles)
                                      : 0,
                         p.compile_ms, p.partition_ms, p.schedule_ms,
-                        p.ref_ms, p.thr_ms, p.reg_ms);
+                        p.ref_ms, p.thr_ms);
             std::fflush(stdout);
             pts.push_back(p);
         }
@@ -334,7 +326,7 @@ write_json(const std::string &path, const std::vector<RunTiming> &runs,
 {
     raw::PhaseTimings sum;
     int64_t cycles = 0, swaps = 0;
-    double sim_ms = 0, sim_ms_threaded = 0, sim_ms_region = 0;
+    double sim_ms = 0, sim_ms_threaded = 0;
     for (const RunTiming &rt : runs) {
         sum.parse_ms += rt.compile.parse_ms;
         sum.unroll_ms += rt.compile.unroll_ms;
@@ -347,7 +339,6 @@ write_json(const std::string &path, const std::vector<RunTiming> &runs,
         swaps += rt.placement_swaps;
         sim_ms += rt.sim_ms;
         sim_ms_threaded += rt.sim_ms_threaded;
-        sim_ms_region += rt.sim_ms_region;
     }
     double cycles_per_sec = per_sec(cycles, sim_ms);
     double swaps_per_sec = per_sec(swaps, sum.orchestrate_ms);
@@ -386,16 +377,12 @@ write_json(const std::string &path, const std::vector<RunTiming> &runs,
     if (mode.both) {
         double ref_cps = per_sec(cycles, sim_ms);
         double thr_cps = per_sec(cycles, sim_ms_threaded);
-        double reg_cps = per_sec(cycles, sim_ms_region);
         std::snprintf(
             buf, sizeof(buf),
             "  \"sim_backend\": {\"reference_cps\": %.0f, "
-            "\"threaded_cps\": %.0f, \"region_cps\": %.0f, "
-            "\"speedup\": %.2f, \"speedup_region\": %.2f, "
+            "\"threaded_cps\": %.0f, \"speedup\": %.2f, "
             "\"cycles_identical\": true},\n",
-            ref_cps, thr_cps, reg_cps,
-            ref_cps > 0 ? thr_cps / ref_cps : 0,
-            ref_cps > 0 ? reg_cps / ref_cps : 0);
+            ref_cps, thr_cps, ref_cps > 0 ? thr_cps / ref_cps : 0);
         out << buf;
     }
     if (!scaling.empty()) {
@@ -405,26 +392,21 @@ write_json(const std::string &path, const std::vector<RunTiming> &runs,
         bool first = true;
         for (int n : {16, 32, 64, 128}) {
             int64_t c = 0;
-            double rms = 0, tms = 0, gms = 0;
+            double rms = 0, tms = 0;
             for (const ScalePoint &p : scaling)
                 if (p.tiles == n) {
                     c += p.cycles;
                     rms += p.ref_ms;
                     tms += p.thr_ms;
-                    gms += p.reg_ms;
                 }
             if (c == 0)
                 continue;
-            double ref_cps = per_sec(c, rms);
-            double reg_cps = per_sec(c, gms);
             std::snprintf(
                 buf, sizeof(buf),
                 "%s\n    {\"tiles\": %d, \"cycles\": %lld, "
-                "\"reference_cps\": %.0f, \"threaded_cps\": %.0f, "
-                "\"region_cps\": %.0f, \"region_vs_reference\": %.2f}",
+                "\"reference_cps\": %.0f, \"threaded_cps\": %.0f}",
                 first ? "" : ",", n, static_cast<long long>(c),
-                ref_cps, per_sec(c, tms), reg_cps,
-                ref_cps > 0 ? reg_cps / ref_cps : 0);
+                per_sec(c, rms), per_sec(c, tms));
             out << buf;
             first = false;
         }
@@ -437,14 +419,14 @@ write_json(const std::string &path, const std::vector<RunTiming> &runs,
                 "\"cycles\": %lld, \"speedup_vs_1\": %.2f, "
                 "\"compile_ms\": %.1f, \"partition_ms\": %.1f, "
                 "\"schedule_ms\": %.1f, \"sim_ms_reference\": %.1f, "
-                "\"sim_ms_threaded\": %.1f, \"sim_ms_region\": %.1f}",
+                "\"sim_ms_threaded\": %.1f}",
                 i ? "," : "", p.name.c_str(), p.tiles,
                 static_cast<long long>(p.cycles),
                 p.cycles > 0 ? static_cast<double>(p.base_cycles) /
                                    static_cast<double>(p.cycles)
                              : 0,
                 p.compile_ms, p.partition_ms, p.schedule_ms, p.ref_ms,
-                p.thr_ms, p.reg_ms);
+                p.thr_ms);
             out << buf;
         }
         out << "],\n   \"cycles_identical\": true},\n";
@@ -526,7 +508,7 @@ main(int argc, char **argv)
             } catch (const raw::FatalError &) {
                 raw::cli::bad_value("bench_wallclock", "--sim-backend",
                                     argv[i],
-                                    "reference, fast, region or both");
+                                    "reference, fast or both");
             }
         } else if (std::strcmp(argv[i], "--tiny") == 0)
             tiny = true;

@@ -1,8 +1,6 @@
 #include "analysis/replication.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -172,13 +170,6 @@ ReplicationAnalysis::ReplicationAnalysis(const Function &fn, int max_regs,
         }
     }
 
-    if (getenv("RAW_DEBUG_REPL")) {
-        fprintf(stderr, "repl: feasible=%d closed=%zu\n",
-                static_cast<int>(feasible), closed.size());
-        for (ValueId v : closed)
-            fprintf(stderr, "  closed var %s\n",
-                    fn.values[v].name.c_str());
-    }
     if (!feasible || closed.empty())
         return;
 
@@ -289,9 +280,6 @@ ReplicationAnalysis::ReplicationAnalysis(const Function &fn, int max_regs,
         }
         max_temps = std::max(max_temps, peak);
     }
-    if (getenv("RAW_DEBUG_REPL"))
-        fprintf(stderr, "repl: max_temps=%d budget=%zu/%d\n",
-                max_temps, closed.size() + max_temps + 1, max_regs);
     if (static_cast<int>(closed.size()) + max_temps + 1 > max_regs)
         return;
 

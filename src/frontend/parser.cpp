@@ -28,7 +28,9 @@ class Parser
     std::vector<Token> toks_;
     size_t pos_ = 0;
     std::unordered_map<std::string, Type> scalars_;
-    std::unordered_map<std::string, std::pair<Type, size_t>> arrays_;
+    /** Element type and dimension extents of each declared array. */
+    std::unordered_map<std::string, std::pair<Type, std::vector<int64_t>>>
+        arrays_;
 
     const Token &peek(int ahead = 0) const
     {
@@ -56,6 +58,45 @@ class Parser
         if (peek().kind != k)
             err("expected " + what);
         return next();
+    }
+
+    /**
+     * Parse the `[e]` subscripts of array @p name into @p out and
+     * return its element type.  The count must match the declaration,
+     * and a literal subscript (an int literal, optionally negated)
+     * must lie inside its dimension's extent.  A computed subscript
+     * is not checked: out of range it is undefined behavior.
+     */
+    Type
+    parse_subscripts(const std::string &name, std::vector<ExprPtr> &out)
+    {
+        auto it = arrays_.find(name);
+        if (it == arrays_.end())
+            err("undeclared array '" + name + "'");
+        const std::vector<int64_t> &dims = it->second.second;
+        while (peek().kind == Tok::kLBracket) {
+            next();
+            ExprPtr idx = parse_expr();
+            if (idx->type != Type::kI32)
+                err("array index must be int");
+            const bool neg = idx->kind == ExprKind::kUnary &&
+                             idx->op == "-";
+            const Expr &lit = neg ? *idx->kids[0] : *idx;
+            if (out.size() < dims.size() &&
+                lit.kind == ExprKind::kIntLit) {
+                int64_t v = neg ? -int64_t{lit.int_val} : lit.int_val;
+                int64_t extent = dims[out.size()];
+                if (v < 0 || v >= extent)
+                    err("subscript " + std::to_string(v) +
+                        " out of range for '" + name + "' (extent " +
+                        std::to_string(extent) + ")");
+            }
+            out.push_back(std::move(idx));
+            expect(Tok::kRBracket, "']'");
+        }
+        if (out.size() != dims.size())
+            err("wrong number of subscripts for '" + name + "'");
+        return it->second.first;
     }
 
     ExprPtr
@@ -287,23 +328,10 @@ class Parser
                 return e;
             }
             if (peek().kind == Tok::kLBracket) {
-                auto it = arrays_.find(name);
-                if (it == arrays_.end())
-                    err("undeclared array '" + name + "'");
                 auto e = std::make_unique<Expr>();
                 e->kind = ExprKind::kArray;
                 e->name = name;
-                e->type = it->second.first;
-                while (peek().kind == Tok::kLBracket) {
-                    next();
-                    ExprPtr idx = parse_expr();
-                    if (idx->type != Type::kI32)
-                        err("array index must be int");
-                    e->kids.push_back(std::move(idx));
-                    expect(Tok::kRBracket, "']'");
-                }
-                if (e->kids.size() != it->second.second)
-                    err("wrong number of subscripts for '" + name + "'");
+                e->type = parse_subscripts(name, e->kids);
                 return e;
             }
             auto it = scalars_.find(name);
@@ -373,7 +401,7 @@ class Parser
                 s->dims.push_back(d.int_val);
                 expect(Tok::kRBracket, "']'");
             }
-            arrays_[name] = {ty, s->dims.size()};
+            arrays_[name] = {ty, s->dims};
         } else {
             s->kind = StmtKind::kDeclScalar;
             if (peek().kind == Tok::kAssign) {
@@ -393,22 +421,10 @@ class Parser
         auto s = std::make_unique<Stmt>();
         s->name = name;
         if (peek().kind == Tok::kLBracket) {
-            auto it = arrays_.find(name);
-            if (it == arrays_.end())
-                err("undeclared array '" + name + "'");
             s->kind = StmtKind::kArrayAssign;
-            while (peek().kind == Tok::kLBracket) {
-                next();
-                ExprPtr idx = parse_expr();
-                if (idx->type != Type::kI32)
-                    err("array index must be int");
-                s->indices.push_back(std::move(idx));
-                expect(Tok::kRBracket, "']'");
-            }
-            if (s->indices.size() != it->second.second)
-                err("wrong number of subscripts for '" + name + "'");
+            Type elem = parse_subscripts(name, s->indices);
             expect(Tok::kAssign, "'='");
-            s->expr = coerce(parse_expr(), it->second.first);
+            s->expr = coerce(parse_expr(), elem);
         } else {
             auto it = scalars_.find(name);
             if (it == scalars_.end())

@@ -52,85 +52,80 @@ diff_sim_backends(const CompiledProgram &prog,
     ref.set_wall_budget_ms(wall_budget_ms);
     SimResult a = ref.run();
 
-    // Every non-reference core is held to the same bit-identical
-    // bar; SimResult::regions_entered/region_cycles are deliberately
-    // outside the comparison (backend-internal diagnostics).
-    for (SimBackend backend :
-         {SimBackend::kThreaded, SimBackend::kRegion}) {
-        const std::string bn = sim_backend_name(backend);
-        Simulator alt(prog, faults, checks, backend);
-        alt.set_trace_enabled(trace);
-        alt.set_wall_budget_ms(wall_budget_ms);
-        SimResult b = alt.run();
+    // The threaded core is held to the reference's bit-identical bar.
+    const std::string bn = sim_backend_name(SimBackend::kThreaded);
+    Simulator alt(prog, faults, checks, SimBackend::kThreaded);
+    alt.set_trace_enabled(trace);
+    alt.set_wall_budget_ms(wall_budget_ms);
+    SimResult b = alt.run();
 
-        auto mismatch = [&](const std::string &what, int64_t va,
-                            int64_t vb) {
-            fatal("sim backend divergence: " + what + ": reference " +
-                  std::to_string(va) + " vs " + bn + " " +
-                  std::to_string(vb));
-        };
-        auto require = [&](const std::string &what, int64_t va,
-                           int64_t vb) {
-            if (va != vb)
-                mismatch(what, va, vb);
-        };
-        require("cycles", a.cycles, b.cycles);
-        require("instrs_executed", a.instrs_executed,
-                b.instrs_executed);
-        require("switch_instrs_executed", a.switch_instrs_executed,
-                b.switch_instrs_executed);
-        require("words_routed", a.words_routed, b.words_routed);
-        require("dyn_messages", a.dyn_messages, b.dyn_messages);
-        require("proc_stall_cycles", a.proc_stall_cycles,
-                b.proc_stall_cycles);
-        require("check_failure_count", a.check_failure_count,
-                b.check_failure_count);
-        if (a.prov_hash != b.prov_hash)
-            fatal("sim backend divergence: prov_hash (" + bn + ")");
-        if (a.print_text() != b.print_text())
-            fatal("sim backend divergence: print trace:\n"
-                  "--- reference\n" +
-                  a.print_text() + "--- " + bn + "\n" +
-                  b.print_text());
-        for (size_t t = 0; t < a.profile.tiles.size(); t++) {
-            const TileProfile &ta = a.profile.tiles[t];
-            const TileProfile &tb = b.profile.tiles[t];
-            std::string at = "tile " + std::to_string(t) + " ";
-            for (int c = 0; c < kNumProcCycleCats; c++)
-                if (ta.proc_cycles[c] != tb.proc_cycles[c])
-                    mismatch(at + "proc_cycles[" + std::to_string(c) +
-                                 "]",
-                             ta.proc_cycles[c], tb.proc_cycles[c]);
-            for (int c = 0; c < kNumSwitchCycleCats; c++)
-                if (ta.switch_cycles[c] != tb.switch_cycles[c])
-                    mismatch(at + "switch_cycles[" +
-                                 std::to_string(c) + "]",
-                             ta.switch_cycles[c], tb.switch_cycles[c]);
-            for (int c = 0; c < kNumOpClasses; c++)
-                if (ta.issued[c] != tb.issued[c])
-                    mismatch(at + "issued[" + std::to_string(c) + "]",
-                             ta.issued[c], tb.issued[c]);
-            if (ta.route_stalls != tb.route_stalls)
-                fatal("sim backend divergence: " + at +
-                      "route_stalls (" + bn + ")");
-            require(at + "words_routed", ta.words_routed,
-                    tb.words_routed);
-            require(at + "dyn_net_blocked", ta.dyn_net_blocked,
-                    tb.dyn_net_blocked);
-            require(at + "dyn_requests_served",
-                    ta.dyn_requests_served, tb.dyn_requests_served);
-            require(at + "dyn_handler_busy", ta.dyn_handler_busy,
-                    tb.dyn_handler_busy);
-            require(at + "dyn_queue_wait", ta.dyn_queue_wait,
-                    tb.dyn_queue_wait);
-            require(at + "dyn_max_queue", ta.dyn_max_queue,
-                    tb.dyn_max_queue);
-        }
-        for (const ArrayLayout &arr : prog.arrays)
-            if (ref.read_array(arr.name) != alt.read_array(arr.name))
-                fatal("sim backend divergence: array '" + arr.name +
-                      "' (" + bn + ")");
+    auto mismatch = [&](const std::string &what, int64_t va,
+                        int64_t vb) {
+        fatal("sim backend divergence: " + what + ": reference " +
+              std::to_string(va) + " vs " + bn + " " +
+              std::to_string(vb));
+    };
+    auto require = [&](const std::string &what, int64_t va,
+                       int64_t vb) {
+        if (va != vb)
+            mismatch(what, va, vb);
+    };
+    require("cycles", a.cycles, b.cycles);
+    require("instrs_executed", a.instrs_executed,
+            b.instrs_executed);
+    require("switch_instrs_executed", a.switch_instrs_executed,
+            b.switch_instrs_executed);
+    require("words_routed", a.words_routed, b.words_routed);
+    require("dyn_messages", a.dyn_messages, b.dyn_messages);
+    require("proc_stall_cycles", a.proc_stall_cycles,
+            b.proc_stall_cycles);
+    require("check_failure_count", a.check_failure_count,
+            b.check_failure_count);
+    if (a.prov_hash != b.prov_hash)
+        fatal("sim backend divergence: prov_hash (" + bn + ")");
+    if (a.print_text() != b.print_text())
+        fatal("sim backend divergence: print trace:\n"
+              "--- reference\n" +
+              a.print_text() + "--- " + bn + "\n" +
+              b.print_text());
+    for (size_t t = 0; t < a.profile.tiles.size(); t++) {
+        const TileProfile &ta = a.profile.tiles[t];
+        const TileProfile &tb = b.profile.tiles[t];
+        std::string at = "tile " + std::to_string(t) + " ";
+        for (int c = 0; c < kNumProcCycleCats; c++)
+            if (ta.proc_cycles[c] != tb.proc_cycles[c])
+                mismatch(at + "proc_cycles[" + std::to_string(c) +
+                             "]",
+                         ta.proc_cycles[c], tb.proc_cycles[c]);
+        for (int c = 0; c < kNumSwitchCycleCats; c++)
+            if (ta.switch_cycles[c] != tb.switch_cycles[c])
+                mismatch(at + "switch_cycles[" +
+                             std::to_string(c) + "]",
+                         ta.switch_cycles[c], tb.switch_cycles[c]);
+        for (int c = 0; c < kNumOpClasses; c++)
+            if (ta.issued[c] != tb.issued[c])
+                mismatch(at + "issued[" + std::to_string(c) + "]",
+                         ta.issued[c], tb.issued[c]);
+        if (ta.route_stalls != tb.route_stalls)
+            fatal("sim backend divergence: " + at +
+                  "route_stalls (" + bn + ")");
+        require(at + "words_routed", ta.words_routed,
+                tb.words_routed);
+        require(at + "dyn_net_blocked", ta.dyn_net_blocked,
+                tb.dyn_net_blocked);
+        require(at + "dyn_requests_served",
+                ta.dyn_requests_served, tb.dyn_requests_served);
+        require(at + "dyn_handler_busy", ta.dyn_handler_busy,
+                tb.dyn_handler_busy);
+        require(at + "dyn_queue_wait", ta.dyn_queue_wait,
+                tb.dyn_queue_wait);
+        require(at + "dyn_max_queue", ta.dyn_max_queue,
+                tb.dyn_max_queue);
     }
+    for (const ArrayLayout &arr : prog.arrays)
+        if (ref.read_array(arr.name) != alt.read_array(arr.name))
+            fatal("sim backend divergence: array '" + arr.name +
+                  "' (" + bn + ")");
     return a;
 }
 

@@ -40,8 +40,8 @@ RunResult run_rawcc(const std::string &source,
                     SimBackend backend = kDefaultSimBackend);
 
 /**
- * Differential backend check: simulate @p prog under the reference,
- * threaded and region execution cores with identical fault/check
+ * Differential backend check: simulate @p prog under the reference
+ * and threaded execution cores with identical fault/check
  * configuration and require bit-identical observable results —
  * cycle count, every aggregate counter, the full print trace, the
  * provenance hash, the per-tile cycle-attribution profile, and the

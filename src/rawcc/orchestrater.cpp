@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -92,29 +90,14 @@ rewrite_dynamic_refs(Function &fn, const HomeMap &homes)
     }
     // Pass 2: demote every access of a dynamic array.
     int count = 0;
-    for (size_t b = 0; b < fn.blocks.size(); b++) {
-        cong.analyze(static_cast<int>(b));
-        for (Instr &in : fn.blocks[b].instrs) {
-            if (in.op != Op::kLoad && in.op != Op::kStore)
+    for (Block &blk : fn.blocks)
+        for (Instr &in : blk.instrs) {
+            if ((in.op != Op::kLoad && in.op != Op::kStore) ||
+                !dynamic_array[in.array])
                 continue;
-            if (dynamic_array[in.array]) {
-                if (getenv("RAW_DEBUG_DYN") && count < 10) {
-                    const Congruence &c = cong.get(in.src[0]);
-                    fprintf(stderr,
-                            "dyn ref: block %s array %s idx v%d "
-                            "cong (%lld mod %lld)\n",
-                            fn.blocks[b].name.c_str(),
-                            fn.arrays[in.array].name.c_str(),
-                            in.src[0],
-                            static_cast<long long>(c.residue),
-                            static_cast<long long>(c.modulus));
-                }
-                in.op = in.op == Op::kLoad ? Op::kDynLoad
-                                           : Op::kDynStore;
-                count++;
-            }
+            in.op = in.op == Op::kLoad ? Op::kDynLoad : Op::kDynStore;
+            count++;
         }
-    }
     return count;
 }
 

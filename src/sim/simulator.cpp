@@ -39,10 +39,10 @@ sim_backend_from_string(const std::string &name)
 {
     if (name == "reference")
         return SimBackend::kReference;
-    if (name == "fast" || name == "threaded")
+    // "region" names a deleted core; perfbench's traced run still
+    // spells it, so it stays an alias of the threaded core.
+    if (name == "fast" || name == "threaded" || name == "region")
         return SimBackend::kThreaded;
-    if (name == "region")
-        return SimBackend::kRegion;
     fatal("unknown simulator backend: " + name +
           " (expected reference or fast)");
 }
@@ -50,11 +50,7 @@ sim_backend_from_string(const std::string &name)
 const char *
 sim_backend_name(SimBackend b)
 {
-    switch (b) {
-    case SimBackend::kThreaded: return "threaded";
-    case SimBackend::kRegion: return "region";
-    default: return "reference";
-    }
+    return b == SimBackend::kThreaded ? "threaded" : "reference";
 }
 
 Simulator::Simulator(const CompiledProgram &prog, FaultConfig faults,
@@ -395,7 +391,7 @@ Simulator::run(int64_t max_cycles)
     if (backend_ == SimBackend::kReference)
         return run_reference(max_cycles);
     try {
-        return run_threaded(max_cycles); // threaded + region cores
+        return run_threaded(max_cycles);
     } catch (const DeadlockError &e) {
         rerun_on_reference(max_cycles, e);
     }

@@ -256,11 +256,9 @@ struct SimResult
     /** Provenance-stream hash (0 unless provenance checking on). */
     uint64_t prov_hash = 0;
     /**
-     * Region-execution diagnostics (SimBackend::kRegion only; zero
-     * everywhere else).  Backend-internal by construction, so they
-     * are deliberately NOT part of the cross-backend differential:
-     * regions_entered counts fused-run dispatches, region_cycles the
-     * simulated cycles retired inside them.
+     * Always 0.  They counted the deleted region core's fused runs
+     * and remain only because perfbench reads them; they are not
+     * part of the cross-backend differential.
      */
     int64_t regions_entered = 0;
     int64_t region_cycles = 0;
@@ -356,19 +354,11 @@ struct DynPlane
  * the deadlock re-run (Simulator::run) all run it.  kThreaded is the
  * fast core: it pre-decodes every tile stream into flat handler
  * records (sim/threaded.cpp) and sleeps stalled units between events.
- * kRegion is the threaded core with the region compiler armed on top:
- * decode marks straight-line runs of records that touch no FIFO and
- * draw no fault randomness (sim/region.hpp), and execution fuses each
- * run into one dispatch that runs the unit ahead of global time, then
- * parks it until the mesh catches up.  Region measured about 1.02x
- * over threaded on the benchmark workloads, under the 1.1x a core
- * must earn to stay, so it is opt-in and queued for deletion (see
- * docs/performance.md).  All backends produce bit-identical
- * SimResults (cycles, prints, profile sums, provenance hashes) —
- * pinned by tests/test_sim_backend.cpp and the --sim-diff CLI mode —
- * and identical DeadlockError text.
+ * Both produce bit-identical SimResults (cycles, prints, profile
+ * sums, provenance hashes) — pinned by tests/test_sim_backend.cpp and
+ * the --sim-diff CLI mode — and identical DeadlockError text.
  */
-enum class SimBackend : uint8_t { kReference = 0, kThreaded, kRegion };
+enum class SimBackend : uint8_t { kReference = 0, kThreaded };
 
 /**
  * The core every entry point runs unless told otherwise: the
@@ -378,8 +368,9 @@ enum class SimBackend : uint8_t { kReference = 0, kThreaded, kRegion };
 constexpr SimBackend kDefaultSimBackend = SimBackend::kThreaded;
 
 /**
- * Parse "reference" or "fast" (the threaded core); the core names
- * "threaded" and "region" are accepted too.  Throws otherwise.
+ * Parse "reference" or "fast" (the threaded core); "threaded" and
+ * the deleted core's name "region" are accepted as spellings of the
+ * threaded core.  Throws otherwise.
  */
 SimBackend sim_backend_from_string(const std::string &name);
 const char *sim_backend_name(SimBackend b);

@@ -4,7 +4,6 @@
 #include <queue>
 
 #include "ir/eval.hpp"
-#include "sim/region.hpp"
 
 /**
  * @file
@@ -56,23 +55,6 @@
  *  - Sprint: when exactly one processor is awake and the network is
  *    empty, its straight-line records execute in a tight loop, one
  *    instruction per cycle, without the per-cycle machine scaffolding.
- *
- *  - Regions (SimBackend::kRegion only): decode marks straight-line
- *    runs of records that touch no FIFO and draw no fault randomness
- *    (formation rules in sim/region.hpp) with PF_REGION, and stamps
- *    PF_RSTART where a run of at least kMinRegionRun records starts.
- *    Hitting a PF_RSTART record fuses the whole run into one
- *    dispatch of the same straight-line loop sprint uses — the unit
- *    executes in *local* time, ahead of the global clock, with no
- *    awake-mask or wheel maintenance per cycle — then parks in the
- *    new kAhead state until global time catches up (a wheel entry at
- *    its resume cycle; FIFO wakes ignore kAhead, and stale wheel
- *    entries are filtered by the per-unit resume stamp).  Every
- *    cycle the run-ahead retires is accounted at its true cycle
- *    number through the same account_* paths, so profiles, counters
- *    and prints stay bit-identical to the reference.  Any fault
- *    channel or the runtime checker disables region formation
- *    entirely (the same gate that keeps jitter off the fast paths).
  *
  * Equivalence with the reference backend (cycles, prints, profile
  * sums, provenance hashes) is pinned by tests/test_sim_backend.cpp
@@ -132,14 +114,6 @@ struct ThreadedState
     static constexpr uint8_t PF_SKIP0 = 1; ///< src0 interlock elided
     static constexpr uint8_t PF_SKIP1 = 2; ///< src1 interlock elided
     static constexpr uint8_t PF_SPRINT = 4; ///< solo fast-path eligible
-    static constexpr uint8_t PF_REGION = 8; ///< region-run eligible
-    static constexpr uint8_t PF_RSTART = 16; ///< run >= kMinRegionRun
-    /** Region entries advancing fewer cycles than this are counted
-        as unprofitable (dispatch + park churn beats the saving). */
-    static constexpr int64_t kRegionMinGain = 8;
-    /** Unprofitable entries a start record survives before its
-        RSTART bit is cleared (see p_credit/s_credit). */
-    static constexpr int8_t kRegionCredit = 4;
 
     struct PRec
     {
@@ -192,14 +166,10 @@ struct ThreadedState
         int16_t reg_dst = -1;
         int32_t ob = 0, oe = 0; ///< out-pool range
     };
-    static constexpr uint8_t SF_REGION = 1; ///< region-run eligible
-    static constexpr uint8_t SF_RSTART = 2; ///< run >= kMinRegionRun
-
     struct SRec
     {
         uint8_t k = kSBad;
         uint8_t dual = 0; ///< may dual-issue with the next record
-        uint8_t rflags = 0; ///< SF_* region marks (kRegion only)
         Op op = Op::kAdd;
         int16_t dst = -1, a = -1, b = -1, cond = -1;
         uint32_t imm = 0;
@@ -214,19 +184,7 @@ struct ThreadedState
         SWake wsrc, wout;
     };
 
-    /**
-     * kAhead: the unit already executed (and fully accounted) its
-     * cycles up to p_resume/s_resume through a fused region run; it
-     * rejoins the awake set when global time reaches that stamp.
-     * FIFO wakes must not (and, via the kAsleep check in wake_*,
-     * do not) touch it — its future is already decided.
-     */
-    enum UnitState : uint8_t {
-        kAsleep = 0,
-        kAwake = 1,
-        kHalted = 2,
-        kAhead = 3
-    };
+    enum UnitState : uint8_t { kAsleep = 0, kAwake = 1, kHalted = 2 };
 
     /**
      * Per-tile hot pointers resolved once after decode, so the step
@@ -274,8 +232,6 @@ struct ThreadedState
     bool jitter_on = false;
     bool trace_ = false;
     bool route_fault_on = false;
-    /** Region compiler armed (kRegion backend, no faults/checker). */
-    bool regions_on = false;
 
     std::vector<std::vector<PRec>> pcode;
     std::vector<std::vector<SRec>> scode;
@@ -289,25 +245,6 @@ struct ThreadedState
     std::vector<uint64_t> p_mask, s_mask;
     std::vector<SleepP> p_sleep;
     std::vector<SleepS> s_sleep;
-    /**
-     * First cycle a kAhead unit may rejoin the awake set.  The wheel
-     * holds lazily-deleted entries (a unit can sleep and wake on the
-     * same deadline several times), so a pop resumes a kAhead unit
-     * only when its stamp has been reached: any stale entry pops at
-     * a strictly earlier cycle and is discarded by the guard.
-     */
-    std::vector<int64_t> p_resume, s_resume;
-    /**
-     * Adaptive region demotion: a start record whose entries keep
-     * advancing fewer than kRegionMinGain cycles (comm-dense code
-     * where the static run hits a FIFO op almost immediately) burns
-     * one credit per unprofitable entry; at zero the PF_RSTART /
-     * SF_RSTART bit is cleared and the pc falls back to plain
-     * stepping, so park/resume churn can never exceed a constant
-     * per start record.  Purely a performance policy — demotion is
-     * deterministic and regions stay transparent either way.
-     */
-    std::vector<std::vector<int8_t>> p_credit, s_credit;
     int awake_procs = 0, awake_sw = 0;
     int live_procs = 0, live_sw = 0;
     /**
@@ -316,16 +253,6 @@ struct ThreadedState
      * (run exit).
      */
     int64_t c_instrs = 0, c_sw_instrs = 0, c_words = 0, c_pstall = 0;
-    /** Region diagnostics (SimResult::regions_entered/region_cycles). */
-    int64_t c_regions = 0, c_region_cycles = 0;
-    /** Cycle bound for region run-ahead (max_cycles of this run). */
-    int64_t region_stop = 0;
-    /**
-     * Latest cycle a run-ahead unit retired at.  The reference core
-     * sees those retires as progress cycle by cycle, so the stall
-     * window must not expire while a parked unit is still working.
-     */
-    int64_t ahead_progress = 0;
     /**
      * Batched mirror of S.progress_ for unit steps (it shares the
      * hot counter line); the dyn planes still set S.progress_.
@@ -333,9 +260,7 @@ struct ThreadedState
     bool prog_ = false;
     /**
      * Time wheel (lazy deletion): scoreboard deadlines of sleeping
-     * processors (index t) and resume stamps of run-ahead units
-     * (processors at index t, switches at index n + t — a switch
-     * only ever enters the wheel as kAhead).
+     * processors, keyed by tile.
      */
     std::priority_queue<std::pair<int64_t, int>,
                         std::vector<std::pair<int64_t, int>>,
@@ -397,10 +322,7 @@ struct ThreadedState
         S.stats_.switch_instrs_executed += c_sw_instrs;
         S.stats_.words_routed += c_words;
         S.stats_.proc_stall_cycles += c_pstall;
-        S.stats_.regions_entered += c_regions;
-        S.stats_.region_cycles += c_region_cycles;
         c_instrs = c_sw_instrs = c_words = c_pstall = 0;
-        c_regions = c_region_cycles = 0;
     }
 
     // ---- accounting (inline mirrors of Simulator::account_*) ---------
@@ -509,7 +431,6 @@ struct ThreadedState
     void decode();
     void decode_proc(int t);
     void decode_switch(int t);
-    void mark_regions(int t, const RegionAnalysis &ra);
 
     void step_proc(int t, int64_t now);
     void peek_proc(const HotP &h, int t, int64_t now);
@@ -523,10 +444,7 @@ struct ThreadedState
     void peek_sw(const HotS &h, int t, int64_t now);
 
     int64_t straight_run(int t, int64_t now, int64_t stop,
-                         uint8_t gate, int64_t &last_progress);
-    void region_proc(int t, int64_t now);
-    int64_t region_sw_run(int t, int64_t now);
-    void region_sw(int t, int64_t now);
+                         int64_t &last_progress);
     void pop_wheel(int64_t now);
     int64_t next_wake(int64_t now) const;
     void jump_forward(int64_t now, int64_t skip);
@@ -543,11 +461,6 @@ ThreadedState::decode()
     jitter_on = S.faults_.jitter_rate > 0.0;
     trace_ = S.stats_.profile.trace_enabled;
     route_fault_on = S.faults_.route_stall_rate > 0.0;
-    // Regions require draw-free, checker-free record bodies; any
-    // armed fault channel or the runtime checker turns the region
-    // backend into plain kThreaded (tests pin regions_entered == 0).
-    regions_on = S.backend_ == SimBackend::kRegion &&
-                 !S.faults_.any() && !S.checker_;
     pcode.resize(n);
     scode.resize(n);
     p_state.assign(n, kHalted);
@@ -556,19 +469,9 @@ ThreadedState::decode()
     s_mask.assign((n + 63) / 64, 0);
     p_sleep.assign(n, {});
     s_sleep.assign(n, {});
-    p_resume.assign(n, 0);
-    s_resume.assign(n, 0);
-    RegionAnalysis ra;
-    if (regions_on) {
-        ra = analyze_regions(S.prog_);
-        p_credit.resize(n);
-        s_credit.resize(n);
-    }
     for (int t = 0; t < n; t++) {
         decode_proc(t);
         decode_switch(t);
-        if (regions_on)
-            mark_regions(t, ra);
         if (!S.procs_[t].halted) {
             p_state[t] = kAwake;
             mask_set(p_mask, t);
@@ -944,70 +847,6 @@ ThreadedState::decode_switch(int t)
                 recs[pc].dual = 1;
 }
 
-/**
- * Region marking (SimBackend::kRegion): flag the records a fused
- * run-ahead loop may execute, then stamp run starts.  The formation
- * rules and the transparency argument live in sim/region.hpp; in
- * terms of record kinds:
- *
- *  - processors: the sprint-eligible set (no ports, no dynamic
- *    network) minus static accesses to arrays any dyn instruction
- *    can touch, and minus prints whose seq is shared by several
- *    instructions.  Sprint may keep both — it only runs when every
- *    other unit is parked — but a region runs ahead of live peers.
- *  - switches: the private-state kinds (ALU, jump, bnez) with no
- *    dual-issue partner; a ROUTE can never run ahead because a push
- *    at a future local cycle would be visible to the counterparty
- *    early (the Fifo occupancy algebra stamps words with the cycle
- *    of the push).
- */
-void
-ThreadedState::mark_regions(int t, const RegionAnalysis &ra)
-{
-    const std::vector<PInstr> &pin = S.prog_.tiles[t].code;
-    std::vector<PRec> &precs = pcode[t];
-    std::vector<uint8_t> elig(pin.size(), 0);
-    for (size_t pc = 0; pc < pin.size(); pc++) {
-        PRec &r = precs[pc];
-        if (!(r.flags & PF_SPRINT))
-            continue;
-        if ((r.k == kLoadArr || r.k == kStoreArr) &&
-            ra.dyn_array[pin[pc].array])
-            continue;
-        if (r.k == kPrint &&
-            (r.a < 0 ||
-             r.a >= static_cast<int64_t>(ra.shared_seq.size()) ||
-             ra.shared_seq[static_cast<size_t>(r.a)]))
-            continue;
-        elig[pc] = 1;
-        r.flags |= PF_REGION;
-    }
-    std::vector<int32_t> run = region_run_lengths(elig);
-    for (size_t pc = 0; pc < elig.size(); pc++)
-        if (run[pc] >= kMinRegionRun)
-            precs[pc].flags |= PF_RSTART;
-    p_credit[t].assign(precs.size(), kRegionCredit);
-
-    std::vector<SRec> &srecs = scode[t];
-    std::vector<uint8_t> selig(
-        S.prog_.switches[t].code.size(), 0);
-    for (size_t pc = 0; pc < selig.size(); pc++) {
-        SRec &r = srecs[pc];
-        if (r.dual)
-            continue; // co-issues a ROUTE in the same cycle
-        if (r.k == kSAluC || r.k == kSAluOp || r.k == kSJump ||
-            r.k == kSBnez) {
-            selig[pc] = 1;
-            r.rflags |= SF_REGION;
-        }
-    }
-    std::vector<int32_t> srun = region_run_lengths(selig);
-    for (size_t pc = 0; pc < selig.size(); pc++)
-        if (srun[pc] >= kMinRegionRun)
-            srecs[pc].rflags |= SF_RSTART;
-    s_credit[t].assign(srecs.size(), kRegionCredit);
-}
-
 // ====================================================================
 // Processor step
 // ====================================================================
@@ -1067,8 +906,6 @@ ThreadedState::step_proc(int t, int64_t now)
     }
 
     const PRec &r = h.code[p.pc];
-    if (r.flags & PF_RSTART)
-        return region_proc(t, now);
     Fifo &p2s = *h.p2s;
     Fifo &s2p = *h.s2p;
 
@@ -1684,8 +1521,6 @@ ThreadedState::step_sw(int t, int64_t now)
     }
     int64_t pc0 = sw.pc;
     const SRec &r0 = h.code[pc0];
-    if (r0.rflags & SF_RSTART)
-        return region_sw(t, now);
     if (r0.k == kRoute1) {
         // Inline copy of the exec_srec kRoute1 arm — the hot case.
         // A kRoute1 retire never halts, so the dual-slot guard on
@@ -1793,21 +1628,19 @@ ThreadedState::peek_sw(const HotS &h, int t, int64_t now)
 }
 
 // ====================================================================
-// Straight-line execution: sprint (solo) and region run-ahead
+// Straight-line execution: the solo sprint
 // ====================================================================
 
 /**
- * Execute @p t's records in a tight loop, one instruction per cycle
- * in *local* time, while each record carries @p gate — PF_SPRINT for
- * the solo fast path (stop bounded by the next wheel event),
- * PF_REGION for fused region runs (stop = max_cycles; the caller
- * parks the unit as kAhead when it outruns global time).  Scoreboard
- * waits are accounted in one batched span; every issue is accounted
- * at its true cycle, so profiles stay exact in both modes.
+ * Execute solo processor @p t's records in a tight loop, one
+ * instruction per cycle, while each record carries PF_SPRINT and the
+ * cycle stays below @p stop (the next wheel event or max_cycles).
+ * Scoreboard waits are accounted in one batched span; every issue is
+ * accounted at its true cycle, so profiles stay exact.
  */
 int64_t
 ThreadedState::straight_run(int t, int64_t now, int64_t stop,
-                            uint8_t gate, int64_t &last_progress)
+                            int64_t &last_progress)
 {
     const HotP &h = hp[t];
     Simulator::Proc &p = *h.p;
@@ -1820,7 +1653,7 @@ ThreadedState::straight_run(int t, int64_t now, int64_t stop,
 
     while (c < stop) {
         const PRec &r = recs[p.pc];
-        if (!(r.flags & gate))
+        if (!(r.flags & PF_SPRINT))
             break;
         // Scoreboard wait, batched.
         int64_t rdy = c;
@@ -1915,145 +1748,21 @@ ThreadedState::straight_run(int t, int64_t now, int64_t stop,
     return c - now;
 }
 
-/**
- * Fused region dispatch for a processor whose pc carries PF_RSTART.
- * The run executes in local time up to max_cycles; if it got more
- * than one cycle ahead the unit parks as kAhead with a wheel entry
- * at its resume stamp, otherwise it behaved like a normal step and
- * peeks the next record exactly as retire() would.
- */
-void
-ThreadedState::region_proc(int t, int64_t now)
-{
-    const int32_t entry_pc = hp[t].p->pc;
-    int64_t last_retire = ahead_progress;
-    int64_t adv =
-        straight_run(t, now, region_stop, PF_REGION, last_retire);
-    ahead_progress = std::max(ahead_progress, last_retire);
-    c_regions++;
-    c_region_cycles += adv;
-    if (adv < kRegionMinGain && --p_credit[t][entry_pc] <= 0)
-        pcode[t][entry_pc].flags &= ~PF_RSTART;
-    // A region entry always advances local time (the entry record is
-    // eligible and now < max_cycles), so this unit is not frozen.
-    prog_ = true;
-    if (adv <= 1) {
-        peek_proc(hp[t], t, now);
-        return;
-    }
-    p_state[t] = kAhead;
-    mask_clr(p_mask, t);
-    awake_procs--;
-    p_resume[t] = now + adv;
-    wheel.push({now + adv, t});
-}
-
-/** Switch flavor of straight_run: ALU/jump/bnez never stall, so the
-    loop is gate-free one-instruction-per-cycle. */
-int64_t
-ThreadedState::region_sw_run(int t, int64_t now)
-{
-    const HotS &h = hs[t];
-    Simulator::Sw &sw = *h.sw;
-    flush_sw(t, now);
-    S.poll_wall_deadline(); // once per entry; see straight_run
-    const SRec *const recs = h.code;
-    const int64_t stop = region_stop;
-    int64_t c = now;
-
-    while (c < stop) {
-        const SRec &r = recs[sw.pc];
-        if (!(r.rflags & SF_REGION))
-            break;
-        switch (r.k) {
-          case kSAluC:
-            sw.regs[r.dst] = r.imm;
-            sw.pc++;
-            break;
-          case kSAluOp: {
-            uint32_t a = r.a >= 0 ? sw.regs[r.a] : 0;
-            uint32_t b = r.b >= 0 ? sw.regs[r.b] : 0;
-            uint32_t out = 0;
-            check(eval_op(r.op, a, b, out),
-                  "switch: unexecutable ALU opcode");
-            sw.regs[r.dst] = out;
-            sw.pc++;
-            break;
-          }
-          case kSBnez:
-            sw.pc = sw.regs[r.cond] != 0 ? r.target : sw.pc + 1;
-            break;
-          case kSJump:
-            sw.pc = r.target;
-            break;
-          default:
-            check(false, "threaded backend: unexpected region kind");
-        }
-        c_sw_instrs++;
-        acct_sw(h.prof, t, c, SwitchCycle::kIssued);
-        c++;
-    }
-    return c - now;
-}
-
-void
-ThreadedState::region_sw(int t, int64_t now)
-{
-    const int32_t entry_pc = hs[t].sw->pc;
-    int64_t adv = region_sw_run(t, now);
-    ahead_progress = std::max(ahead_progress, now + adv - 1);
-    c_regions++;
-    c_region_cycles += adv;
-    if (adv < kRegionMinGain && --s_credit[t][entry_pc] <= 0)
-        scode[t][entry_pc].rflags &= ~SF_RSTART;
-    prog_ = true;
-    if (adv <= 1) {
-        if (s_state[t] == kAwake)
-            peek_sw(hs[t], t, now);
-        return;
-    }
-    s_state[t] = kAhead;
-    mask_clr(s_mask, t);
-    awake_sw--;
-    s_resume[t] = now + adv;
-    wheel.push({now + adv, n + t});
-}
-
 // ====================================================================
 // Main loop
 // ====================================================================
 
 /**
- * Drain due wheel entries.  Index < n: a sleeping processor's
- * scoreboard deadline (stale entries are harmless — wake_proc only
- * wakes kAsleep).  Index >= n - and proc entries for kAhead units -
- * are resume stamps; the p_resume/s_resume guard discards stale
- * entries, which can only pop strictly before the live stamp.
+ * Drain due wheel entries: wake each sleeping processor whose
+ * scoreboard deadline has come (stale entries are harmless —
+ * wake_proc only wakes kAsleep).
  */
 void
 ThreadedState::pop_wheel(int64_t now)
 {
     while (!wheel.empty() && wheel.top().first <= now) {
-        const int64_t at = wheel.top().first;
-        const int idx = wheel.top().second;
+        wake_proc(wheel.top().second);
         wheel.pop();
-        if (idx < n) {
-            const int t = idx;
-            if (p_state[t] == kAsleep) {
-                wake_proc(t);
-            } else if (p_state[t] == kAhead && at >= p_resume[t]) {
-                p_state[t] = kAwake;
-                mask_set(p_mask, t);
-                awake_procs++;
-            }
-        } else {
-            const int t = idx - n;
-            if (s_state[t] == kAhead && at >= s_resume[t]) {
-                s_state[t] = kAwake;
-                mask_set(s_mask, t);
-                awake_sw++;
-            }
-        }
     }
 }
 
@@ -2113,7 +1822,6 @@ ThreadedState::run(int64_t max_cycles)
 {
     int64_t now = 0;
     int64_t last_progress = 0;
-    region_stop = max_cycles;
     // Stall window: identical to the reference computation.
     int64_t worst_penalty = S.faults_.penalty;
     if (S.faults_.route_stall_rate > 0.0)
@@ -2155,8 +1863,8 @@ ThreadedState::run(int64_t max_cycles)
                                    ? max_cycles
                                    : std::min(max_cycles,
                                               wheel.top().first);
-                int64_t adv = straight_run(solo, now, stop,
-                                           PF_SPRINT, last_progress);
+                int64_t adv =
+                    straight_run(solo, now, stop, last_progress);
                 if (adv > 0) {
                     now += adv;
                     continue;
@@ -2211,7 +1919,6 @@ ThreadedState::run(int64_t max_cycles)
         if (prog_ || S.progress_) {
             last_progress = now;
         } else {
-            last_progress = std::max(last_progress, ahead_progress);
             // No wait-for-graph report here: Simulator::run replaces
             // this error with the reference core's exact one.
             if (now - last_progress > stall_limit)

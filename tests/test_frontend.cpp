@@ -116,6 +116,47 @@ TEST(Parser, Diagnostics)
         << "zero-sized array";
 }
 
+/** what() of the FatalError @p src raises, or "" if it parses. */
+std::string
+parse_error(const std::string &src)
+{
+    try {
+        parse_program(src);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Parser, LiteralSubscriptOutOfRange)
+{
+    // Loads, stores and each dimension of a multi-dim array, with
+    // the literal optionally negated.
+    EXPECT_NE(parse_error("int a[4]; print(a[7]);")
+                  .find("subscript 7 out of range for 'a' (extent 4)"),
+              std::string::npos);
+    EXPECT_NE(parse_error("int a[4]; print(a[-1]);")
+                  .find("subscript -1 out of range for 'a' (extent 4)"),
+              std::string::npos);
+    EXPECT_NE(parse_error("int a[4]; a[4] = 1;")
+                  .find("subscript 4 out of range for 'a' (extent 4)"),
+              std::string::npos);
+    EXPECT_NE(parse_error("float m[2][3]; m[1][3] = 1.0;")
+                  .find("subscript 3 out of range for 'm' (extent 3)"),
+              std::string::npos);
+    EXPECT_NE(parse_error("float m[2][3]; print(m[2][0]);")
+                  .find("subscript 2 out of range for 'm' (extent 2)"),
+              std::string::npos);
+
+    // In range at both ends, and -0, parse.
+    EXPECT_EQ(parse_error("int a[4]; a[0] = a[3]; print(a[-0]);"), "");
+    EXPECT_EQ(parse_error("float m[2][3]; m[1][2] = m[0][0];"), "");
+    // A computed subscript is not checked (undefined when out of
+    // range, see docs/LANGUAGE.md).
+    EXPECT_EQ(parse_error("int a[4]; int i; i = 3; print(a[i + 2]);"),
+              "");
+}
+
 TEST(Parser, SqrtBuiltin)
 {
     Program p = parse_program("float y; y = sqrt(2.0);");

@@ -1,7 +1,7 @@
 /**
  * @file
- * Backend-differential suite: run the reference, threaded and
- * region-compiled execution cores over the full golden corpus (every
+ * Backend-differential suite: run the reference and threaded
+ * execution cores over the full golden corpus (every
  * point in tests/goldens/, at its native machine size and
  * fault/scheduler configuration), a tile sweep of the golden
  * benchmarks extended to the 64/128-tile scaling meshes, and a
@@ -11,11 +11,10 @@
  * contents.  The checker is armed on the _sched and fault points
  * (covering the kRouteN + provenance paths) and left off on the
  * plain points so the kRoute1 fast path is the one being compared.
- * Also pins the region-formation gates (regions must be off under
- * every fault channel and under the checker), that every core —
- * the default one included — throws the reference core's exact
- * DeadlockError text, that the default core is the fast one, and
- * the CLI's --sim-backend spellings.
+ * Also pins that the threaded core — the default one — throws the
+ * reference core's exact DeadlockError text, that a solo run longer
+ * than the stall window is progress, that the default core is the
+ * fast one, and the CLI's --sim-backend spellings.
  */
 
 #include <cstdio>
@@ -127,8 +126,8 @@ TEST(SimBackend, LargeMeshSweep)
     diff_point({"jacobi", 64, {}, true, true}); // checker on _sched
     diff_point({"fpppp-kernel", 128, {}});
 
-    // Fault point at 64 tiles with the checker armed: regions are
-    // forced off, so this pins the large-mesh threaded paths too.
+    // Fault point at 64 tiles with the checker armed: the large-mesh
+    // fault and provenance paths.
     FaultConfig miss{};
     miss.miss_rate = 0.05;
     miss.penalty = 12;
@@ -159,53 +158,6 @@ TEST(SimBackend, FaultChannelMatrix)
     miss.penalty = 10;
     miss.seed = 3;
     diff_point({"tomcatv", 16, miss, false, true});
-}
-
-TEST(SimBackend, RegionsDisabledUnderEveryFaultChannel)
-{
-    // Region formation must turn itself off whenever any fault
-    // channel or the runtime checker is armed (those paths consume
-    // per-cycle randomness / per-step checks a fused run would skip),
-    // and the plain threaded core must never form regions at all.
-    CompileOutput out = compile_source(benchmark("jacobi").source,
-                                       MachineConfig::base(4));
-    auto regions = [&](const FaultConfig &f, const CheckConfig &c,
-                       SimBackend b = SimBackend::kRegion) {
-        Simulator sim(out.program, f, c, b);
-        return sim.run().regions_entered;
-    };
-
-    EXPECT_GT(regions({}, {}), 0) << "clean region run must fuse";
-    EXPECT_EQ(regions({}, {}, SimBackend::kThreaded), 0);
-    EXPECT_EQ(regions({}, {}, SimBackend::kReference), 0);
-
-    FaultConfig miss{};
-    miss.miss_rate = 0.1;
-    miss.penalty = 10;
-    miss.seed = 1;
-    EXPECT_EQ(regions(miss, {}), 0) << "memory-miss channel";
-
-    FaultConfig route{};
-    route.route_stall_rate = 0.1;
-    route.route_stall_cycles = 3;
-    route.seed = 1;
-    EXPECT_EQ(regions(route, {}), 0) << "route-stall channel";
-
-    FaultConfig dyn{};
-    dyn.dyn_delay_rate = 0.2;
-    dyn.dyn_delay_cycles = 5;
-    dyn.seed = 1;
-    EXPECT_EQ(regions(dyn, {}), 0) << "dyn-delay channel";
-
-    FaultConfig jit{};
-    jit.jitter_rate = 0.01;
-    jit.seed = 1;
-    EXPECT_EQ(regions(jit, {}), 0) << "jitter channel";
-
-    CheckConfig checks;
-    checks.provenance = true;
-    checks.fifo_bounds = true;
-    EXPECT_EQ(regions({}, checks), 0) << "runtime checker";
 }
 
 PInstr
@@ -290,11 +242,12 @@ freeze_after_sleep()
     return cp;
 }
 
-// Tile 0 counts down a FIFO-free loop (one region on the region
-// core) for 3 * @p iters cycles while tile 1 blocks on a receive;
-// 60000 iterations outlast the 100k-cycle stall window.  With @p send the loop
-// ends by sending tile 1 its word and the program completes;
-// without it the machine freezes once the loop is done.
+// Tile 0 counts down a FIFO-free loop (one solo sprint on the
+// threaded core) for 3 * @p iters cycles while tile 1 blocks on a
+// receive; 60000 iterations outlast the 100k-cycle stall window.
+// With @p send the loop ends by sending tile 1 its word and the
+// program completes; without it the machine freezes once the loop
+// is done.
 CompiledProgram
 run_ahead_loop(int iters, bool send)
 {
@@ -339,9 +292,9 @@ deadlock_report(const CompiledProgram &cp, const FaultConfig &f,
 }
 
 /**
- * Every core, and the default-constructed Simulator, must throw the
- * reference core's DeadlockError byte for byte — detection cycle
- * included — and the same cycle-number-free deadlock_set().
+ * The threaded core, and the default-constructed Simulator, must
+ * throw the reference core's DeadlockError byte for byte — detection
+ * cycle included — and the same cycle-number-free deadlock_set().
  */
 void
 expect_reference_report(const char *what, const CompiledProgram &cp,
@@ -354,15 +307,14 @@ expect_reference_report(const char *what, const CompiledProgram &cp,
         << want.first;
     EXPECT_EQ(deadlock_report(cp, f, std::nullopt), want)
         << "default core";
-    for (SimBackend b : {SimBackend::kThreaded, SimBackend::kRegion})
-        EXPECT_EQ(deadlock_report(cp, f, b), want)
-            << sim_backend_name(b);
+    EXPECT_EQ(deadlock_report(cp, f, SimBackend::kThreaded), want)
+        << "threaded core";
 }
 
 TEST(SimBackend, DeadlockSetParity)
 {
-    // All three cores diagnose the same deadlock set (blocking cycle
-    // + blocked units) and report it at the same cycle: a fast core
+    // Both cores diagnose the same deadlock set (blocking cycle +
+    // blocked units) and report it at the same cycle: a threaded run
     // that deadlocks hands the report to a reference-core re-run.
     CompiledProgram cp = routing_cycle();
     std::string ref =
@@ -374,10 +326,10 @@ TEST(SimBackend, DeadlockSetParity)
     expect_reference_report("routing cycle", cp);
     expect_reference_report("freeze after a sleep span",
                             freeze_after_sleep());
-    // Region run-ahead retires 180k cycles of loop in one dispatch;
-    // the freeze that follows must be reported at the reference
-    // core's exact cycle, not when the stall window expires.
-    expect_reference_report("freeze after region run-ahead",
+    // The solo sprint retires 180k cycles of loop without a
+    // per-cycle scan; the freeze that follows must be reported at the
+    // reference core's exact cycle, not when the stall window expires.
+    expect_reference_report("freeze after a long solo run",
                             run_ahead_loop(60000, false));
 }
 
@@ -399,7 +351,7 @@ TEST(SimBackend, DeadlockReportParityUnderFaults)
 
 TEST(SimBackend, RunAheadPastStallWindowIsNotADeadlock)
 {
-    // A region that runs ahead for longer than the stall window is
+    // A solo sprint that runs for longer than the stall window is
     // progress, exactly as the reference core sees it cycle by cycle.
     CompiledProgram cp = run_ahead_loop(60000, true);
     SimResult r;
@@ -414,12 +366,13 @@ TEST(SimBackend, DefaultIsTheFastCore)
     EXPECT_EQ(sim_backend_from_string("fast"), SimBackend::kThreaded);
     EXPECT_EQ(sim_backend_from_string("threaded"),
               SimBackend::kThreaded);
-    EXPECT_EQ(sim_backend_from_string("region"), SimBackend::kRegion);
+    // The deleted region core's name stays a threaded spelling.
+    EXPECT_EQ(sim_backend_from_string("region"), SimBackend::kThreaded);
     EXPECT_EQ(sim_backend_from_string("reference"),
               SimBackend::kReference);
     EXPECT_THROW(sim_backend_from_string("bogus"), FatalError);
 
-    // A default run is bit-identical to the three-core differential.
+    // A default run is bit-identical to the two-core differential.
     const BenchmarkProgram &prog = benchmark("life");
     CompileOutput out =
         compile_source(prog.source, MachineConfig::base(16));
@@ -489,7 +442,7 @@ TEST(SimBackendCli, IntMinByMinusOneWrapsEverywhere)
                            std::to_string(k++) + ".rawc";
         std::ofstream(path) << src;
         std::vector<std::string> runs = {"--baseline"};
-        for (const char *core : {"reference", "fast", "region"})
+        for (const char *core : {"reference", "fast"})
             for (const char *unroll : {"", " --no-unroll"})
                 for (const char *tiles : {"1", "4"})
                     runs.push_back(std::string("--sim-backend ") +
@@ -509,8 +462,8 @@ TEST(SimBackendCli, SimDiffBannerNamesTheCores)
 {
     std::string out;
     ASSERT_EQ(run_cli("--sim-diff --tiles 4 jacobi", out), 0) << out;
-    EXPECT_NE(out.find("[sim-diff: reference, fast (threaded) and "
-                       "region backends identical]"),
+    EXPECT_NE(out.find("[sim-diff: reference and fast (threaded) "
+                       "backends identical]"),
               std::string::npos)
         << out;
 }

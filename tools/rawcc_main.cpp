@@ -45,8 +45,8 @@
  *                      core) | reference (the specification core);
  *                      a deadlock report always carries the reference
  *                      core's exact cycle
- *   --sim-diff         run the reference, fast (threaded) and region
- *                      cores, require identical results
+ *   --sim-diff         run the reference and fast (threaded) cores,
+ *                      require identical results
  *   --pgo              profile-guided placement (compile, simulate,
  *                      recompile around the measured congestion)
  *   --list-benchmarks  list the built-in Table 2 programs
@@ -422,8 +422,8 @@ main(int argc, char **argv)
         if (sim_diff) {
             r = diff_sim_backends(out.program, faults, checks,
                                   !trace_out.empty(), point_timeout);
-            std::printf("[sim-diff: reference, fast (threaded) and "
-                        "region backends identical]\n");
+            std::printf("[sim-diff: reference and fast (threaded) "
+                        "backends identical]\n");
         } else {
             Simulator sim(out.program, faults, checks, sim_backend);
             if (!trace_out.empty())
