@@ -8,19 +8,14 @@
  * BENCH_table3.json which tracks the *simulated* machine.
  *
  * Flags: --jobs N fans the (benchmark × size) runs over N worker
- * threads (0 = one per core; the PGO sweep, whose points run
- * sequentially, instead fans each compile's per-block phases over
- * N); --tiny runs a single small config so CI can
- * smoke-test the harness in well under a second (ctest label
- * perf-smoke); --pgo-sweep adds the compile-throughput scenario (a
- * PGO portfolio over compile-heavy points, timed with the in-memory
- * schedule cache off / cold / warm — the "pgo_sweep" JSON section
- * records the warm speedup); --scaling adds the large-mesh scenario
+ * threads (0 = one per core); --tiny runs a single small config so
+ * CI can smoke-test the harness in well under a second (ctest label
+ * perf-smoke); --scaling adds the large-mesh scenario
  * (the full suite at 16/32/64/128 tiles, each point simulated under the
  * reference and threaded cores with a cycle-equality assert — the
  * "scaling" JSON section records per-mesh cycles/s for both cores
  * plus, per run, speedup over the same benchmark's 1-tile cycles and
- * cold-cache compile time with its partition-phase share; always run
+ * compile time with its partition-phase share; always run
  * serially for honest per-core timings); --sim-backend picks the
  * sweep's core (reference | fast, default fast, i.e.
  * raw::kDefaultSimBackend) or "both" for the reference core plus a
@@ -28,7 +23,7 @@
  * --json-out PATH overrides the output path.
  *
  * Results (cycle counts, prints) are bit-identical at any --jobs
- * value and any cache state; only the wall-clock figures vary
+ * value; only the wall-clock figures vary
  * between hosts and runs.
  */
 
@@ -43,7 +38,6 @@
 #include "harness/cli.hpp"
 #include "harness/harness.hpp"
 #include "harness/parallel.hpp"
-#include "rawcc/schedcache.hpp"
 
 namespace {
 
@@ -118,9 +112,8 @@ time_one(const raw::BenchmarkProgram &prog, int tiles,
 
 /**
  * Large-mesh scaling scenario: the full suite at 16/32/64/128 tiles
- * (past Table 3's 32-tile ceiling), each point compiled once from a
- * cleared in-memory schedule cache and simulated under both cores
- * with a cycle-equality assert.  A
+ * (past Table 3's 32-tile ceiling), each point compiled once and
+ * simulated under both cores with a cycle-equality assert.  A
  * 1-tile simulation per benchmark supplies the speedup baseline.
  * Always runs serially so each core's cycles/s is an honest
  * single-thread figure.
@@ -145,10 +138,6 @@ run_scaling(bool tiny)
     for (const raw::BenchmarkProgram &prog : raw::benchmark_suite()) {
         if (tiny && prog.name != "jacobi")
             continue;
-        // Every compile here is timed cold: the 1-32-tile sweep
-        // above (and the previous mesh) must not warm the schedule
-        // cache for this one.
-        raw::SchedCache::instance().clear_memory();
         // 1-tile baseline cycles (cycle count is core-independent).
         raw::CompileOutput base = raw::compile_source(
             prog.source, raw::MachineConfig::base(1));
@@ -161,7 +150,6 @@ run_scaling(bool tiny)
             p.name = prog.name;
             p.tiles = n;
             p.base_cycles = base_cycles;
-            raw::SchedCache::instance().clear_memory();
             Clock::time_point tc = Clock::now();
             raw::CompileOutput out = raw::compile_source(
                 prog.source, raw::MachineConfig::base(n));
@@ -205,113 +193,6 @@ run_scaling(bool tiny)
     return pts;
 }
 
-/**
- * Compile-throughput scenario: the same PGO portfolio compile (the
- * most compile-intensive thing the driver does — every candidate is
- * a full compile plus a fault-free simulation) over compile-heavy
- * points, timed three ways: schedule cache off (the pre-cache
- * baseline), cache on but cold, and cache warm.  The picked programs
- * must be cycle-identical in all three modes.
- */
-struct PgoSweep
-{
-    bool ran = false;
-    std::vector<std::string> names;
-    std::vector<int64_t> cycles;
-    double baseline_ms = 0;
-    double cold_ms = 0;
-    double warm_ms = 0;
-    raw::SchedCacheCounters warm_cache;
-};
-
-PgoSweep
-run_pgo_sweep(bool tiny, int jobs)
-{
-    // Points where a PGO race is actually worth running: compile
-    // cost dominated by orchestration (partition + schedule), i.e.
-    // the work the cache reuses.  cholesky n=8 is deliberately
-    // absent — its unroll emits ~680k static instructions for an
-    // 8-tile machine, so candidate compiles there are bound by code
-    // emission and linking, which no schedule cache can share.
-    std::vector<std::pair<const char *, int>> points;
-    if (tiny) {
-        points = {{"jacobi", 4}};
-    } else {
-        points = {{"fpppp-kernel", 8},
-                  {"cholesky", 16},
-                  {"cholesky", 32},
-                  {"fpppp-kernel", 16},
-                  {"fpppp-kernel", 32}};
-    }
-
-    PgoSweep sw;
-    sw.ran = true;
-    for (auto [name, tiles] : points)
-        sw.names.push_back(std::string(name) + "_n" +
-                           std::to_string(tiles));
-
-    auto sweep = [&](bool cache, const char *mode,
-                     raw::SchedCacheCounters *ctr) {
-        Clock::time_point t0 = Clock::now();
-        std::vector<int64_t> cycles;
-        for (auto [name, tiles] : points) {
-            Clock::time_point tp = Clock::now();
-            const raw::BenchmarkProgram &prog = raw::benchmark(name);
-            raw::CompilerOptions opts;
-            opts.pgo = true;
-            opts.orch.use_cache = cache;
-            opts.orch.jobs = jobs;
-            raw::CompileOutput out = raw::compile_source(
-                prog.source, raw::MachineConfig::base(tiles), opts);
-            double compile_ms = ms_since(tp);
-            raw::Simulator sim(out.program);
-            cycles.push_back(sim.run().cycles);
-            if (ctr)
-                ctr->add(out.stats.cache);
-            std::printf("  pgo %-14s n=%-3d %9.1f ms "
-                        "(compile %.1f, verify-sim %.1f) (%s)\n",
-                        name, tiles, ms_since(tp), compile_ms,
-                        ms_since(tp) - compile_ms, mode);
-            std::fflush(stdout);
-        }
-        return std::make_pair(ms_since(t0), cycles);
-    };
-
-    raw::SchedCache::instance().clear_memory();
-    auto [base_ms, base_cycles] = sweep(false, "baseline", nullptr);
-    raw::SchedCache::instance().clear_memory();
-    auto [cold_ms, cold_cycles] = sweep(true, "cold", nullptr);
-    raw::SchedCacheCounters after_cold =
-        raw::SchedCache::instance().totals();
-    std::fprintf(stderr,
-                 "pgo sweep: cache %lld bytes, %lld hit / %lld miss "
-                 "after cold\n",
-                 static_cast<long long>(
-                     raw::SchedCache::instance().memory_bytes()),
-                 static_cast<long long>(after_cold.hits()),
-                 static_cast<long long>(after_cold.misses()));
-    auto [warm_ms, warm_cycles] = sweep(true, "warm", &sw.warm_cache);
-    raw::SchedCacheCounters after_warm =
-        raw::SchedCache::instance().totals();
-    std::fprintf(stderr,
-                 "pgo sweep: %lld hit / %lld miss in warm pass\n",
-                 static_cast<long long>(after_warm.hits() -
-                                        after_cold.hits()),
-                 static_cast<long long>(after_warm.misses() -
-                                        after_cold.misses()));
-
-    if (base_cycles != cold_cycles || base_cycles != warm_cycles) {
-        std::fprintf(stderr,
-                     "pgo sweep: cycles differ across cache modes\n");
-        std::exit(1);
-    }
-    sw.cycles = base_cycles;
-    sw.baseline_ms = base_ms;
-    sw.cold_ms = cold_ms;
-    sw.warm_ms = warm_ms;
-    return sw;
-}
-
 /** cycles / (ms/1e3), 0 when the denominator is zero (never inf/nan). */
 double
 per_sec(int64_t count, double ms)
@@ -321,7 +202,7 @@ per_sec(int64_t count, double ms)
 
 void
 write_json(const std::string &path, const std::vector<RunTiming> &runs,
-           int jobs, double wall_ms, const PgoSweep &pgo,
+           int jobs, double wall_ms,
            const std::vector<ScalePoint> &scaling, BackendMode mode)
 {
     raw::PhaseTimings sum;
@@ -431,37 +312,6 @@ write_json(const std::string &path, const std::vector<RunTiming> &runs,
         }
         out << "],\n   \"cycles_identical\": true},\n";
     }
-    if (pgo.ran) {
-        std::snprintf(
-            buf, sizeof(buf),
-            "  \"pgo_sweep\": {\"baseline_ms\": %.1f, "
-            "\"cold_ms\": %.1f, \"warm_ms\": %.1f,\n",
-            pgo.baseline_ms, pgo.cold_ms, pgo.warm_ms);
-        out << buf;
-        std::snprintf(
-            buf, sizeof(buf),
-            "    \"speedup_cold\": %.2f, \"speedup_warm\": %.2f, "
-            "\"cycles_identical\": true,\n",
-            pgo.cold_ms > 0 ? pgo.baseline_ms / pgo.cold_ms : 0,
-            pgo.warm_ms > 0 ? pgo.baseline_ms / pgo.warm_ms : 0);
-        out << buf;
-        std::snprintf(
-            buf, sizeof(buf),
-            "    \"warm_cache\": {\"hits\": %lld, \"misses\": %lld},\n",
-            static_cast<long long>(pgo.warm_cache.hits()),
-            static_cast<long long>(pgo.warm_cache.misses()));
-        out << buf;
-        out << "    \"points\": [";
-        for (size_t i = 0; i < pgo.names.size(); i++) {
-            std::snprintf(
-                buf, sizeof(buf),
-                "%s{\"name\": \"%s\", \"cycles\": %lld}",
-                i ? ", " : "", pgo.names[i].c_str(),
-                static_cast<long long>(pgo.cycles[i]));
-            out << buf;
-        }
-        out << "]},\n";
-    }
     out << "  \"runs\": [\n";
     for (size_t i = 0; i < runs.size(); i++) {
         const RunTiming &rt = runs[i];
@@ -486,7 +336,6 @@ main(int argc, char **argv)
     std::string json_out = "BENCH_wallclock.json";
     int jobs = 1;
     bool tiny = false;
-    bool pgo_sweep = false;
     bool scaling = false;
     BackendMode mode;
     for (int i = 1; i < argc; i++) {
@@ -512,8 +361,6 @@ main(int argc, char **argv)
             }
         } else if (std::strcmp(argv[i], "--tiny") == 0)
             tiny = true;
-        else if (std::strcmp(argv[i], "--pgo-sweep") == 0)
-            pgo_sweep = true;
         else if (std::strcmp(argv[i], "--scaling") == 0)
             scaling = true;
     }
@@ -546,18 +393,9 @@ main(int argc, char **argv)
             rt.name.c_str(), rt.tiles, rt.compile.total_ms, rt.sim_ms,
             static_cast<long long>(rt.cycles));
 
-    PgoSweep pgo;
-    if (pgo_sweep) {
-        pgo = run_pgo_sweep(tiny, jobs);
-        std::printf("pgo sweep: baseline %.1f ms, cold %.1f ms, "
-                    "warm %.1f ms (%.2fx warm speedup)\n",
-                    pgo.baseline_ms, pgo.cold_ms, pgo.warm_ms,
-                    pgo.warm_ms > 0 ? pgo.baseline_ms / pgo.warm_ms
-                                    : 0);
-    }
     std::vector<ScalePoint> scale;
     if (scaling)
         scale = run_scaling(tiny);
-    write_json(json_out, runs, jobs, wall_ms, pgo, scale, mode);
+    write_json(json_out, runs, jobs, wall_ms, scale, mode);
     return 0;
 }

@@ -8,6 +8,30 @@
 
 namespace raw {
 
+Op
+binary_opcode(const std::string &op, bool is_float)
+{
+    struct Row
+    {
+        const char *op;
+        Op i, f;
+    };
+    static const Row kRows[] = {
+        {"+", Op::kAdd, Op::kFAdd},       {"-", Op::kSub, Op::kFSub},
+        {"*", Op::kMul, Op::kFMul},       {"/", Op::kDiv, Op::kFDiv},
+        {"%", Op::kRem, Op::kRem},        {"&", Op::kAnd, Op::kAnd},
+        {"|", Op::kOr, Op::kOr},          {"^", Op::kXor, Op::kXor},
+        {"<<", Op::kShl, Op::kShl},       {">>", Op::kShr, Op::kShr},
+        {"<", Op::kCmpLt, Op::kFCmpLt},   {"<=", Op::kCmpLe, Op::kFCmpLe},
+        {">", Op::kCmpGt, Op::kFCmpGt},   {">=", Op::kCmpGe, Op::kFCmpGe},
+        {"==", Op::kCmpEq, Op::kFCmpEq},  {"!=", Op::kCmpNe, Op::kFCmpNe},
+    };
+    for (const Row &r : kRows)
+        if (op == r.op)
+            return is_float ? r.f : r.i;
+    panic("lower: bad binary op " + op);
+}
+
 namespace {
 
 class Lowerer
@@ -123,42 +147,7 @@ class Lowerer
         }
         ValueId l = lower_expr(*e.kids[0]);
         ValueId r = lower_expr(*e.kids[1]);
-        bool f = fn_.values[l].type == Type::kF32;
-        Op op;
-        if (e.op == "+")
-            op = f ? Op::kFAdd : Op::kAdd;
-        else if (e.op == "-")
-            op = f ? Op::kFSub : Op::kSub;
-        else if (e.op == "*")
-            op = f ? Op::kFMul : Op::kMul;
-        else if (e.op == "/")
-            op = f ? Op::kFDiv : Op::kDiv;
-        else if (e.op == "%")
-            op = Op::kRem;
-        else if (e.op == "&")
-            op = Op::kAnd;
-        else if (e.op == "|")
-            op = Op::kOr;
-        else if (e.op == "^")
-            op = Op::kXor;
-        else if (e.op == "<<")
-            op = Op::kShl;
-        else if (e.op == ">>")
-            op = Op::kShr;
-        else if (e.op == "<")
-            op = f ? Op::kFCmpLt : Op::kCmpLt;
-        else if (e.op == "<=")
-            op = f ? Op::kFCmpLe : Op::kCmpLe;
-        else if (e.op == ">")
-            op = f ? Op::kFCmpGt : Op::kCmpGt;
-        else if (e.op == ">=")
-            op = f ? Op::kFCmpGe : Op::kCmpGe;
-        else if (e.op == "==")
-            op = f ? Op::kFCmpEq : Op::kCmpEq;
-        else if (e.op == "!=")
-            op = f ? Op::kFCmpNe : Op::kCmpNe;
-        else
-            panic("lower: bad binary op " + e.op);
+        Op op = binary_opcode(e.op, fn_.values[l].type == Type::kF32);
         return b_->emit(op, e.type, l, r);
     }
 

@@ -13,10 +13,19 @@
  * final scalar values out of simulated memory for verification.
  */
 
+#include <string>
+
 #include "frontend/ast.hpp"
 #include "ir/function.hpp"
+#include "ir/opcode.hpp"
 
 namespace raw {
+
+/**
+ * The IR opcode of rawc binary operator @p op (any spelling but `&&`
+ * and `||`) on int or, with @p is_float, float operands.
+ */
+Op binary_opcode(const std::string &op, bool is_float);
 
 /** Lower a (possibly unrolled) program to an IR function. */
 Function lower_program(const Program &prog);

@@ -1,11 +1,11 @@
 #include "frontend/unroll.hpp"
 
-
 #include <map>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "frontend/lower.hpp"
 #include "ir/eval.hpp"
 #include "ir/type.hpp"
 #include "support/error.hpp"
@@ -143,6 +143,128 @@ const_eval(const Expr &e, const ConstEnv &consts)
     }
     return std::nullopt;
 }
+
+/**
+ * Fold an int expression to the 32-bit word the program computes,
+ * using the IR's evaluator; nullopt unless every leaf is an int
+ * literal or a scalar in @p consts.  `&&` / `||` are also decided by
+ * one constant side (a false side of `&&`, a true side of `||`):
+ * rawc evaluates both sides, but the value is already fixed.
+ */
+std::optional<int32_t>
+fold_word(const Expr &e, const ConstEnv &consts)
+{
+    switch (e.kind) {
+      case ExprKind::kIntLit:
+        return e.int_val;
+      case ExprKind::kVar: {
+        auto it = consts.find(e.name);
+        if (it == consts.end())
+            return std::nullopt;
+        return static_cast<int32_t>(it->second);
+      }
+      case ExprKind::kUnary: {
+        auto v = fold_word(*e.kids[0], consts);
+        if (!v || (e.op != "-" && e.op != "!"))
+            return std::nullopt;
+        return e.op == "-" ? bits_int(0u - int_bits(*v))
+                           : int32_t{*v == 0};
+      }
+      case ExprKind::kBinary: {
+        auto l = fold_word(*e.kids[0], consts);
+        if (e.op == "&&" || e.op == "||") {
+            auto r = fold_word(*e.kids[1], consts);
+            const int32_t decides = e.op == "||";
+            if ((l && (*l != 0) == decides) || (r && (*r != 0) == decides))
+                return decides;
+            if (l && r)
+                return 1 - decides;
+            return std::nullopt;
+        }
+        if (!l)
+            return std::nullopt;
+        auto r = fold_word(*e.kids[1], consts);
+        uint32_t out;
+        if (r && eval_op(binary_opcode(e.op, false), int_bits(*l),
+                         int_bits(*r), out))
+            return bits_int(out);
+        return std::nullopt;
+      }
+      default:
+        return std::nullopt;
+    }
+}
+
+/**
+ * Reject every array subscript that folds to a constant outside its
+ * dimension's extent, with the parser's message for an out-of-range
+ * literal.  Full unrolling substitutes exact induction values, so
+ * `a[i - 1]` in a peeled loop becomes `a[0 - 1]`; left alone it
+ * reaches the simulator as an access to another tile's memory.  The
+ * arm of an `if` (and the body of a `while`) whose condition folds
+ * to false is skipped: `if (i > 0) { .. a[i - 1] .. }` is the
+ * ordinary guard for that first iteration.
+ */
+class SubscriptChecker
+{
+  public:
+    SubscriptChecker(
+        const std::unordered_map<std::string, std::vector<int64_t>> &dims,
+        const ConstEnv &consts)
+        : dims_(dims), consts_(consts)
+    {}
+
+    void
+    stmts(const std::vector<StmtPtr> &list)
+    {
+        for (const StmtPtr &s : list) {
+            if (s->expr)
+                expr(*s->expr);
+            if (s->bound)
+                expr(*s->bound);
+            if (s->kind == StmtKind::kArrayAssign)
+                access(s->name, s->indices);
+            for (const ExprPtr &i : s->indices)
+                expr(*i);
+            std::optional<int32_t> cond;
+            if (s->kind == StmtKind::kIf || s->kind == StmtKind::kWhile)
+                cond = fold_word(*s->expr, consts_);
+            if (!cond || *cond != 0)
+                stmts(s->body);
+            if (!cond || *cond == 0)
+                stmts(s->else_body);
+        }
+    }
+
+  private:
+    const std::unordered_map<std::string, std::vector<int64_t>> &dims_;
+    const ConstEnv &consts_;
+
+    void
+    expr(const Expr &e)
+    {
+        if (e.kind == ExprKind::kArray)
+            access(e.name, e.kids);
+        for (const ExprPtr &k : e.kids)
+            expr(*k);
+    }
+
+    void
+    access(const std::string &array, const std::vector<ExprPtr> &idx)
+    {
+        auto it = dims_.find(array);
+        if (it == dims_.end())
+            return;
+        for (size_t d = 0; d < idx.size() && d < it->second.size(); d++) {
+            auto v = fold_word(*idx[d], consts_);
+            const int64_t extent = it->second[d];
+            if (v && (*v < 0 || *v >= extent))
+                fatal("subscript " + std::to_string(*v) +
+                      " out of range for '" + array + "' (extent " +
+                      std::to_string(extent) + ")");
+        }
+    }
+};
 
 /** Names assigned anywhere in a statement list (recursively). */
 void
@@ -497,6 +619,7 @@ unroll_program(Program &prog, const UnrollOptions &opts)
 
     Unroller u(opts, dims, consts);
     u.run(prog.stmts);
+    SubscriptChecker(dims, consts).stmts(prog.stmts);
     return u.stats;
 }
 

@@ -217,11 +217,8 @@ orchestrate_and_link(Function fn, const MachineConfig &machine,
     if (opts.smart_homes && orch_opts.var_home_override.empty()) {
         // Phase 1: trial orchestration on a copy to collect usage
         // votes; phase 2 (below) re-runs with the voted homes.
-        // With the schedule cache on, this probe is typically a full
-        // hit of an earlier plain compile of the same program.
         Function trial = fn;
         VirtualProgram probe = orchestrate(trial, machine, orch_opts);
-        out.stats.cache.add(probe.cache);
         out.stats.orch_partition_ms += probe.partition_phase_ms;
         out.stats.orch_schedule_ms += probe.schedule_phase_ms;
         orch_opts.var_home_override.assign(fn.values.size(), -1);
@@ -237,7 +234,6 @@ orchestrate_and_link(Function fn, const MachineConfig &machine,
         }
     }
     VirtualProgram vp = orchestrate(fn, machine, orch_opts);
-    out.stats.cache.add(vp.cache);
     out.stats.orch_partition_ms += vp.partition_phase_ms;
     out.stats.orch_schedule_ms += vp.schedule_phase_ms;
     out.stats.timings.orchestrate_ms = lap_ms(t0);

@@ -95,8 +95,8 @@ struct CompileStats
     std::vector<int64_t> est_tile_busy;
     /** Per-stage compile time. */
     PhaseTimings timings;
-    /** Block-schedule cache traffic (includes smart-homes probes). */
-    SchedCacheCounters cache;
+    /** Always zero; see ZeroCacheCounters. */
+    ZeroCacheCounters cache;
     /** Parallel partition phase inside orchestrate_ms (ms). */
     double orch_partition_ms = 0;
     /** Parallel schedule+emit phase inside orchestrate_ms (ms). */
@@ -144,7 +144,7 @@ std::vector<CompilerOptions> pgo_candidates(
  * Canonical serialization of every option that can change the
  * compiled program.  Two option sets with equal fingerprints compile
  * any source to the same output; knobs that only affect how the
- * compiler runs (verify_ir, the pgo flag, jobs, use_cache) are
+ * compiler runs (verify_ir, the pgo flag, jobs) are
  * excluded.  pgo_candidates() uses this to drop duplicate candidates
  * before racing them.
  */

@@ -8,7 +8,6 @@
 #include <unordered_map>
 
 #include "harness/parallel.hpp"
-#include "rawcc/schedcache.hpp"
 #include "support/error.hpp"
 #include "transform/congruence.hpp"
 #include "transform/rename.hpp"
@@ -424,7 +423,7 @@ orchestrate(Function &fn, const MachineConfig &machine,
     // Control tails for every block, up front and in block order:
     // build_tail creates fresh values, and keeping all function
     // mutation serial (and before the parallel phases) makes value id
-    // allocation identical at any job count and any cache state.
+    // allocation identical at any job count.
     std::vector<TailTemplate> tails;
     tails.reserve(n_blocks);
     for (int b = 0; b < n_blocks; b++)
@@ -439,13 +438,8 @@ orchestrate(Function &fn, const MachineConfig &machine,
             if (repl.var_replicated(v))
                 svreg[v] = next++;
     }
-    std::vector<int> svreg_of(fn.values.size(), -1);
-    for (const auto &[v, r] : svreg)
-        svreg_of[v] = r;
 
-    // Which branches broadcast?  The condition's producing node is
-    // resolved lazily on a schedule-cache miss, where the task graph
-    // exists anyway.
+    // Which branches broadcast?
     std::vector<bool> needs_bcast(n_blocks, false);
     bool any_bcast = false;
     for (int b = 0; b < n_blocks; b++) {
@@ -461,62 +455,30 @@ orchestrate(Function &fn, const MachineConfig &machine,
         any_bcast = true;
     }
 
-    SchedCache &cache = SchedCache::instance();
-
     // Per-block working state.  Each parallel job owns exactly its
     // own index; every cross-block merge below runs serially in block
     // order, so results are bit-identical at any thread count.
-    std::vector<SchedCacheCounters> ctr(n_blocks);
-    std::vector<BlockCanon> canons(n_blocks);
-    std::vector<BlockKey> part_keys(n_blocks);
-    std::vector<std::shared_ptr<const PartEntry>> pentries(n_blocks);
     std::vector<std::unique_ptr<TaskGraph>> graphs(n_blocks);
     std::vector<Partition> parts(n_blocks);
     std::vector<std::vector<uint8_t>> probes(n_blocks);
     CongruencePool cong_pool(fn);
 
-    auto ensure_graph = [&](int b) -> TaskGraph & {
-        if (!graphs[b]) {
-            std::unique_ptr<CongruenceMap> cg = cong_pool.acquire();
-            cg->analyze(b);
-            graphs[b] = std::make_unique<TaskGraph>(
-                fn, b, machine, *cg, repl, live, vp.data.homes);
-            cong_pool.release(std::move(cg));
-        }
-        return *graphs[b];
-    };
-
     // The switch-probe mask costs a comm-routing pass per block, so
     // it is only computed when something will consume it: any
     // broadcast on a multi-tile machine activates every switch and
-    // the mask is moot.  Cache entries record whether they carry it
-    // (probe_valid); an entry without it misses for compiles that
-    // need it and is re-put upgraded.
+    // the mask is moot.
     const bool need_probe = !(any_bcast && n_tiles > 1);
 
-    // ---- Phase 1 (parallel): partition every block. -------------
+    // ---- Phase 1 (parallel): task graph + partition per block. --
     Clock::time_point t_part = Clock::now();
     run_parallel(n_blocks, n_threads, [&](int b) {
-        if (opts.use_cache) {
-            canons[b] = block_canon(fn, b, tails[b].instrs, pseq[b]);
-            part_keys[b] = block_partition_key(
-                fn, b, tails[b].instrs, canons[b], machine,
-                vp.data.homes, repl, live, svreg_of,
-                static_cast<int>(svreg.size()), opts.partition);
-            pentries[b] =
-                cache.get_part(part_keys[b], need_probe, ctr[b]);
-            if (pentries[b]) {
-                const PartEntry &e = *pentries[b];
-                parts[b].tile_of.assign(e.tile_of.begin(),
-                                        e.tile_of.end());
-                parts[b].cross_edges = e.cross_edges;
-                parts[b].swaps_evaluated = e.swaps_evaluated;
-                return;
-            }
-        }
-        const TaskGraph &g = ensure_graph(b);
-        parts[b] =
-            partition_taskgraph(g, machine, opts.partition);
+        std::unique_ptr<CongruenceMap> cg = cong_pool.acquire();
+        cg->analyze(b);
+        graphs[b] = std::make_unique<TaskGraph>(
+            fn, b, machine, *cg, repl, live, vp.data.homes);
+        cong_pool.release(std::move(cg));
+        const TaskGraph &g = *graphs[b];
+        parts[b] = partition_taskgraph(g, machine, opts.partition);
         if (need_probe) {
             // Switch activity this block contributes without any
             // broadcast: switches its route trees transit.
@@ -529,61 +491,22 @@ orchestrate(Function &fn, const MachineConfig &machine,
                     probes[b][h.tile] = 1;
             }
         }
-        if (opts.use_cache) {
-            auto e = std::make_shared<PartEntry>();
-            e->tile_of.assign(parts[b].tile_of.begin(),
-                              parts[b].tile_of.end());
-            e->cross_edges = parts[b].cross_edges;
-            e->swaps_evaluated = parts[b].swaps_evaluated;
-            e->probe_switch = probes[b];
-            e->probe_valid = need_probe;
-            // Usage votes in canonical numbering, aggregated in
-            // deterministic (var, tile) order.
-            std::map<std::pair<int32_t, int32_t>, int64_t> votes;
-            for (size_t i = 0; i < g.nodes().size(); i++) {
-                const TGNode &nd = g.nodes()[i];
-                if (nd.kind == TGKind::kImport) {
-                    for (int u : g.succs(static_cast<int>(i)))
-                        votes[{canons[b].canon_value(nd.var),
-                               parts[b].tile_of[u]}]++;
-                } else if (is_writeback(
-                               fn, fn.blocks[b].instrs[nd.instr])) {
-                    for (int p : g.preds(static_cast<int>(i)))
-                        votes[{canons[b].canon_value(
-                                   fn.blocks[b].instrs[nd.instr].dst),
-                               parts[b].tile_of[p]}]++;
-                }
-            }
-            for (const auto &[k, n] : votes)
-                e->votes.push_back({k.first, k.second, n});
-            cache.put_part(part_keys[b], e);
-            pentries[b] = e;
-        }
     });
     vp.partition_phase_ms = ms_since(t_part);
 
     // ---- Serial merge: swaps, votes, switch activity. -----------
     for (int b = 0; b < n_blocks; b++) {
         vp.placement_swaps += parts[b].swaps_evaluated;
-        if (pentries[b]) {
-            for (const auto &v : pentries[b]->votes)
-                vp.var_votes[canons[b].value_of(
-                    static_cast<int32_t>(v[0]))]
-                            [static_cast<int>(v[1])] +=
-                    static_cast<int>(v[2]);
-        } else {
-            const TaskGraph &g = *graphs[b];
-            for (size_t i = 0; i < g.nodes().size(); i++) {
-                const TGNode &nd = g.nodes()[i];
-                if (nd.kind == TGKind::kImport) {
-                    for (int u : g.succs(static_cast<int>(i)))
-                        vp.var_votes[nd.var][parts[b].tile_of[u]]++;
-                } else if (is_writeback(
-                               fn, fn.blocks[b].instrs[nd.instr])) {
-                    for (int p : g.preds(static_cast<int>(i)))
-                        vp.var_votes[fn.blocks[b].instrs[nd.instr].dst]
-                                    [parts[b].tile_of[p]]++;
-                }
+        const TaskGraph &g = *graphs[b];
+        for (size_t i = 0; i < g.nodes().size(); i++) {
+            const TGNode &nd = g.nodes()[i];
+            if (nd.kind == TGKind::kImport) {
+                for (int u : g.succs(static_cast<int>(i)))
+                    vp.var_votes[nd.var][parts[b].tile_of[u]]++;
+            } else if (is_writeback(fn, fn.blocks[b].instrs[nd.instr])) {
+                for (int p : g.preds(static_cast<int>(i)))
+                    vp.var_votes[fn.blocks[b].instrs[nd.instr].dst]
+                                [parts[b].tile_of[p]]++;
             }
         }
     }
@@ -592,16 +515,13 @@ orchestrate(Function &fn, const MachineConfig &machine,
     // follow all control flow; broadcasts transit arbitrary switches,
     // so any broadcast on a multi-tile machine activates every switch.
     vp.switch_active.assign(n_tiles, false);
-    if (any_bcast && n_tiles > 1) {
+    if (!need_probe) {
         vp.switch_active.assign(n_tiles, true);
     } else {
-        for (int b = 0; b < n_blocks; b++) {
-            const std::vector<uint8_t> &mask =
-                pentries[b] ? pentries[b]->probe_switch : probes[b];
+        for (int b = 0; b < n_blocks; b++)
             for (int t = 0; t < n_tiles; t++)
-                if (t < static_cast<int>(mask.size()) && mask[t])
+                if (probes[b][t])
                     vp.switch_active[t] = true;
-        }
     }
 
     // ---- Phase 2 (parallel): schedule + emit every block. -------
@@ -613,20 +533,7 @@ orchestrate(Function &fn, const MachineConfig &machine,
     Clock::time_point t_sched = Clock::now();
     run_parallel(n_blocks, n_threads, [&](int b) {
         const Instr &term = fn.blocks[b].terminator();
-        BlockKey skey;
-        if (opts.use_cache) {
-            skey = block_schedule_key(part_keys[b], opts.sched,
-                                      vp.switch_active);
-            if (std::shared_ptr<const std::string> blob =
-                    cache.get_sched(skey, ctr[b])) {
-                if (rehydrate_sched_payload(*blob, canons[b], term,
-                                            makespans[b], busys[b],
-                                            btiles[b], bswitches[b]))
-                    return;
-                // Undecodable payload: recompute below.
-            }
-        }
-        const TaskGraph &g = ensure_graph(b);
+        const TaskGraph &g = *graphs[b];
         int bcast = -1;
         if (needs_bcast[b]) {
             bcast = g.producer_of(term.src[0]);
@@ -642,11 +549,7 @@ orchestrate(Function &fn, const MachineConfig &machine,
         emit_block_streams(fn, b, g, sched, tails[b], repl, svreg,
                            vp.switch_active, pseq[b], machine,
                            btiles[b], bswitches[b]);
-        if (opts.use_cache) {
-            auto e = std::make_shared<SchedEntry>(dehydrate_streams(
-                canons[b], term, sched, btiles[b], bswitches[b]));
-            cache.put_sched(skey, e);
-        }
+        graphs[b].reset();
     });
     vp.schedule_phase_ms = ms_since(t_sched);
 
@@ -663,7 +566,6 @@ orchestrate(Function &fn, const MachineConfig &machine,
             vp.tiles[t][b] = std::move(btiles[b][t]);
             vp.switches[t][b] = std::move(bswitches[b][t]);
         }
-        vp.cache.add(ctr[b]);
     }
 
     // Persistent value sets per tile.

@@ -54,17 +54,17 @@ struct VInstr
     int target_block = -1;
 };
 
-/** Hit/miss counters of the block-schedule cache. */
-struct SchedCacheCounters
+/**
+ * Hit/miss counters of the deleted block-schedule cache: always zero.
+ * Kept only because perfbench reads VirtualProgram::cache and
+ * CompileStats::cache (the same precedent as
+ * SimResult::regions_entered).
+ */
+struct ZeroCacheCounters
 {
-    int64_t part_hits = 0;
-    int64_t part_misses = 0;
-    int64_t sched_hits = 0;
-    int64_t sched_misses = 0;
-
-    int64_t hits() const { return part_hits + sched_hits; }
-    int64_t misses() const { return part_misses + sched_misses; }
-    void add(const SchedCacheCounters &o);
+    int64_t hits() const { return 0; }
+    int64_t misses() const { return 0; }
+    void add(const ZeroCacheCounters &) {}
 };
 
 /** Orchestration knobs (ablation switches included). */
@@ -80,8 +80,6 @@ struct OrchestraterOptions
      * cross-block merges run serially in block order afterwards.
      */
     int jobs = 1;
-    /** Consult/fill the in-memory block-schedule cache. */
-    bool use_cache = true;
     /** Disable control replication (every branch broadcasts). */
     bool enable_replication = true;
     /** Fold communication ports into instruction operands
@@ -129,8 +127,8 @@ struct VirtualProgram
      * partitioning the paper lists as future work.
      */
     std::map<ValueId, std::map<int, int>> var_votes;
-    /** Block-schedule cache traffic of this orchestration. */
-    SchedCacheCounters cache;
+    /** Always zero; see ZeroCacheCounters. */
+    ZeroCacheCounters cache;
     /** Wall-clock of the parallel partition phase (ms). */
     double partition_phase_ms = 0;
     /** Wall-clock of the parallel schedule+emit phase (ms). */

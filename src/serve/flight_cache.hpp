@@ -6,12 +6,10 @@
  * Concurrent shared LRU of whole-request compile results with
  * single-flight deduplication.
  *
- * This promotes the block-level content-addressed schedule cache
- * (rawcc/schedcache.hpp) to request granularity for the serve
- * daemon: the key is a 128-bit digest of (source, machine, options
- * fingerprint), the value the finished CompileOutput.  The two tiers
- * compose — a FlightCache miss still reuses every unchanged block
- * through the SchedCache underneath.
+ * The key is a 128-bit digest of (source, machine, options
+ * fingerprint), the value the finished CompileOutput.  It is the
+ * daemon's only compile cache: a miss runs a full compile, every
+ * block orchestrated afresh.
  *
  * Single-flight: when N identical requests are in flight at once,
  * exactly one (the *leader*) runs the compile; the other N−1 wait on

@@ -261,7 +261,6 @@ struct ServeServer::Impl
         // Per-request concurrency comes from the worker pool, not
         // from per-compile fan-out.
         copts.orch.jobs = 1;
-        copts.orch.use_cache = true;
         const Json *o = body.find("options");
         if (!o)
             return copts;

@@ -411,14 +411,14 @@ TEST(Cli, RejectsNaNAndOutOfRangeRates)
     EXPECT_EQ(run_cli("--jitter-rate nan jacobi"), 2);
 }
 
-// --route-select, --mii-cap, --oracle-budget, --modulo and
-// --cache-dir were deleted; a script still passing them must fail
-// loudly, not compile something else.
+// --route-select, --mii-cap, --oracle-budget, --modulo, --cache-dir
+// and --no-sched-cache were deleted; a script still passing them must
+// fail loudly, not compile something else.
 TEST(Cli, RemovedScheduleFlagsAreUnknown)
 {
     for (std::string args : {"--route-select", "--mii-cap 64",
                              "--oracle-budget 1", "--modulo",
-                             "--cache-dir D"}) {
+                             "--cache-dir D", "--no-sched-cache"}) {
         std::string err;
         EXPECT_EQ(run_cli_stderr(args + " --tiles 4 --no-run jacobi",
                                  err),

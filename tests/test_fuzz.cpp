@@ -6,7 +6,7 @@
  * programs must survive the whole pipeline, differentially: the same
  * results as the sequential baseline on every mesh, the reference
  * and default simulator cores in exact agreement, and a parallel
- * cache-off compile byte-identical to the serial cached one.
+ * compile byte-identical to the serial one.
  * ctest label fuzz-smoke.
  */
 
@@ -175,7 +175,6 @@ TEST(Fuzz, RandomValidProgramsVerify)
 
                 CompilerOptions par = opts;
                 par.orch.jobs = 4;
-                par.orch.use_cache = false;
                 EXPECT_EQ(
                     disasm_program(
                         compile_source(src, machine, par).program),

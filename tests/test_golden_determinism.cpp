@@ -23,7 +23,6 @@
 
 #include "harness/harness.hpp"
 #include "harness/parallel.hpp"
-#include "rawcc/schedcache.hpp"
 
 namespace raw {
 namespace {
@@ -110,22 +109,18 @@ TEST(GoldenDeterminism, ParallelHarnessMatchesRecordedGoldens)
             << point_name(kPoints[i]);
 }
 
-TEST(GoldenDeterminism, ParallelCompileColdAndWarmCacheMatch)
+TEST(GoldenDeterminism, ParallelCompileAndRepeatMatch)
 {
-    // The full matrix the compile-throughput layer promises: every
-    // golden point, compiled serially and with per-block worker
-    // threads, with a cold cache and a warm one (the cache is
-    // cleared only before the cold pass, so the warm pass replays
-    // every block from memory), must stay byte-identical to the
-    // recorded output.
-    for (int jobs : {1, 4}) {
-        SchedCache::instance().clear_memory();
-        for (const char *pass : {"cold", "warm"})
+    // Every golden point, compiled serially and with per-block worker
+    // threads, twice in one process, must stay byte-identical to the
+    // recorded output: no compile may leave state that changes a
+    // later one.
+    for (int jobs : {1, 4})
+        for (const char *pass : {"first", "second"})
             for (const GoldenPoint &p : kPoints)
                 EXPECT_EQ(run_point(p, jobs), read_golden(p))
                     << point_name(p) << " jobs=" << jobs << " "
                     << pass;
-    }
 }
 
 TEST(GoldenDeterminism, ResolveJobs)

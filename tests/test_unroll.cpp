@@ -9,6 +9,8 @@
 
 #include "frontend/parser.hpp"
 #include "frontend/unroll.hpp"
+#include "harness/harness.hpp"
+#include "support/error.hpp"
 
 namespace raw {
 namespace {
@@ -258,6 +260,89 @@ TEST(Unroll, StmtWeight)
 {
     Program p = parse_program("int x; x = 1 + 2 * 3;");
     EXPECT_GT(stmt_weight(*p.stmts[1]), 4);
+}
+
+/** The FatalError text of compiling @p src at @p tiles ("" = ok). */
+std::string
+compile_error(const std::string &src, int tiles,
+              CompilerOptions opts = {})
+{
+    try {
+        compile_source(src, MachineConfig::base(tiles), opts);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+// Full unrolling turns a computed subscript into a constant; one out
+// of its extent is a compile error with the parser's literal-subscript
+// message, at every tile count, rather than an access the simulator
+// must reject.
+TEST(Unroll, FoldedSubscriptOutOfRange)
+{
+    const char *load = "int a[4]; int i;\n"
+                       "for (i = 0; i < 4; i = i + 1) { print(a[i - 1]); }\n";
+    const char *store = "int a[4]; int i;\n"
+                        "for (i = 0; i < 4; i = i + 1) { a[i + 1] = i; }\n";
+    const char *dim2 = "float m[2][3]; int i; int j;\n"
+                       "for (i = 0; i < 2; i = i + 1) {\n"
+                       "  for (j = 0; j < 3; j = j + 1) { m[i][j + 2] = 1.0; }\n"
+                       "}\n";
+    for (int n : {1, 4, 16}) {
+        EXPECT_NE(compile_error(load, n).find(
+                      "subscript -1 out of range for 'a' (extent 4)"),
+                  std::string::npos)
+            << n;
+        EXPECT_NE(compile_error(store, n).find(
+                      "subscript 4 out of range for 'a' (extent 4)"),
+                  std::string::npos)
+            << n;
+        EXPECT_NE(compile_error(dim2, n).find(
+                      "subscript 3 out of range for 'm' (extent 3)"),
+                  std::string::npos)
+            << n;
+    }
+    // Literal arithmetic and never-reassigned constant scalars fold
+    // the same way, with or without unrolling.
+    CompilerOptions rolled;
+    rolled.unroll.enable = false;
+    for (const CompilerOptions &o : {CompilerOptions{}, rolled}) {
+        EXPECT_NE(compile_error("int a[4]; print(a[2 + 2]);", 4, o)
+                      .find("subscript 4 out of range for 'a'"),
+                  std::string::npos);
+        EXPECT_NE(compile_error("int n = 4; int a[4]; a[n - 5] = 1;", 4, o)
+                      .find("subscript -1 out of range for 'a'"),
+                  std::string::npos);
+    }
+}
+
+// The checked subscripts are exactly the constant ones that can run:
+// an arm whose condition folds to false is skipped (the usual guard
+// of a first or last iteration), and a loop that stays rolled keeps a
+// computed subscript, as does every loop with unrolling disabled.
+TEST(Unroll, FoldedSubscriptGuardsAndRolledLoops)
+{
+    const char *guarded =
+        "int a[4]; int i; int s; s = 0;\n"
+        "for (i = 0; i < 4; i = i + 1) { a[i] = i + 1; }\n"
+        "for (i = 0; i < 4; i = i + 1) {\n"
+        "  if (i > 0 && i < 4) { s = s + a[i - 1]; } else { s = s + 10; }\n"
+        "  if (i == 3) { s = s * 2; } else { s = s + a[i + 1]; }\n"
+        "}\n"
+        "print(s);\n";
+    for (int n : {1, 4, 16}) {
+        EXPECT_EQ(compile_error(guarded, n), "") << n;
+        EXPECT_EQ(run_rawcc(guarded, MachineConfig::base(n)).prints,
+                  run_baseline(guarded).prints)
+            << n;
+    }
+    CompilerOptions rolled;
+    rolled.unroll.enable = false;
+    EXPECT_EQ(compile_error("int a[4]; int i;\n"
+                            "for (i = 0; i < 4; i = i + 1) { a[i] = a[i + 1]; }\n",
+                            4, rolled),
+              "");
 }
 
 } // namespace

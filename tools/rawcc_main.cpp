@@ -36,7 +36,6 @@
  *                      stalling the sweep
  *   --jobs N           worker threads (0 = all cores): campaign
  *                      points, and per-block compile phases
- *   --no-sched-cache   disable the in-memory block-schedule cache
  *   --no-unroll        disable affine staticization (ablation)
  *   --no-replication   broadcast every branch (ablation)
  *   --no-port-fold     keep explicit send/receive instructions
@@ -90,7 +89,7 @@ usage()
         "  --dyn-delay-rate R --dyn-delay-cycles P --jitter-rate R\n"
         "  --check --fault-campaign N --campaign-out FILE\n"
         "  --point-timeout MS --jobs N\n"
-        "  --no-sched-cache --no-unroll --no-replication --no-port-fold\n"
+        "  --no-unroll --no-replication --no-port-fold\n"
         "  --sched-iters N --pgo\n"
         "  --sim-backend reference|fast --sim-diff\n"
         "  --list-benchmarks\n");
@@ -120,7 +119,7 @@ parse_double(const char *s, const char *flag)
     return raw::cli::parse_double("rawcc", s, flag);
 }
 
-/** Compile-throughput report: stage timings + schedule-cache traffic. */
+/** Compile-throughput report: stage and orchestrate-phase timings. */
 void
 print_compile_timing(const raw::CompileStats &st)
 {
@@ -134,15 +133,6 @@ print_compile_timing(const raw::CompileStats &st)
     std::printf("orchestrate phases:  partition %.2f ms, "
                 "schedule %.2f ms\n",
                 st.orch_partition_ms, st.orch_schedule_ms);
-    const raw::SchedCacheCounters &c = st.cache;
-    std::printf("sched cache:         %lld hit(s), %lld miss(es) "
-                "(part %lld/%lld, sched %lld/%lld)\n",
-                static_cast<long long>(c.hits()),
-                static_cast<long long>(c.misses()),
-                static_cast<long long>(c.part_hits),
-                static_cast<long long>(c.part_misses),
-                static_cast<long long>(c.sched_hits),
-                static_cast<long long>(c.sched_misses));
 }
 
 /**
@@ -292,9 +282,7 @@ main(int argc, char **argv)
                 bad_value("--jobs", argv[i],
                           "a worker count in 0..4096");
             opts.orch.jobs = static_cast<int>(jobs);
-        } else if (a == "--no-sched-cache")
-            opts.orch.use_cache = false;
-        else if (a == "--sched-iters") {
+        } else if (a == "--sched-iters") {
             long n = parse_long(next(), "--sched-iters");
             if (n < 0 || n > raw::kMaxSchedIters)
                 bad_value("--sched-iters", argv[i],
