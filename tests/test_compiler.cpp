@@ -1,15 +1,9 @@
 /**
  * @file
  * Whole-compiler tests: the driver's statistics, ablation options,
- * program structure invariants of the emitted machine code, the
- * machine-size sweep on small kernels, --jobs and repeat-compile
- * identity, and the options fingerprint behind the PGO candidate
- * dedupe and serve's request digest.
+ * program structure invariants of the emitted machine code, and the
+ * machine-size sweep on small kernels.
  */
-
-#include <set>
-#include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -221,120 +215,6 @@ print(chk);
 
 INSTANTIATE_TEST_SUITE_P(Sizes, MachineSweep,
                          ::testing::Values(1, 2, 4, 8, 16, 32));
-
-// Two loops plus a data-dependent branch: several blocks, small
-// enough to compile fast.
-const char *kBranchy = R"(
-int A[64];
-int i; int s;
-for (i = 0; i < 64; i = i + 1) { A[i] = i * 3; }
-s = 0;
-for (i = 0; i < 64; i = i + 1) {
-  if (A[i] > 90) { s = s + A[i]; }
-}
-print(s);
-)";
-
-TEST(Compiler, ParallelJobsMatchSerial)
-{
-    const std::string base = disasm_program(
-        compile_source(kBranchy, MachineConfig::base(4), {}).program);
-    for (int jobs : {2, 4}) {
-        CompilerOptions par;
-        par.orch.jobs = jobs;
-        EXPECT_EQ(disasm_program(
-                      compile_source(kBranchy, MachineConfig::base(4),
-                                     par)
-                          .program),
-                  base)
-            << "jobs=" << jobs;
-    }
-}
-
-// An earlier compile in the same process must never change a later
-// one.  The empty-if program has a block whose two branch targets
-// coincide, a block shape that shared state between compiles has
-// mishandled before: the full-if program then printed 3, not 4.
-TEST(Compiler, EarlierCompileNeverChangesLater)
-{
-    const char *empty_if = R"(
-int A[8]; int i; int t;
-for (i = 0; i < 8; i = i + 1) { A[i] = i; }
-t = A[3];
-if (t > 2) { }
-print(t);
-)";
-    const char *full_if = R"(
-int A[8]; int i; int t;
-for (i = 0; i < 8; i = i + 1) { A[i] = i; }
-t = A[3];
-if (t > 2) { t = t + 1; }
-print(t);
-)";
-    for (int n : {1, 4}) {
-        const MachineConfig m = MachineConfig::base(n);
-        const std::string alone =
-            disasm_program(compile_source(full_if, m, {}).program);
-        EXPECT_EQ(run_rawcc(empty_if, m).prints, "3\n") << n;
-        EXPECT_EQ(run_rawcc(full_if, m).prints, "4\n") << n;
-        EXPECT_EQ(disasm_program(compile_source(full_if, m, {}).program),
-                  alone)
-            << n;
-    }
-}
-
-TEST(Compiler, PgoCandidatesDuplicateFree)
-{
-    CompilerOptions base;
-    base.pgo = true;
-    PlacementFeedback fb;
-    fb.comm_penalty = {3, 0, 7, 1};
-    fb.proc_penalty = {1, 2, 0, 4};
-    for (const PlacementFeedback &f :
-         {PlacementFeedback{}, fb}) {
-        std::vector<CompilerOptions> cands = pgo_candidates(base, f);
-        std::set<std::string> seen;
-        for (const CompilerOptions &c : cands) {
-            EXPECT_FALSE(c.pgo);
-            EXPECT_TRUE(
-                seen.insert(options_fingerprint(c)).second)
-                << "duplicate candidate fingerprint";
-        }
-        EXPECT_EQ(seen.size(), cands.size());
-    }
-
-    // A base that already carries a portfolio knob collapses the
-    // matching candidate instead of racing it twice.
-    CompilerOptions pre = base;
-    pre.orch.partition.crit_weight = 8;
-    size_t plain_n = pgo_candidates(base, fb).size();
-    size_t pre_n = pgo_candidates(pre, fb).size();
-    EXPECT_LT(pre_n, plain_n);
-}
-
-TEST(Compiler, FingerprintTracksEffectiveOptions)
-{
-    CompilerOptions a;
-    CompilerOptions b;
-    EXPECT_EQ(options_fingerprint(a), options_fingerprint(b));
-    // Knobs that only change how the compiler runs leave it alone...
-    b.verify_ir = !b.verify_ir;
-    b.pgo = !b.pgo;
-    b.orch.jobs = 8;
-    EXPECT_EQ(options_fingerprint(a), options_fingerprint(b));
-    // ...every program-affecting knob does.
-    b.orch.sched.sched_iters = 5;
-    EXPECT_NE(options_fingerprint(a), options_fingerprint(b));
-    b = a;
-    b.orch.partition.seed = 99;
-    EXPECT_NE(options_fingerprint(a), options_fingerprint(b));
-    b = a;
-    b.unroll.small_peel_limit *= 2;
-    EXPECT_NE(options_fingerprint(a), options_fingerprint(b));
-    b = a;
-    b.smart_homes = true;
-    EXPECT_NE(options_fingerprint(a), options_fingerprint(b));
-}
 
 } // namespace
 } // namespace raw
