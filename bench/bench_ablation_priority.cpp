@@ -8,15 +8,18 @@
  *
  * over every built-in benchmark at 16 and 32 tiles.  Prints a cycles
  * table and writes BENCH_schedquality.json with per-benchmark cycles,
- * per-configuration geomeans and the scheduler's per-block makespan
- * estimate sums (model-vs-measured diagnostics).
+ * the pgo_candidates() index each --pgo race kept (0 for the plain
+ * candidate and the configurations without --pgo), per-configuration
+ * geomeans and the scheduler's per-block makespan estimate sums
+ * (model-vs-measured diagnostics).
  *
  * --smoke runs a tiny subset (2 benchmarks, 4 tiles) and exits
  * nonzero if the all-on configuration's geomean exceeds the all-off
  * (seed) geomean — wired into ctest under the sched-quality label,
  * this pins the best-of-N "never worse" property end to end.
  *
- * Flags: --json-out FILE, --jobs N, --smoke.
+ * Flags: --json-out FILE, --jobs N, --smoke; any other argument is
+ * refused with exit 2.
  */
 
 #include <algorithm>
@@ -68,16 +71,18 @@ options_of(const SchedConfig &c)
     CompilerOptions opts;
     opts.orch.sched.fifo_priority = c.fifo;
     opts.orch.sched.sched_iters = c.iters;
+    opts.pgo = c.pgo;
     return opts;
 }
 
-/** cycles[b][s][c] and est[b][s][c] for benchmark/size/config. */
+/** cycles, est and winner [b][s][c] for benchmark/size/config. */
 struct Measurements
 {
     std::vector<std::string> benches;
     std::vector<int> sizes;
     std::vector<std::vector<std::vector<int64_t>>> cycles;
     std::vector<std::vector<std::vector<int64_t>>> est;
+    std::vector<std::vector<std::vector<int64_t>>> winner;
 };
 
 Measurements
@@ -94,6 +99,7 @@ measure(const std::vector<BenchmarkProgram> &progs,
         nb, std::vector<std::vector<int64_t>>(
                 ns, std::vector<int64_t>(kNumConfigs, 0)));
     m.est = m.cycles;
+    m.winner = m.cycles;
 
     // One job per (benchmark, size, config); each writes its own
     // slot, so the table is identical at any --jobs value.
@@ -104,14 +110,11 @@ measure(const std::vector<BenchmarkProgram> &progs,
         const SchedConfig &cfg = kConfigs[c];
         const BenchmarkProgram &prog = progs[b];
         MachineConfig machine = MachineConfig::base(sizes[s]);
-        CompilerOptions opts = options_of(cfg);
-        RunResult r =
-            cfg.pgo ? run_rawcc_pgo(prog.source, machine,
-                                    prog.check_array, opts)
-                    : run_rawcc(prog.source, machine,
-                                prog.check_array, opts);
+        RunResult r = run_rawcc(prog.source, machine,
+                                prog.check_array, options_of(cfg));
         m.cycles[b][s][c] = r.cycles;
         m.est[b][s][c] = r.stats.estimated_makespan();
+        m.winner[b][s][c] = r.stats.pgo_winner;
     });
     return m;
 }
@@ -178,14 +181,17 @@ write_json(const std::string &path, const Measurements &m)
         out << "    {\"name\": \"" << m.benches[b] << "\",\n"
             << "     \"results\": [\n";
         for (size_t s = 0; s < m.sizes.size(); s++) {
-            out << "       {\"tiles\": " << m.sizes[s]
-                << ", \"cycles\": [";
-            for (int c = 0; c < kNumConfigs; c++)
-                out << (c ? ", " : "") << m.cycles[b][s][c];
-            out << "], \"est_makespan\": [";
-            for (int c = 0; c < kNumConfigs; c++)
-                out << (c ? ", " : "") << m.est[b][s][c];
-            out << "]}"
+            auto row = [&](const char *key, const auto &v) {
+                out << ", \"" << key << "\": [";
+                for (int c = 0; c < kNumConfigs; c++)
+                    out << (c ? ", " : "") << v[b][s][c];
+                out << "]";
+            };
+            out << "       {\"tiles\": " << m.sizes[s];
+            row("cycles", m.cycles);
+            row("pgo_winner", m.winner);
+            row("est_makespan", m.est);
+            out << "}"
                 << (s + 1 < m.sizes.size() ? "," : "") << "\n";
         }
         out << "     ]}"
@@ -214,16 +220,18 @@ main(int argc, char **argv)
     bool smoke = false;
     std::string json_out = "BENCH_schedquality.json";
     int jobs = 0;
+    const char *tool = "bench_ablation_priority";
     for (int i = 1; i < argc; i++) {
         if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
-        else if (std::strcmp(argv[i], "--json-out") == 0 &&
-                 i + 1 < argc)
-            json_out = argv[++i];
-        else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-            jobs = static_cast<int>(raw::cli::parse_long_in(
-                "bench_ablation", argv[++i], "--jobs", 0, 1024,
-                "a worker count in [0, 1024]"));
+        else if (std::strcmp(argv[i], "--json-out") == 0)
+            json_out = cli::next_value(tool, argc, argv, i);
+        else if (std::strcmp(argv[i], "--jobs") == 0)
+            jobs = static_cast<int>(cli::parse_long_in(
+                tool, cli::next_value(tool, argc, argv, i), "--jobs",
+                0, 1024, "a worker count in [0, 1024]"));
+        else
+            cli::unknown_option(tool, argv[i]);
     }
     jobs = resolve_jobs(jobs);
 

@@ -20,7 +20,8 @@
  * sweep's core (reference | fast, default fast, i.e.
  * raw::kDefaultSimBackend) or "both" for the reference core plus a
  * per-run threaded re-simulation;
- * --json-out PATH overrides the output path.
+ * --json-out PATH overrides the output path.  Any other argument is
+ * refused with exit 2 before anything runs.
  *
  * Results (cycle counts, prints) are bit-identical at any --jobs
  * value; only the wall-clock figures vary
@@ -338,31 +339,32 @@ main(int argc, char **argv)
     bool tiny = false;
     bool scaling = false;
     BackendMode mode;
+    const char *tool = "bench_wallclock";
     for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc)
-            json_out = argv[++i];
-        else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
+        if (std::strcmp(argv[i], "--json-out") == 0)
+            json_out = raw::cli::next_value(tool, argc, argv, i);
+        else if (std::strcmp(argv[i], "--jobs") == 0)
             jobs = raw::resolve_jobs(static_cast<int>(
-                raw::cli::parse_long_in("bench_wallclock", argv[++i],
-                                        "--jobs", 0, 4096,
-                                        "a worker count in 0..4096")));
-        else if (std::strcmp(argv[i], "--sim-backend") == 0 &&
-                 i + 1 < argc) {
-            std::string b = argv[++i];
+                raw::cli::parse_long_in(
+                    tool, raw::cli::next_value(tool, argc, argv, i),
+                    "--jobs", 0, 4096, "a worker count in 0..4096")));
+        else if (std::strcmp(argv[i], "--sim-backend") == 0) {
+            std::string b = raw::cli::next_value(tool, argc, argv, i);
             mode.both = b == "both";
             try {
                 mode.primary = mode.both
                                    ? raw::SimBackend::kReference
                                    : raw::sim_backend_from_string(b);
             } catch (const raw::FatalError &) {
-                raw::cli::bad_value("bench_wallclock", "--sim-backend",
-                                    argv[i],
+                raw::cli::bad_value(tool, "--sim-backend", argv[i],
                                     "reference, fast or both");
             }
         } else if (std::strcmp(argv[i], "--tiny") == 0)
             tiny = true;
         else if (std::strcmp(argv[i], "--scaling") == 0)
             scaling = true;
+        else
+            raw::cli::unknown_option(tool, argv[i]);
     }
 
     std::vector<std::pair<const raw::BenchmarkProgram *, int>> points;

@@ -29,6 +29,23 @@ bad_value(const char *tool, const char *flag, const char *got,
     std::exit(2);
 }
 
+/** Reject an argument the tool does not know; exit 2. */
+[[noreturn]] inline void
+unknown_option(const char *tool, const char *arg)
+{
+    std::fprintf(stderr, "%s: unknown option %s\n", tool, arg);
+    std::exit(2);
+}
+
+/** The value after flag argv[i], advancing @p i; exit 2 if missing. */
+inline const char *
+next_value(const char *tool, int argc, char **argv, int &i)
+{
+    if (i + 1 >= argc)
+        bad_value(tool, argv[i], "", "a value");
+    return argv[++i];
+}
+
 /** Parse a full decimal integer; reject trailing garbage/overflow. */
 inline long
 parse_long(const char *tool, const char *s, const char *flag)

@@ -130,71 +130,6 @@ diff_sim_backends(const CompiledProgram &prog,
 }
 
 RunResult
-run_rawcc_pgo(const std::string &source, const MachineConfig &machine,
-              const std::string &check_array,
-              const CompilerOptions &opts, const FaultConfig &faults,
-              const CheckConfig &checks)
-{
-    // Cached conclusion of the profiling pass: the winning
-    // pgo_candidates() index plus the feedback it used, so a sweep
-    // repeating the configuration compiles the winner directly.
-    // Candidate 0 is the plain compile, so PGO never loses cycles —
-    // on cache hits too.  Map nodes are reference-stable (see
-    // cached_baseline).
-    struct PgoPick
-    {
-        size_t winner = 0;
-        PlacementFeedback fb;
-    };
-    static std::mutex mu;
-    static std::map<std::string, PgoPick> cache;
-
-    std::string key = machine.name() + "/" +
-                      std::to_string(machine.num_registers) + "/" +
-                      options_fingerprint(opts) + "/" + source;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        auto it = cache.find(key);
-        if (it != cache.end()) {
-            std::vector<CompilerOptions> cands =
-                pgo_candidates(opts, it->second.fb);
-            const CompilerOptions &win =
-                cands[it->second.winner < cands.size()
-                          ? it->second.winner
-                          : 0];
-            return run_rawcc(source, machine, check_array, win,
-                             faults, checks);
-        }
-    }
-
-    // Miss: measure the plain compile fault-free, then race every
-    // candidate cost-model variant and keep the fastest measured.
-    CompilerOptions plain = opts;
-    plain.pgo = false;
-    RunResult best = run_rawcc(source, machine, check_array, plain);
-    PlacementFeedback fb =
-        placement_feedback_from_profile(best.sim, machine);
-    std::vector<CompilerOptions> cands = pgo_candidates(opts, fb);
-    size_t winner = 0;
-    for (size_t c = 1; c < cands.size(); c++) {
-        RunResult r =
-            run_rawcc(source, machine, check_array, cands[c]);
-        if (r.cycles < best.cycles) {
-            best = std::move(r);
-            winner = c;
-        }
-    }
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        cache.emplace(key, PgoPick{winner, fb});
-    }
-    if (faults.any() || checks.enabled())
-        return run_rawcc(source, machine, check_array, cands[winner],
-                         faults, checks);
-    return best;
-}
-
-RunResult
 run_baseline(const std::string &source, const std::string &check_array,
              const FaultConfig &faults)
 {

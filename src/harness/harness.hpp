@@ -56,20 +56,6 @@ SimResult diff_sim_backends(const CompiledProgram &prog,
                             bool trace = false,
                             int64_t wall_budget_ms = 0);
 
-/**
- * Profile-guided run: like run_rawcc with opts.pgo, but the
- * first-pass placement feedback (and whether it actually helped) is
- * cached per (program, machine, scheduler flags) — a sweep repeating
- * the same configuration pays the extra profiling compile+simulate
- * once, mirroring cached_baseline.  Thread-safe.
- */
-RunResult run_rawcc_pgo(const std::string &source,
-                        const MachineConfig &machine,
-                        const std::string &check_array = "",
-                        const CompilerOptions &opts = {},
-                        const FaultConfig &faults = {},
-                        const CheckConfig &checks = {});
-
 /** Compile sequentially (one tile) and simulate. */
 RunResult run_baseline(const std::string &source,
                        const std::string &check_array = "",

@@ -42,35 +42,6 @@ enum class PlaceMode : uint8_t {
     kArbitrary,  ///< identity mapping, no optimization
 };
 
-/** Distance scale of the feedback-aware placement cost (one hop). */
-constexpr int64_t kPlaceDistUnit = 8;
-/** Largest per-tile penalty: one fully-contended tile ~ one hop. */
-constexpr int64_t kPlacePenaltyMax = 8;
-
-/**
- * Per-tile congestion penalties observed in a profiling run
- * (profile-guided placement, --pgo).  Empty vectors mean "no
- * feedback", and placement then uses the pure hop-distance cost,
- * bit-identical to a build without PGO.  With feedback, each word
- * touching tile t pays comm_penalty[t] on top of kPlaceDistUnit per
- * hop, and each unit of compute placed on t pays proc_penalty[t] —
- * both normalized to 0..kPlacePenaltyMax — so movable partitions
- * drift away from the switches and processors the profiled run
- * actually saturated (typically regions around pinned memory homes).
- */
-struct PlacementFeedback
-{
-    /** Per-tile switch-congestion penalty (empty = none). */
-    std::vector<int64_t> comm_penalty;
-    /** Per-tile processor-occupancy penalty (empty = none). */
-    std::vector<int64_t> proc_penalty;
-
-    bool empty() const
-    {
-        return comm_penalty.empty() && proc_penalty.empty();
-    }
-};
-
 /** Options for the partitioner. */
 struct PartitionOptions
 {
@@ -78,8 +49,6 @@ struct PartitionOptions
     PlaceMode place_mode = PlaceMode::kGreedySwap;
     /** RNG seed for annealing / tie-breaking. */
     uint32_t seed = 1;
-    /** Profiled congestion penalties (PGO); empty = distance only. */
-    PlacementFeedback feedback;
     /**
      * Criticality-weighted placement traffic (PGO): weight each
      * cross-partition edge by how close it sits to the task graph's
@@ -126,19 +95,6 @@ int64_t placement_assignment_cost(
     const MachineConfig &machine);
 
 /**
- * Feedback-aware placement cost (profile-guided placement): each
- * word between partitions a and b pays kPlaceDistUnit per hop plus
- * both endpoint tiles' comm_penalty, and each partition pays
- * `cost_of[p] / kPlacePenaltyMax` times its tile's proc_penalty.
- * O(n²); the reference the incremental table is checked against.
- */
-int64_t placement_feedback_cost(
-    const std::vector<std::vector<int>> &w,
-    const std::vector<int> &tile_of_partition,
-    const MachineConfig &machine, const PlacementFeedback &fb,
-    const std::vector<int64_t> &cost_of);
-
-/**
  * Incremental placement cost model behind greedy-swap and anneal.
  *
  * Holds the mesh distance table D[t][u], each partition's traffic
@@ -150,29 +106,23 @@ int64_t placement_feedback_cost(
  *   Δ = C[i][tj] − C[i][ti] + C[j][ti] − C[j][tj] + 2·w[i][j]·D[ti][tj]
  *
  * (the last term restores the i–j pair, whose distance is invariant
- * but which both C differences subtract once).  With feedback the
- * hop delta is scaled by kPlaceDistUnit and the penalty terms use
- * the row sums.  Accepting a swap rewrites only the C rows of
- * partitions with traffic to i or j: O(deg·n).  Deltas are exact
- * integers, equal to the difference of two full recomputes
- * (placement_assignment_cost, or placement_feedback_cost when
- * feedback is given).  @p w must be symmetric; its diagonal is
- * ignored.
+ * but which both C differences subtract once).  Accepting a swap
+ * rewrites only the C rows of partitions with traffic to i or j:
+ * O(deg·n).  Deltas are exact integers, equal to the difference of
+ * two placement_assignment_cost recomputes.  @p w must be symmetric;
+ * its diagonal is ignored.
  */
 class PlacementCostTable
 {
   public:
     /**
      * Build the tables for @p tile_of_partition (one tile per
-     * partition) in O(tiles² + Σ deg·tiles).  @p cost_of is each
-     * partition's compute cost; it and @p fb only matter when @p fb
-     * is non-empty.  @p w must outlive the table.
+     * partition) in O(tiles² + Σ deg·tiles).  @p w must outlive the
+     * table.
      */
     PlacementCostTable(const std::vector<std::vector<int>> &w,
                        std::vector<int> tile_of_partition,
-                       const MachineConfig &machine,
-                       const PlacementFeedback &fb,
-                       const std::vector<int64_t> &cost_of);
+                       const MachineConfig &machine);
 
     /** Cost change if partitions @p i and @p j swapped tiles; O(1). */
     int64_t swap_delta(int i, int j) const;
@@ -188,14 +138,10 @@ class PlacementCostTable
 
     const std::vector<std::vector<int>> &w_;
     const int n_tiles_;
-    const bool use_fb_;
     std::vector<int> tile_of_;
     std::vector<int> dist_;              ///< D, tiles × tiles
     std::vector<int64_t> c_;             ///< C, partitions × tiles
     std::vector<std::vector<int>> nbr_;  ///< k ≠ p with w[p][k] ≠ 0
-    std::vector<int64_t> rowsum_;        ///< Σ w[p][k] over k ≠ p
-    std::vector<int64_t> pen_c_, pen_p_; ///< per-tile penalties
-    std::vector<int64_t> comp_;          ///< cost_of / kPlacePenaltyMax
 };
 
 /** Phase 1: cluster @p g (uniform-latency model). */

@@ -112,13 +112,6 @@ critical_traffic_matrix(const TaskGraph &g, const Clustering &merged,
     return w;
 }
 
-/** Per-tile penalty @p t of a feedback vector; 0 past its end. */
-int64_t
-penalty(const std::vector<int64_t> &v, int t)
-{
-    return t < static_cast<int>(v.size()) ? v[t] : 0;
-}
-
 } // namespace
 
 int64_t
@@ -136,36 +129,10 @@ placement_assignment_cost(const std::vector<std::vector<int>> &w,
     return cost;
 }
 
-int64_t
-placement_feedback_cost(const std::vector<std::vector<int>> &w,
-                        const std::vector<int> &tile_of_partition,
-                        const MachineConfig &machine,
-                        const PlacementFeedback &fb,
-                        const std::vector<int64_t> &cost_of)
-{
-    int64_t cost = 0;
-    const int n = static_cast<int>(tile_of_partition.size());
-    for (int a = 0; a < n; a++) {
-        const int ta = tile_of_partition[a];
-        for (int b = a + 1; b < n; b++) {
-            const int tb = tile_of_partition[b];
-            if (w[a][b])
-                cost += static_cast<int64_t>(w[a][b]) *
-                        (kPlaceDistUnit * machine.distance(ta, tb) +
-                         penalty(fb.comm_penalty, ta) +
-                         penalty(fb.comm_penalty, tb));
-        }
-        cost += cost_of[a] / kPlacePenaltyMax *
-                penalty(fb.proc_penalty, ta);
-    }
-    return cost;
-}
-
 PlacementCostTable::PlacementCostTable(
     const std::vector<std::vector<int>> &w,
-    std::vector<int> tile_of_partition, const MachineConfig &machine,
-    const PlacementFeedback &fb, const std::vector<int64_t> &cost_of)
-    : w_(w), n_tiles_(machine.n_tiles), use_fb_(!fb.empty()),
+    std::vector<int> tile_of_partition, const MachineConfig &machine)
+    : w_(w), n_tiles_(machine.n_tiles),
       tile_of_(std::move(tile_of_partition))
 {
     const int n = static_cast<int>(tile_of_.size());
@@ -176,7 +143,6 @@ PlacementCostTable::PlacementCostTable(
             dist_[t * nt + u] = machine.distance(t, u);
 
     nbr_.assign(n, {});
-    rowsum_.assign(n, 0);
     c_.assign(static_cast<size_t>(n) * nt, 0);
     for (int p = 0; p < n; p++) {
         int64_t *row = c_row(p);
@@ -184,7 +150,6 @@ PlacementCostTable::PlacementCostTable(
             if (k == p || !w[p][k])
                 continue;
             nbr_[p].push_back(k);
-            rowsum_[p] += w[p][k];
             // Mesh distance is symmetric: D[t][tile(k)] is row tile(k).
             const int *dk = &dist_[tile_of_[k] * nt];
             for (int t = 0; t < nt; t++)
@@ -192,19 +157,6 @@ PlacementCostTable::PlacementCostTable(
         }
     }
 
-    if (use_fb_) {
-        pen_c_.resize(nt);
-        pen_p_.resize(nt);
-        for (int t = 0; t < nt; t++) {
-            pen_c_[t] = penalty(fb.comm_penalty, t);
-            pen_p_[t] = penalty(fb.proc_penalty, t);
-        }
-        // Pre-scaled per-partition compute weight keeps the swap
-        // delta linear (integer division inside it would not be).
-        comp_.resize(n);
-        for (int p = 0; p < n; p++)
-            comp_[p] = cost_of[p] / kPlacePenaltyMax;
-    }
 }
 
 int64_t
@@ -214,18 +166,8 @@ PlacementCostTable::swap_delta(int i, int j) const
     const int tj = tile_of_[j];
     const int64_t *ci = c_row(i);
     const int64_t *cj = c_row(j);
-    const int64_t wij = w_[i][j];
-    int64_t d = ci[tj] - ci[ti] + cj[ti] - cj[tj] +
-                2 * wij * dist(ti, tj);
-    if (!use_fb_)
-        return d;
-    // Every pair but (i, j) swaps one endpoint's comm penalty: i's
-    // other traffic is rowsum[i] − w[i][j], j's is rowsum[j] − w[i][j].
-    // The (i, j) pair pays both tiles' penalties before and after.
-    return kPlaceDistUnit * d +
-           (pen_c_[tj] - pen_c_[ti]) *
-               ((rowsum_[i] - wij) - (rowsum_[j] - wij)) +
-           (pen_p_[tj] - pen_p_[ti]) * (comp_[i] - comp_[j]);
+    return ci[tj] - ci[ti] + cj[ti] - cj[tj] +
+           2 * static_cast<int64_t>(w_[i][j]) * dist(ti, tj);
 }
 
 void
@@ -288,18 +230,6 @@ place_partitions(const TaskGraph &g, const Clustering &merged,
                                       opts.crit_weight)
             : traffic_matrix(g, merged, n_tiles);
 
-    // Profile-guided placement: with feedback the cost model folds
-    // in per-tile congestion penalties.  Without it the table carries
-    // pure hop distances (identical costs, identical anneal accept
-    // stream), so a non-PGO build is bit-identical.
-    const PlacementFeedback &fb = opts.feedback;
-    const bool use_fb = !fb.empty();
-    auto full_cost = [&](const std::vector<int> &tiles) {
-        return use_fb ? placement_feedback_cost(w, tiles, machine, fb,
-                                                merged.cost_of)
-                      : placement_assignment_cost(w, tiles, machine);
-    };
-
     int64_t swaps_evaluated = 0;
     if (opts.place_mode != PlaceMode::kArbitrary &&
         movable.size() > 1) {
@@ -307,16 +237,15 @@ place_partitions(const TaskGraph &g, const Clustering &merged,
         // accepted swaps cost O(deg·n), not the O(n²) full recompute.
         // Accept decisions are on exact integer deltas, so the loops
         // pick the same placements as the full-recompute versions.
-        PlacementCostTable table(w, tile_of_partition, machine, fb,
-                                 merged.cost_of);
+        PlacementCostTable table(w, tile_of_partition, machine);
         auto delta_of = [&](int pi, int pj) {
             swaps_evaluated++;
             int64_t d = table.swap_delta(pi, pj);
 #ifndef NDEBUG
             std::vector<int> tiles = table.tile_of();
-            int64_t pre = full_cost(tiles);
+            int64_t pre = placement_assignment_cost(w, tiles, machine);
             std::swap(tiles[pi], tiles[pj]);
-            check(full_cost(tiles) - pre == d,
+            check(placement_assignment_cost(w, tiles, machine) - pre == d,
                   "placement: swap delta disagrees with full recompute");
 #endif
             return d;
@@ -341,11 +270,9 @@ place_partitions(const TaskGraph &g, const Clustering &merged,
             std::uniform_int_distribution<int> pick(
                 0, static_cast<int>(movable.size()) - 1);
             std::uniform_real_distribution<double> unit(0.0, 1.0);
-            // Feedback-mode costs carry the kPlaceDistUnit scale, so
-            // the start temperature scales with them to keep the
-            // accept probabilities comparable.
-            double temp = use_fb ? 8.0 * kPlaceDistUnit : 8.0;
-            int64_t cur = full_cost(tile_of_partition);
+            double temp = 8.0;
+            int64_t cur =
+                placement_assignment_cost(w, tile_of_partition, machine);
             std::vector<int> best = tile_of_partition;
             int64_t best_cost = cur;
             for (int iter = 0; iter < 4000; iter++) {

@@ -1,6 +1,5 @@
 #include "rawcc/compiler.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <numeric>
 #include <set>
@@ -36,46 +35,6 @@ lap_ms(Clock::time_point &t0)
 
 } // namespace
 
-PlacementFeedback
-placement_feedback_from_profile(const SimResult &sim,
-                                const MachineConfig &machine)
-{
-    PlacementFeedback fb;
-    const auto &tiles = sim.profile.tiles;
-    if (static_cast<int>(tiles.size()) != machine.n_tiles)
-        return fb;
-
-    std::vector<int64_t> comm(machine.n_tiles, 0);
-    std::vector<int64_t> proc(machine.n_tiles, 0);
-    for (int t = 0; t < machine.n_tiles; t++) {
-        const TileProfile &tp = tiles[t];
-        int64_t stalls = std::accumulate(tp.route_stalls.begin(),
-                                         tp.route_stalls.end(),
-                                         int64_t{0});
-        comm[t] = tp.words_routed + stalls;
-        proc[t] =
-            tp.proc_cycles[static_cast<int>(ProcCycle::kIssued)] +
-            tp.proc_cycles[static_cast<int>(
-                ProcCycle::kSendBlocked)] +
-            tp.proc_cycles[static_cast<int>(ProcCycle::kRecvBlocked)];
-    }
-
-    auto normalize = [](std::vector<int64_t> &v) {
-        int64_t mx = *std::max_element(v.begin(), v.end());
-        if (mx <= 0) {
-            v.clear();
-            return;
-        }
-        for (int64_t &x : v)
-            x = (x * kPlacePenaltyMax + mx / 2) / mx;
-    };
-    normalize(comm);
-    normalize(proc);
-    fb.comm_penalty = std::move(comm);
-    fb.proc_penalty = std::move(proc);
-    return fb;
-}
-
 std::string
 options_fingerprint(const CompilerOptions &opts)
 {
@@ -86,12 +45,7 @@ options_fingerprint(const CompilerOptions &opts)
     const PartitionOptions &p = opts.orch.partition;
     os << "|p:" << static_cast<int>(p.cluster_mode) << " "
        << static_cast<int>(p.place_mode) << " " << p.seed << " "
-       << p.crit_weight << " fb";
-    for (int64_t v : p.feedback.comm_penalty)
-        os << " " << v;
-    os << " /";
-    for (int64_t v : p.feedback.proc_penalty)
-        os << " " << v;
+       << p.crit_weight;
     const SchedOptions &s = opts.orch.sched;
     os << "|s:" << s.level_weight << " " << s.fertility_weight << " "
        << s.fifo_priority << " " << s.sched_iters;
@@ -104,7 +58,7 @@ options_fingerprint(const CompilerOptions &opts)
 }
 
 std::vector<CompilerOptions>
-pgo_candidates(const CompilerOptions &base, const PlacementFeedback &fb)
+pgo_candidates(const CompilerOptions &base)
 {
     CompilerOptions plain = base;
     plain.pgo = false;
@@ -117,27 +71,15 @@ pgo_candidates(const CompilerOptions &base, const PlacementFeedback &fb)
             cands.push_back(c);
     };
     add(plain);
-    if (!fb.empty()) {
-        CompilerOptions c = plain;
-        c.orch.partition.feedback = fb;
-        add(c);
-    }
     {
         CompilerOptions c = plain;
         c.orch.partition.crit_weight = 8;
         add(c);
-        if (!fb.empty()) {
-            c.orch.partition.feedback = fb;
-            add(c);
-        }
     }
     // Alternative priority weightings: block makespans usually tie,
     // but the resulting issue orders measure differently; the
     // simulated pick keeps whichever order the machine favors.
-    for (auto [lw, fw] : {std::pair<int, int>{4, 1},
-                          {16, 4},
-                          {16, 0},
-                          {2, 1}}) {
+    for (auto [lw, fw] : {std::pair<int, int>{16, 0}, {2, 1}}) {
         CompilerOptions c = plain;
         c.orch.sched.level_weight = lw;
         c.orch.sched.fertility_weight = fw;
@@ -383,13 +325,12 @@ compile_source(const std::string &source, const MachineConfig &machine,
 {
     machine.validate();
 
-    if (opts.pgo && opts.orch.partition.feedback.empty()) {
-        // Profile-guided pass: a first full compile+simulate
-        // measures where cycles actually went, then each candidate
-        // variant (congestion-feedback placement, criticality-
-        // weighted traffic, alternative priorities, voted homes,
-        // peeling aggressiveness) is compiled and simulated
-        // fault-free, and the fastest measured program wins.
+    if (opts.pgo) {
+        // Profile-guided pass: each candidate variant (the plain
+        // compile, criticality-weighted traffic, alternative
+        // priorities, voted homes, peeling aggressiveness) is
+        // compiled and simulated fault-free, and the fastest
+        // measured program wins.
         // Candidate 0 is the plain compile, so --pgo can never lose
         // cycles; all candidates run with pgo cleared, keeping this
         // recursion one level deep.  The portfolio lives here rather
@@ -424,21 +365,15 @@ compile_source(const std::string &source, const MachineConfig &machine,
             return out;
         };
 
-        CompilerOptions probe_opts = opts;
-        probe_opts.pgo = false;
-        CompileOutput best = compile_cand(probe_opts);
-        Simulator sim(best.program);
-        SimResult measured = sim.run();
-        int64_t best_cycles = measured.cycles;
-        PlacementFeedback fb =
-            placement_feedback_from_profile(measured, machine);
+        std::vector<CompilerOptions> cands = pgo_candidates(opts);
+        CompileOutput best = compile_cand(cands[0]);
+        int64_t best_cycles = Simulator(best.program).run().cycles;
         // A candidate whose program is byte-identical to one already
         // measured would report the same cycles; don't re-simulate
         // it.  Candidate compiles differ only in options, and option
         // variants frequently tie once blocks are small.
         std::vector<std::pair<std::pair<uint64_t, uint64_t>, int64_t>>
             simmed{{program_digest(best.program), best_cycles}};
-        std::vector<CompilerOptions> cands = pgo_candidates(opts, fb);
         for (size_t c = 1; c < cands.size(); c++) {
             CompileOutput cand = compile_cand(cands[c]);
             std::pair<uint64_t, uint64_t> d =
@@ -455,6 +390,7 @@ compile_source(const std::string &source, const MachineConfig &machine,
             if (cycles < best_cycles) {
                 best_cycles = cycles;
                 best = std::move(cand);
+                best.stats.pgo_winner = static_cast<int>(c);
             }
         }
         return best;

@@ -48,18 +48,13 @@ struct CompilerOptions
      */
     bool smart_homes = false;
     /**
-     * Profile-guided optimization (--pgo): compile, simulate the
-     * result fault-free once, then race a small portfolio of
+     * Profile-guided optimization (--pgo): race a small portfolio of
      * semantically equivalent compile variants (pgo_candidates():
-     * congestion-feedback placement folding the measured per-tile
-     * occupancy into the cost model, criticality-weighted traffic,
-     * alternative scheduler priorities, usage-voted homes, peeling
-     * aggressiveness) and keep the fastest measured program.  The
-     * plain compile is always candidate 0, so this never loses
-     * cycles.  Acts in compile_source (unroll variants precede
-     * lowering); ignored when orch.partition.feedback is already
-     * populated (the harness's cached-profile path sets it
-     * directly).
+     * criticality-weighted traffic, alternative scheduler priorities,
+     * usage-voted homes, peeling aggressiveness), simulating each
+     * fault-free, and keep the fastest measured program.  The plain
+     * compile is always candidate 0, so this never loses cycles.
+     * Acts in compile_source (unroll variants precede lowering).
      */
     bool pgo = false;
 };
@@ -101,6 +96,11 @@ struct CompileStats
     double orch_partition_ms = 0;
     /** Parallel schedule+emit phase inside orchestrate_ms (ms). */
     double orch_schedule_ms = 0;
+    /**
+     * pgo_candidates() index of the program a --pgo race kept; 0 for
+     * the plain candidate and for compiles without --pgo.
+     */
+    int pgo_winner = 0;
 
     /** Sum of the per-block makespan estimates. */
     int64_t estimated_makespan() const;
@@ -115,30 +115,17 @@ struct CompileOutput
     Function fn;
 };
 
-struct SimResult;
-
-/**
- * Fold a profiled run into per-tile placement penalties: switch load
- * (words routed plus ROUTE stall cycles) and processor occupancy
- * (issue plus send/receive-blocked cycles), each normalized to
- * 0..kPlacePenaltyMax.  Returns an empty feedback (no-op) when the
- * profile is missing or degenerate.
- */
-PlacementFeedback placement_feedback_from_profile(
-    const SimResult &sim, const MachineConfig &machine);
-
 /**
  * The candidate variants a PGO pass explores, all semantically
- * equivalent compiles of the same program: the options as given,
- * congestion-feedback placement (@p fb from the first pass),
- * criticality-weighted placement traffic, a small set of alternative
- * scheduler priority weightings, usage-voted data homes, and a more
- * aggressive peeling limit.  Candidate 0 is always @p base
+ * equivalent compiles of the same program, in race order: the
+ * options as given, criticality-weighted placement traffic, two
+ * alternative scheduler priority weightings, usage-voted data homes,
+ * and a more aggressive peeling limit.  Candidate 0 is always @p base
  * unchanged, so a measured best-of pick can never lose to the plain
- * compile.  Every candidate has pgo cleared.
+ * compile; candidates that duplicate an earlier one are dropped.
+ * Every candidate has pgo cleared.
  */
-std::vector<CompilerOptions> pgo_candidates(
-    const CompilerOptions &base, const PlacementFeedback &fb);
+std::vector<CompilerOptions> pgo_candidates(const CompilerOptions &base);
 
 /**
  * Canonical serialization of every option that can change the

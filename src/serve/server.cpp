@@ -46,8 +46,8 @@ class BadRequest : public FatalError
 };
 
 /** Keys a request's "options" object may set. */
-const std::set<std::string> kOptionKeys = {"pgo", "smart_homes",
-                                           "verify_ir", "sched_iters"};
+const std::set<std::string> kOptionKeys = {"pgo", "verify_ir",
+                                           "sched_iters"};
 
 /** One client connection; writes are serialized by wmu. */
 struct Conn
@@ -271,7 +271,6 @@ struct ServeServer::Impl
                 throw BadRequest("unknown option: \"" + member.first +
                                  "\"");
         copts.pgo = o->bool_or("pgo", false);
-        copts.smart_homes = o->bool_or("smart_homes", false);
         copts.verify_ir = o->bool_or("verify_ir", true);
         int64_t iters = o->int_or("sched_iters", 0);
         if (iters < 0 || iters > kMaxSchedIters)

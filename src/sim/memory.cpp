@@ -1,5 +1,7 @@
 #include "sim/memory.hpp"
 
+#include <string>
+
 namespace raw {
 
 MemorySystem::MemorySystem(int n_tiles, int64_t total_words,
@@ -29,21 +31,29 @@ MemorySystem::write_global(int64_t g, uint32_t v)
     write_local(home_of(g), local_of(g), v);
 }
 
+void
+MemorySystem::check_local(int tile, int64_t local) const
+{
+    check(tile >= 0 && tile < n_tiles_, "memory: bad tile");
+    // The compiler cannot bound every run-time subscript, so an
+    // access past the shared region is the program's fault.
+    if (local < 0 || local >= shared_words_)
+        fatal("memory: shared access out of range at address " +
+              std::to_string(local * n_tiles_ + tile) + " (region is " +
+              std::to_string(shared_words_ * n_tiles_) + " words)");
+}
+
 uint32_t
 MemorySystem::read_local(int tile, int64_t local) const
 {
-    check(tile >= 0 && tile < n_tiles_, "memory: bad tile");
-    check(local >= 0 && local < shared_words_,
-          "memory: shared access out of range");
+    check_local(tile, local);
     return mem_[tile][local];
 }
 
 void
 MemorySystem::write_local(int tile, int64_t local, uint32_t v)
 {
-    check(tile >= 0 && tile < n_tiles_, "memory: bad tile");
-    check(local >= 0 && local < shared_words_,
-          "memory: shared access out of range");
+    check_local(tile, local);
     mem_[tile][local] = v;
 }
 

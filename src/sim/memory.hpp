@@ -52,6 +52,12 @@ class MemorySystem
     void write_spill(int tile, int64_t slot, uint32_t v);
 
   private:
+    /**
+     * Panic on a bad tile (a simulator bug); fatal on an offset past
+     * the shared region (a program subscript out of range).
+     */
+    void check_local(int tile, int64_t local) const;
+
     int n_tiles_;
     int64_t shared_words_; // per-tile share of the interleaved region
     std::vector<std::vector<uint32_t>> mem_;

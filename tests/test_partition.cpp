@@ -233,40 +233,18 @@ random_traffic(std::mt19937 &rng, int n, double density)
     return w;
 }
 
-// Random per-tile congestion penalties in 0..kPlacePenaltyMax.
-PlacementFeedback
-random_feedback(std::mt19937 &rng, int n_tiles)
-{
-    std::uniform_int_distribution<int> pen(0, kPlacePenaltyMax);
-    PlacementFeedback fb;
-    for (int t = 0; t < n_tiles; t++) {
-        fb.comm_penalty.push_back(pen(rng));
-        fb.proc_penalty.push_back(pen(rng));
-    }
-    return fb;
-}
-
 // Property: the placement cost table's O(1) swap delta must equal
 // the cost difference of two full O(n²) recomputes, after every step
 // of a random swap sequence whose accepted swaps update the table —
-// with pinned (never moved) partitions, with and without congestion
-// feedback, on 16/64/128-tile meshes.
+// with pinned (never moved) partitions, on 16/64/128-tile meshes.
 TEST(Place, SwapDeltaMatchesFullRecompute)
 {
     std::mt19937 rng(20260805);
     for (int trial = 0; trial < 24; trial++) {
         const int n = std::array<int, 3>{16, 64, 128}[trial % 3];
         MachineConfig machine = MachineConfig::base(n);
-        const bool with_fb = trial % 2 == 1;
         std::vector<std::vector<int>> w =
             random_traffic(rng, n, trial % 4 < 2 ? 0.1 : 0.5);
-        std::vector<int64_t> cost_of(n);
-        std::uniform_int_distribution<int> cost_dist(0, 5000);
-        for (int64_t &c : cost_of)
-            c = cost_dist(rng);
-        PlacementFeedback fb;
-        if (with_fb)
-            fb = random_feedback(rng, n);
         std::vector<int> tiles(n);
         std::iota(tiles.begin(), tiles.end(), 0);
         std::shuffle(tiles.begin(), tiles.end(), rng);
@@ -277,11 +255,9 @@ TEST(Place, SwapDeltaMatchesFullRecompute)
                 movable.push_back(p);
 
         auto full = [&](const std::vector<int> &t) {
-            return with_fb ? placement_feedback_cost(w, t, machine, fb,
-                                                     cost_of)
-                           : placement_assignment_cost(w, t, machine);
+            return placement_assignment_cost(w, t, machine);
         };
-        PlacementCostTable table(w, tiles, machine, fb, cost_of);
+        PlacementCostTable table(w, tiles, machine);
         std::uniform_int_distribution<int> pick(
             0, static_cast<int>(movable.size()) - 1);
         std::uniform_real_distribution<double> coin(0.0, 1.0);
@@ -495,65 +471,15 @@ oracle_place(const TaskGraph &g, const Clustering &merged,
             w[b][a]++;
         }
     }
-    const PlacementFeedback &fb = opts.feedback;
-    const bool use_fb = !fb.empty();
-    auto pen_c = [&](int t) -> int64_t {
-        return t < static_cast<int>(fb.comm_penalty.size())
-                   ? fb.comm_penalty[t]
-                   : 0;
-    };
-    auto pen_p = [&](int t) -> int64_t {
-        return t < static_cast<int>(fb.proc_penalty.size())
-                   ? fb.proc_penalty[t]
-                   : 0;
-    };
-    std::vector<int64_t> comp(n_tiles, 0);
-    if (use_fb)
-        for (int p = 0; p < n_tiles; p++)
-            comp[p] = merged.cost_of[p] / kPlacePenaltyMax;
-    auto fb_cost = [&]() {
-        int64_t cost = 0;
-        for (int a = 0; a < n_tiles; a++) {
-            const int ta = tile_of_partition[a];
-            for (int b = a + 1; b < n_tiles; b++) {
-                const int tb = tile_of_partition[b];
-                if (w[a][b])
-                    cost += static_cast<int64_t>(w[a][b]) *
-                            (kPlaceDistUnit *
-                                 machine.distance(ta, tb) +
-                             pen_c(ta) + pen_c(tb));
-            }
-            cost += comp[a] * pen_p(ta);
-        }
-        return cost;
-    };
     int64_t swaps_evaluated = 0;
     auto delta_of = [&](int pi, int pj) {
         swaps_evaluated++;
-        int64_t d =
-            oracle_swap_delta(w, tile_of_partition, machine, pi, pj);
-        if (use_fb) {
-            const int ti = tile_of_partition[pi];
-            const int tj = tile_of_partition[pj];
-            int64_t wi = 0, wj = 0;
-            for (int k = 0; k < n_tiles; k++) {
-                if (k == pi || k == pj)
-                    continue;
-                wi += w[pi][k];
-                wj += w[pj][k];
-            }
-            d = kPlaceDistUnit * d +
-                (pen_c(tj) - pen_c(ti)) * (wi - wj) +
-                (pen_p(tj) - pen_p(ti)) * (comp[pi] - comp[pj]);
-        }
-        return d;
+        return oracle_swap_delta(w, tile_of_partition, machine, pi, pj);
     };
     if (opts.place_mode != PlaceMode::kArbitrary &&
         movable.size() > 1) {
         int64_t cur =
-            use_fb ? fb_cost()
-                   : placement_assignment_cost(w, tile_of_partition,
-                                               machine);
+            placement_assignment_cost(w, tile_of_partition, machine);
         if (opts.place_mode == PlaceMode::kGreedySwap) {
             bool improved = true;
             while (improved) {
@@ -575,7 +501,7 @@ oracle_place(const TaskGraph &g, const Clustering &merged,
             std::uniform_int_distribution<int> pick(
                 0, static_cast<int>(movable.size()) - 1);
             std::uniform_real_distribution<double> unit(0.0, 1.0);
-            double temp = use_fb ? 8.0 * kPlaceDistUnit : 8.0;
+            double temp = 8.0;
             std::vector<int> best = tile_of_partition;
             int64_t best_cost = cur;
             for (int iter = 0; iter < 4000; iter++) {
@@ -684,7 +610,7 @@ TEST(Cluster, DSCMatchesQuadraticArrivalOracle)
 
 // Greedy-swap and annealing placement through the cost table must
 // reproduce the O(n)-delta loops' placements and evaluated-swap
-// counts exactly, at 64 and 128 tiles, with and without feedback.
+// counts exactly, at 64 and 128 tiles.
 TEST(Place, TableMatchesLinearDeltaOracle)
 {
     std::mt19937 rng(2506);
@@ -695,13 +621,10 @@ TEST(Place, TableMatchesLinearDeltaOracle)
         PartitionOptions opts;
         Clustering cl = cluster_taskgraph(*c.graph, c.machine, opts);
         Clustering m = merge_clusters(*c.graph, cl, c.machine);
-        if (trial % 4 >= 2)
-            opts.feedback = random_feedback(rng, tiles);
         for (PlaceMode mode :
              {PlaceMode::kGreedySwap, PlaceMode::kAnneal}) {
             SCOPED_TRACE(testing::Message()
                          << "trial " << trial << " tiles " << tiles
-                         << " fb " << !opts.feedback.empty()
                          << " anneal " << (mode == PlaceMode::kAnneal));
             opts.place_mode = mode;
             opts.seed = static_cast<uint32_t>(trial + 1);

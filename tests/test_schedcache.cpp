@@ -112,29 +112,38 @@ TEST(SchedCache, PgoCandidatesDuplicateFree)
 {
     CompilerOptions base;
     base.pgo = true;
-    PlacementFeedback fb;
-    fb.comm_penalty = {3, 0, 7, 1};
-    fb.proc_penalty = {1, 2, 0, 4};
-    for (const PlacementFeedback &f :
-         {PlacementFeedback{}, fb}) {
-        std::vector<CompilerOptions> cands = pgo_candidates(base, f);
-        std::set<std::string> seen;
-        for (const CompilerOptions &c : cands) {
-            EXPECT_FALSE(c.pgo);
-            EXPECT_TRUE(
-                seen.insert(options_fingerprint(c)).second)
-                << "duplicate candidate fingerprint";
-        }
-        EXPECT_EQ(seen.size(), cands.size());
+    CompilerOptions plain = base;
+    plain.pgo = false;
+
+    // The race order: plain, crit 8, priorities (16,0) and (2,1),
+    // voted homes, peel x4.
+    std::vector<CompilerOptions> want(6, plain);
+    want[1].orch.partition.crit_weight = 8;
+    want[2].orch.sched.level_weight = 16;
+    want[2].orch.sched.fertility_weight = 0;
+    want[3].orch.sched.level_weight = 2;
+    want[3].orch.sched.fertility_weight = 1;
+    want[4].smart_homes = true;
+    want[5].unroll.small_peel_limit *= 4;
+    want[5].unroll.forced_peel_limit *= 4;
+
+    std::vector<CompilerOptions> cands = pgo_candidates(base);
+    ASSERT_EQ(cands.size(), want.size());
+    std::set<std::string> seen;
+    for (size_t i = 0; i < cands.size(); i++) {
+        EXPECT_FALSE(cands[i].pgo);
+        EXPECT_EQ(options_fingerprint(cands[i]),
+                  options_fingerprint(want[i]))
+            << "candidate " << i;
+        EXPECT_TRUE(seen.insert(options_fingerprint(cands[i])).second)
+            << "duplicate candidate fingerprint";
     }
 
     // A base that already carries a portfolio knob collapses the
     // matching candidate instead of racing it twice.
     CompilerOptions pre = base;
     pre.orch.partition.crit_weight = 8;
-    size_t plain_n = pgo_candidates(base, fb).size();
-    size_t pre_n = pgo_candidates(pre, fb).size();
-    EXPECT_LT(pre_n, plain_n);
+    EXPECT_LT(pgo_candidates(pre).size(), cands.size());
 }
 
 TEST(SchedCache, FingerprintTracksEffectiveOptions)

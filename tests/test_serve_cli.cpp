@@ -185,9 +185,10 @@ TEST(ServeCli, RejectsGarbageLinesWithoutDying)
 }
 
 // "options" accepts exactly the compiler options serve exposes: an
-// unknown key (such as the deleted route_select, or modulo, which
-// serve never exposed) must be refused, not silently compiled as
-// something else, and sched_iters shares the CLI's 0..16 range.
+// unknown key (such as the deleted route_select, modulo, which serve
+// never exposed, or smart_homes, which is only a --pgo candidate)
+// must be refused, not silently compiled as something else, and
+// sched_iters shares the CLI's 0..16 range.
 TEST(ServeCli, RejectsUnknownOptionsAndOutOfRangeSchedIters)
 {
     ServeDaemon d;
@@ -214,13 +215,19 @@ TEST(ServeCli, RejectsUnknownOptionsAndOutOfRangeSchedIters)
                          "\"options\":{\"modulo\":true}}",
                          15000);
     EXPECT_EQ(mod.str_or("error", ""), "bad_request");
+    Json homes = c.request("{\"op\":\"compile\",\"bench\":\"jacobi\","
+                           "\"options\":{\"smart_homes\":true}}",
+                           15000);
+    EXPECT_EQ(homes.str_or("error", ""), "bad_request");
+    EXPECT_NE(homes.str_or("message", "").find("unknown option"),
+              std::string::npos);
     Json max = c.request("{\"op\":\"compile\",\"bench\":\"jacobi\","
                          "\"options\":{\"sched_iters\":16}}",
                          15000);
     EXPECT_TRUE(max.bool_or("ok", false)) << max.str_or("message", "");
 
     Json st = c.request("{\"op\":\"stats\"}", 5000);
-    EXPECT_EQ(st.int_or("bad_requests", -1), 4);
+    EXPECT_EQ(st.int_or("bad_requests", -1), 5);
     EXPECT_EQ(st.int_or("compile_errors", -1), 0);
     EXPECT_EQ(d.stop(), 0);
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness/harness.hpp"
 #include "sim/disasm.hpp"
 #include "sim/simulator.hpp"
 
@@ -106,6 +107,56 @@ TEST(Memory, SpillRegionIsPrivate)
     EXPECT_EQ(mem.read_spill(0, 2), 111u);
     EXPECT_EQ(mem.read_spill(1, 2), 222u);
     EXPECT_THROW(mem.read_spill(0, 9), PanicError);
+}
+
+// A shared access past the interleaved region is the program's
+// fault (FatalError naming the address); a bad tile stays a panic.
+TEST(Memory, OutOfRangeSharedAccessIsFatal)
+{
+    MemorySystem mem(4, 16, {0, 0, 0, 0});
+    try {
+        mem.read_local(1, 4);
+        ADD_FAILURE() << "read past the region did not throw";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("at address 17"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(mem.write_local(0, -1, 7), FatalError);
+    EXPECT_THROW(mem.write_global(16, 7), FatalError);
+    EXPECT_THROW(mem.read_local(4, 0), PanicError);
+}
+
+// A run-time subscript past its array (the rolled loop keeps the
+// compiler from folding it) fails the run with a FatalError under
+// both cores, for RAWCC and for the sequential baseline.
+TEST(Memory, RunTimeSubscriptOutOfRangeIsFatal)
+{
+    const char *src =
+        "int a[4]; int i;\n"
+        "for (i = 0; i < 4; i = i + 1) { a[i] = 1; }\n"
+        "for (i = 0; i < 4; i = i + 1) { print(a[i + 2]); }\n";
+    CompilerOptions rolled;
+    rolled.unroll.enable = false;
+    const CompiledProgram programs[] = {
+        compile_source(src, MachineConfig::base(1), rolled).program,
+        compile_baseline(src).program,
+    };
+    for (const CompiledProgram &prog : programs)
+        for (SimBackend b :
+             {SimBackend::kReference, SimBackend::kThreaded}) {
+            SCOPED_TRACE(sim_backend_name(b));
+            Simulator sim(prog, {}, {}, b);
+            try {
+                sim.run();
+                ADD_FAILURE() << "out-of-range load ran to completion";
+            } catch (const FatalError &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "shared access out of range at address"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
 }
 
 // ---------------------------------------------------------------

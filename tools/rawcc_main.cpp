@@ -46,8 +46,8 @@
  *                      core's exact cycle
  *   --sim-diff         run the reference and fast (threaded) cores,
  *                      require identical results
- *   --pgo              profile-guided placement (compile, simulate,
- *                      recompile around the measured congestion)
+ *   --pgo              profile-guided portfolio (compile and simulate
+ *                      six equivalent variants, keep the fastest)
  *   --list-benchmarks  list the built-in Table 2 programs
  *
  * The input is a rawc source file, or the name of a built-in
