@@ -1,6 +1,15 @@
 #include "sim/isa.hpp"
 
+#include "support/error.hpp"
+
 namespace raw {
+
+void
+subscript_out_of_range(const ArrayLayout &al, int64_t index)
+{
+    fatal("subscript " + std::to_string(index) + " out of range for '" +
+          al.name + "' (extent " + std::to_string(al.size) + ")");
+}
 
 int
 CompiledProgram::find_array(const std::string &name) const

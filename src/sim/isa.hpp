@@ -103,6 +103,15 @@ struct ArrayLayout
     int64_t size = 0;
 };
 
+/**
+ * Raise the FatalError for run-time subscript @p index of array @p al,
+ * in the parser's wording.  Both cores bound the flattened element
+ * index, not each dimension: only an index outside [0, al.size) is an
+ * error, so `a[0][5]` of `int a[4][4]` reads `a[1][1]`, as in C.
+ */
+[[noreturn]] void subscript_out_of_range(const ArrayLayout &al,
+                                         int64_t index);
+
 /** A fully compiled program, ready to simulate. */
 struct CompiledProgram
 {

@@ -35,8 +35,10 @@ void
 MemorySystem::check_local(int tile, int64_t local) const
 {
     check(tile >= 0 && tile < n_tiles_, "memory: bad tile");
-    // The compiler cannot bound every run-time subscript, so an
-    // access past the shared region is the program's fault.
+    // Both cores bound each array access by its own array first
+    // (subscript_out_of_range), so only a program whose array layout
+    // overruns the region gets here; that is still the program's
+    // fault, not the simulator's.
     if (local < 0 || local >= shared_words_)
         fatal("memory: shared access out of range at address " +
               std::to_string(local * n_tiles_ + tile) + " (region is " +

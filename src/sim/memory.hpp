@@ -54,7 +54,7 @@ class MemorySystem
   private:
     /**
      * Panic on a bad tile (a simulator bug); fatal on an offset past
-     * the shared region (a program subscript out of range).
+     * the shared region (a program whose arrays overrun it).
      */
     void check_local(int tile, int64_t local) const;
 

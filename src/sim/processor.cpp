@@ -97,6 +97,15 @@ Simulator::step_proc(int tile, int64_t now)
         return r == kPortOperand ? ProcCycle::kRecvBlocked
                                  : ProcCycle::kOperandWait;
     };
+    // Global address of a static or dynamic array access (fatal on a
+    // subscript outside its array).
+    auto array_addr = [&]() -> int64_t {
+        const ArrayLayout &al = prog_.arrays[in.array];
+        int64_t idx = bits_int(p.regs[in.src[0]]);
+        if (idx < 0 || idx >= al.size)
+            subscript_out_of_range(al, idx);
+        return al.base + idx;
+    };
     auto stall = [&](ProcCycle c) {
         stats_.proc_stall_cycles++;
         account_proc(tile, now, c);
@@ -160,8 +169,7 @@ Simulator::step_proc(int tile, int64_t now)
         if (in.array == kSpillArray) {
             v = mem_.read_spill(tile, static_cast<int64_t>(in.imm));
         } else {
-            int64_t g = prog_.arrays[in.array].base +
-                        bits_int(p.regs[in.src[0]]);
+            int64_t g = array_addr();
             check(mem_.home_of(g) == tile,
                   "static load executed away from its home tile");
             v = mem_.read_local(tile, mem_.local_of(g));
@@ -181,8 +189,7 @@ Simulator::step_proc(int tile, int64_t now)
         if (in.array == kSpillArray) {
             mem_.write_spill(tile, static_cast<int64_t>(in.imm), v);
         } else {
-            int64_t g = prog_.arrays[in.array].base +
-                        bits_int(p.regs[in.src[0]]);
+            int64_t g = array_addr();
             check(mem_.home_of(g) == tile,
                   "static store executed away from its home tile");
             mem_.write_local(tile, mem_.local_of(g), v);
@@ -198,8 +205,7 @@ Simulator::step_proc(int tile, int64_t now)
             return stall(wait_cat(in.src[0]));
         if (is_store && !ready(in.src[1]))
             return stall(wait_cat(in.src[1]));
-        int64_t g = prog_.arrays[in.array].base +
-                    bits_int(p.regs[in.src[0]]);
+        int64_t g = array_addr();
         int home = mem_.home_of(g);
         if (home == tile) {
             // Run-time check found the data local after all.

@@ -16,18 +16,11 @@
  *
  *  - Pre-decoding: each tile's processor and switch streams are
  *    translated once into flat handler records (PRec / SRec) with
- *    operand kinds, latencies, array bases, route FIFO pointers and
- *    opcode classes resolved at decode time.  Dispatch is a computed
- *    goto where the compiler supports labels-as-values, an indexed
- *    switch otherwise.  Records are 1:1 with instruction indices, so
- *    pcs, branch targets and checker provenance keys are unchanged.
- *
- *  - Pair fusion: a producer whose result is architecturally ready
- *    one cycle after retire (const, recv, any 1-cycle ALU op) marks
- *    the scoreboard check of the immediately following consumer
- *    (const+send, recv+alu, const+alu) as skippable, provided the
- *    consumer is not a branch target.  Fusion never merges cycles —
- *    it only elides interlock checks that can never fire.
+ *    operand kinds, latencies, array bases and extents, route FIFO
+ *    pointers and opcode classes resolved at decode time, and
+ *    dispatched by one dense switch over the record kind.  Records
+ *    are 1:1 with instruction indices, so pcs, branch targets and
+ *    checker provenance keys are unchanged.
  *
  *  - Sleep/wake: a unit that blocks *durably* on a port FIFO (the
  *    counterparty has not acted this cycle, so the condition cannot
@@ -37,12 +30,8 @@
  *    sit in a time wheel.  A sleeping unit would have repeated the
  *    same stall category every cycle, so its whole sleep span is
  *    accounted in one batch on wake-up — SimProfile sums stay exact.
- *    After each retire the unit additionally *peeks* the next
- *    record's gates for the coming cycle (peek_proc / peek_sw) and
- *    sleeps immediately when one is durably blocked, skipping the
- *    spin step it would otherwise burn discovering the stall.  Units
- *    whose stall re-draws RNG every cycle (clock jitter) or whose
- *    wake is not event-visible (dynamic-network waits, injected
+ *    Units whose stall re-draws RNG every cycle (clock jitter) or
+ *    whose wake is not event-visible (dynamic-network waits, injected
  *    route holds) never sleep; they spin exactly like the reference.
  *    Awake units live in per-plane bitmasks scanned in ascending
  *    tile order with a live cursor, so a cycle's cost scales with
@@ -63,12 +52,6 @@
  * reference core and throws that report instead, so the detection
  * cycle in what() is the reference core's on every backend.
  */
-
-#if defined(__GNUC__) || defined(__clang__)
-#define RAWCC_COMPUTED_GOTO 1
-#else
-#define RAWCC_COMPUTED_GOTO 0
-#endif
 
 namespace raw {
 
@@ -109,11 +92,8 @@ struct ThreadedState
         kAluGen,       ///< computational with port operands
         kTrapP,        ///< pc ran off the end of the stream
         kBadP,         ///< undefined-in-reference pattern
-        kNumPK
     };
-    static constexpr uint8_t PF_SKIP0 = 1; ///< src0 interlock elided
-    static constexpr uint8_t PF_SKIP1 = 2; ///< src1 interlock elided
-    static constexpr uint8_t PF_SPRINT = 4; ///< solo fast-path eligible
+    static constexpr uint8_t PF_SPRINT = 1; ///< solo fast-path eligible
 
     struct PRec
     {
@@ -128,8 +108,11 @@ struct ThreadedState
         int32_t s1 = -1;
         int32_t lat = 1; ///< result latency (ALU/load base)
         uint32_t imm = 0;
+        uint32_t ext = 0; ///< array extent (kLoadArr/kStoreArr/kDyn)
         int64_t a = 0; ///< array base / branch target / print_seq
     };
+    // ext sits in the padding after imm: the record stays 40 bytes.
+    static_assert(sizeof(PRec) == 40);
 
     // ---- pre-decoded switch records ----------------------------------
     enum SK : uint8_t {
@@ -142,7 +125,6 @@ struct ThreadedState
         kSHalt,
         kSTrap,
         kSBad,
-        kNumSK
     };
 
     /** Who to wake after touching a FIFO (tile < 0: nobody). */
@@ -314,6 +296,22 @@ struct ThreadedState
         return (w << 6) + ctz64(bits);
     }
 
+    /**
+     * Global address of array record @p r (kLoadArr/kStoreArr/kDyn)
+     * at subscript word @p w on processor @p t; fatal on a subscript
+     * outside the array.  A negative subscript is a word >= 2^31, so
+     * one unsigned compare against r.ext bounds both ends.
+     */
+    int64_t
+    array_addr(const PRec &r, int t, uint32_t w) const
+    {
+        if (w >= r.ext) {
+            const PInstr &in = S.prog_.tiles[t].code[S.procs_[t].pc];
+            subscript_out_of_range(S.prog_.arrays[in.array], bits_int(w));
+        }
+        return r.a + bits_int(w);
+    }
+
     /** Fold the batched aggregates into S.stats_. */
     inline void
     flush_counters()
@@ -433,7 +431,6 @@ struct ThreadedState
     void decode_switch(int t);
 
     void step_proc(int t, int64_t now);
-    void peek_proc(const HotP &h, int t, int64_t now);
     struct SwOutcome
     {
         Simulator::SwExec res;
@@ -441,7 +438,6 @@ struct ThreadedState
     };
     SwOutcome exec_srec(int t, int64_t now);
     void step_sw(int t, int64_t now);
-    void peek_sw(const HotS &h, int t, int64_t now);
 
     int64_t straight_run(int t, int64_t now, int64_t stop,
                          int64_t &last_progress);
@@ -518,17 +514,6 @@ ThreadedState::decode_proc(int t)
     auto clamp_tgt = [&](int64_t tg) {
         return tg >= 0 && tg <= size ? tg : size;
     };
-    // Branch-target map: fusion requires pure fall-through entry.
-    std::vector<uint8_t> is_tgt(size + 1, 0);
-    if (size > 0)
-        is_tgt[0] = 1;
-    for (const PInstr &in : code)
-        if (in.op == Op::kJump || in.op == Op::kBranch) {
-            int64_t tg = clamp_tgt(in.target);
-            if (tg < size)
-                is_tgt[tg] = 1;
-        }
-
     auto reg_ok = [&](int r) { return r >= 0 && r < nregs; };
     auto opnd_ok = [&](int r) {
         return r == -1 || r == kPortOperand || reg_ok(r);
@@ -545,6 +530,13 @@ ThreadedState::decode_proc(int t)
         r.s1 = in.src[1];
         r.imm = in.imm;
         auto bad = [&] { r.k = kBadP; };
+        auto set_array = [&] {
+            const ArrayLayout &al = S.prog_.arrays[in.array];
+            r.a = al.base;
+            // Capped at 2^31: every int32 subscript below it is valid.
+            r.ext = static_cast<uint32_t>(
+                std::min<int64_t>(al.size, int64_t(1) << 31));
+        };
         if (!opnd_ok(in.dst) || !opnd_ok(in.src[0]) ||
             !opnd_ok(in.src[1])) {
             bad();
@@ -583,7 +575,7 @@ ThreadedState::decode_proc(int t)
                 bad();
             } else {
                 r.k = kLoadArr;
-                r.a = S.prog_.arrays[in.array].base;
+                set_array();
             }
             break;
           case Op::kStore:
@@ -595,7 +587,7 @@ ThreadedState::decode_proc(int t)
                 bad();
             } else {
                 r.k = kStoreArr;
-                r.a = S.prog_.arrays[in.array].base;
+                set_array();
             }
             break;
           case Op::kDynLoad:
@@ -610,7 +602,7 @@ ThreadedState::decode_proc(int t)
                 break;
             }
             r.k = kDyn;
-            r.a = S.prog_.arrays[in.array].base;
+            set_array();
             r.lat = m.latency(FuOp::kLoad);
             break;
           }
@@ -654,39 +646,6 @@ ThreadedState::decode_proc(int t)
         }
     }
     recs[size].k = kTrapP;
-
-    // Pair fusion: elide interlocks the producer makes unmissable.
-    for (int64_t pc = 1; pc < size; pc++) {
-        if (is_tgt[pc])
-            continue;
-        const PInstr &prev = code[pc - 1];
-        if (prev.dst < 0 || recs[pc - 1].k == kBadP)
-            continue;
-        bool one_cycle =
-            prev.op == Op::kConst || prev.op == Op::kRecv ||
-            (recs[pc - 1].k == kAluRR && recs[pc - 1].lat == 1);
-        if (!one_cycle)
-            continue;
-        PRec &r = recs[pc];
-        switch (r.k) {
-          case kSend:
-          case kLoadArr:
-          case kLoadSpill:
-          case kStoreArr:
-          case kStoreSpill:
-          case kDyn:
-          case kPrint:
-          case kBranch:
-          case kAluRR:
-            if (r.s0 == prev.dst)
-                r.flags |= PF_SKIP0;
-            if (r.s1 == prev.dst)
-                r.flags |= PF_SKIP1;
-            break;
-          default:
-            break;
-        }
-    }
 
     // Sprint eligibility: touches no ports, no dynamic network.
     for (int64_t pc = 0; pc < size; pc++) {
@@ -898,7 +857,6 @@ ThreadedState::step_proc(int t, int64_t now)
             prog_ = true;
             acct_proc(prof, t, now, ProcCycle::kIssued);
             prof->issued[r.cls]++;
-            peek_proc(h, t, now);
         } else {
             stall_p(prof, t, now, ProcCycle::kMemWait);
         }
@@ -909,22 +867,14 @@ ThreadedState::step_proc(int t, int64_t now)
     Fifo &p2s = *h.p2s;
     Fifo &s2p = *h.s2p;
 
-    auto retire = [&] {
-        p.pc++;
-        c_instrs++;
-        prog_ = true;
-        acct_proc(prof, t, now, ProcCycle::kIssued);
-        prof->issued[r.cls]++;
-        peek_proc(h, t, now);
-    };
     auto retire_at = [&](int64_t pc_next) {
         p.pc = pc_next;
         c_instrs++;
         prog_ = true;
         acct_proc(prof, t, now, ProcCycle::kIssued);
         prof->issued[r.cls]++;
-        peek_proc(h, t, now);
     };
+    auto retire = [&] { retire_at(p.pc + 1); };
     // Scoreboard stall: always durable (busy[] is a fixed deadline).
     auto stall_busy = [&](int reg) {
         stall_p(prof, t, now, ProcCycle::kOperandWait);
@@ -962,413 +912,248 @@ ThreadedState::step_proc(int t, int64_t now)
             S.checker_->send_p2s(t, p.pc, p2s, now);
     };
 
-#if RAWCC_COMPUTED_GOTO
-    // Indexed by PK; must match the enum order exactly.
-    static const void *const kDisp[kNumPK] = {
-        &&H_ConstReg, &&H_ConstPort, &&H_Send,     &&H_Recv,
-        &&H_LoadArr,  &&H_LoadSpill, &&H_StoreArr, &&H_StoreSpill,
-        &&H_Dyn,      &&H_Print,     &&H_Jump,     &&H_Branch,
-        &&H_Halt,     &&H_AluRR,     &&H_AluGen,   &&H_Trap,
-        &&H_Bad,
-    };
-    goto *kDisp[r.k];
-#else
     switch (r.k) {
-      case kConstReg: goto H_ConstReg;
-      case kConstPort: goto H_ConstPort;
-      case kSend: goto H_Send;
-      case kRecv: goto H_Recv;
-      case kLoadArr: goto H_LoadArr;
-      case kLoadSpill: goto H_LoadSpill;
-      case kStoreArr: goto H_StoreArr;
-      case kStoreSpill: goto H_StoreSpill;
-      case kDyn: goto H_Dyn;
-      case kPrint: goto H_Print;
-      case kJump: goto H_Jump;
-      case kBranch: goto H_Branch;
-      case kHaltP: goto H_Halt;
-      case kAluRR: goto H_AluRR;
-      case kAluGen: goto H_AluGen;
-      case kTrapP: goto H_Trap;
-      default: goto H_Bad;
-    }
-#endif
-
-H_ConstReg:
-    h.regs[r.dst] = r.imm;
-    h.busy[r.dst] = now + 1;
-    retire();
-    return;
-
-H_ConstPort:
-    if (!p2s.can_push(now))
-        return stall_send();
-    push_p2s(r.imm);
-    retire();
-    return;
-
-H_Send: {
-    if (r.s0 == kPortOperand) {
-        // Reference quirk: readiness checks the input port, but the
-        // value sent is zero and the port word is left unconsumed.
-        if (!s2p.can_pop(now))
-            return stall_recv();
-    } else if (r.s0 >= 0 && !(r.flags & PF_SKIP0) &&
-               h.busy[r.s0] > now) {
-        return stall_busy(r.s0);
-    }
-    if (!p2s.can_push(now))
-        return stall_send();
-    push_p2s(r.s0 >= 0 ? h.regs[r.s0] : 0);
-    retire();
-    return;
-}
-
-H_Recv: {
-    if (!s2p.can_pop(now))
-        return stall_recv();
-    uint32_t v = pop_s2p(0);
-    if (r.dst >= 0) {
-        h.regs[r.dst] = v;
+      case kConstReg:
+        h.regs[r.dst] = r.imm;
         h.busy[r.dst] = now + 1;
-    }
-    retire();
-    return;
-}
+        retire();
+        return;
 
-H_LoadArr: {
-    if (r.s0 >= 0 && !(r.flags & PF_SKIP0) && h.busy[r.s0] > now)
-        return stall_busy(r.s0);
-    int64_t lat = r.lat + S.fault_extra();
-    int64_t g = r.a + bits_int(r.s0 >= 0 ? h.regs[r.s0] : 0);
-    check(S.mem_.home_of(g) == t,
-          "static load executed away from its home tile");
-    h.regs[r.dst] = S.mem_.read_local(t, S.mem_.local_of(g));
-    h.busy[r.dst] = now + lat;
-    retire();
-    return;
-}
+      case kConstPort:
+        if (!p2s.can_push(now))
+            return stall_send();
+        push_p2s(r.imm);
+        retire();
+        return;
 
-H_LoadSpill: {
-    if (r.s0 == kPortOperand) {
-        // Readiness gates on the port; the word is never consumed
-        // (the reference ignores the address operand for spills).
+      case kSend: {
+        if (r.s0 == kPortOperand) {
+            // Reference quirk: readiness checks the input port, but the
+            // value sent is zero and the port word is left unconsumed.
+            if (!s2p.can_pop(now))
+                return stall_recv();
+        } else if (r.s0 >= 0 && h.busy[r.s0] > now) {
+            return stall_busy(r.s0);
+        }
+        if (!p2s.can_push(now))
+            return stall_send();
+        push_p2s(r.s0 >= 0 ? h.regs[r.s0] : 0);
+        retire();
+        return;
+      }
+
+      case kRecv: {
         if (!s2p.can_pop(now))
             return stall_recv();
-    } else if (r.s0 >= 0 && !(r.flags & PF_SKIP0) &&
-               h.busy[r.s0] > now) {
-        return stall_busy(r.s0);
-    }
-    int64_t lat = r.lat + S.fault_extra();
-    h.regs[r.dst] =
-        S.mem_.read_spill(t, static_cast<int64_t>(r.imm));
-    h.busy[r.dst] = now + lat;
-    retire();
-    return;
-}
-
-H_StoreArr: {
-    if (r.s0 >= 0 && !(r.flags & PF_SKIP0) && h.busy[r.s0] > now)
-        return stall_busy(r.s0);
-    if (r.s1 == kPortOperand) {
-        if (!s2p.can_pop(now))
-            return stall_recv();
-    } else if (r.s1 >= 0 && !(r.flags & PF_SKIP1) &&
-               h.busy[r.s1] > now) {
-        return stall_busy(r.s1);
-    }
-    uint32_t v = r.s1 == kPortOperand
-                     ? pop_s2p(1)
-                     : (r.s1 >= 0 ? h.regs[r.s1] : 0);
-    int64_t g = r.a + bits_int(r.s0 >= 0 ? h.regs[r.s0] : 0);
-    check(S.mem_.home_of(g) == t,
-          "static store executed away from its home tile");
-    S.mem_.write_local(t, S.mem_.local_of(g), v);
-    retire();
-    return;
-}
-
-H_StoreSpill: {
-    if (r.s0 == kPortOperand) {
-        if (!s2p.can_pop(now))
-            return stall_recv();
-    } else if (r.s0 >= 0 && !(r.flags & PF_SKIP0) &&
-               h.busy[r.s0] > now) {
-        return stall_busy(r.s0);
-    }
-    if (r.s1 == kPortOperand) {
-        if (!s2p.can_pop(now))
-            return stall_recv();
-    } else if (r.s1 >= 0 && !(r.flags & PF_SKIP1) &&
-               h.busy[r.s1] > now) {
-        return stall_busy(r.s1);
-    }
-    uint32_t v = r.s1 == kPortOperand
-                     ? pop_s2p(1)
-                     : (r.s1 >= 0 ? h.regs[r.s1] : 0);
-    S.mem_.write_spill(t, static_cast<int64_t>(r.imm), v);
-    retire();
-    return;
-}
-
-H_Dyn: {
-    bool is_store = r.op == Op::kDynStore;
-    if (!(r.flags & PF_SKIP0) && h.busy[r.s0] > now)
-        return stall_busy(r.s0);
-    if (is_store && !(r.flags & PF_SKIP1) && h.busy[r.s1] > now)
-        return stall_busy(r.s1);
-    int64_t g = r.a + bits_int(h.regs[r.s0]);
-    int home = S.mem_.home_of(g);
-    if (home == t) {
-        if (is_store) {
-            S.mem_.write_local(t, S.mem_.local_of(g),
-                               h.regs[r.s1]);
-        } else {
-            h.regs[r.dst] = S.mem_.read_local(t, S.mem_.local_of(g));
-            h.busy[r.dst] = now + 1 + r.lat + S.fault_extra();
+        uint32_t v = pop_s2p(0);
+        if (r.dst >= 0) {
+            h.regs[r.dst] = v;
+            h.busy[r.dst] = now + 1;
         }
         retire();
         return;
-    }
-    uint32_t addr_word = int_bits(static_cast<int32_t>(g));
-    if (is_store)
-        p.inject = {dyn_header(home, t, 2, DynKind::kStoreReq),
-                    addr_word, h.regs[r.s1]};
-    else
-        p.inject = {dyn_header(home, t, 1, DynKind::kLoadReq),
-                    addr_word};
-    p.inject_pos = 0;
-    S.stats_.dyn_messages++;
-    p.waiting_dyn = true;
-    p.dyn_home = home;
-    prog_ = true;
-    acct_proc(prof, t, now, ProcCycle::kMemWait);
-    return;
-}
+      }
 
-H_Print: {
-    if (r.s0 == kPortOperand) {
-        if (!s2p.can_pop(now))
-            return stall_recv();
-    } else if (r.s0 >= 0 && !(r.flags & PF_SKIP0) &&
-               h.busy[r.s0] > now) {
-        return stall_busy(r.s0);
-    }
-    int seq = static_cast<int>(r.a);
-    uint32_t v = r.s0 == kPortOperand
-                     ? pop_s2p(0)
-                     : (r.s0 >= 0 ? h.regs[r.s0] : 0);
-    S.stats_.prints.push_back(
-        {seq, S.print_count_[seq]++, r.type, v});
-    retire();
-    return;
-}
+      case kLoadArr: {
+        if (r.s0 >= 0 && h.busy[r.s0] > now)
+            return stall_busy(r.s0);
+        int64_t lat = r.lat + S.fault_extra();
+        int64_t g = array_addr(r, t, r.s0 >= 0 ? h.regs[r.s0] : 0);
+        check(S.mem_.home_of(g) == t,
+              "static load executed away from its home tile");
+        h.regs[r.dst] = S.mem_.read_local(t, S.mem_.local_of(g));
+        h.busy[r.dst] = now + lat;
+        retire();
+        return;
+      }
 
-H_Jump:
-    retire_at(r.a);
-    return;
-
-H_Branch:
-    if (!(r.flags & PF_SKIP0) && h.busy[r.s0] > now)
-        return stall_busy(r.s0);
-    retire_at(h.regs[r.s0] != 0 ? r.a : p.pc + 1);
-    return;
-
-H_Halt:
-    p.halted = true;
-    prog_ = true;
-    acct_proc(prof, t, now, ProcCycle::kIssued);
-    prof->issued[r.cls]++;
-    p_state[t] = kHalted;
-    mask_clr(p_mask, t);
-    awake_procs--;
-    live_procs--;
-    return;
-
-H_AluRR: {
-    if (r.s0 >= 0 && !(r.flags & PF_SKIP0) && h.busy[r.s0] > now)
-        return stall_busy(r.s0);
-    if (r.s1 >= 0 && !(r.flags & PF_SKIP1) && h.busy[r.s1] > now)
-        return stall_busy(r.s1);
-    uint32_t a = r.s0 >= 0 ? h.regs[r.s0] : 0;
-    uint32_t b = r.s1 >= 0 ? h.regs[r.s1] : 0;
-    uint32_t out = 0;
-    check(eval_op(r.op, a, b, out),
-          "processor: unexecutable opcode");
-    h.regs[r.dst] = out;
-    h.busy[r.dst] = now + r.lat;
-    retire();
-    return;
-}
-
-H_AluGen: {
-    // Computational op with port operands: mirror of the reference
-    // default case, source order preserved.
-    for (int s = 0; s < r.ns; s++) {
-        int reg = s == 0 ? r.s0 : r.s1;
-        if (reg == kPortOperand) {
+      case kLoadSpill: {
+        if (r.s0 == kPortOperand) {
+            // Readiness gates on the port; the word is never consumed
+            // (the reference ignores the address operand for spills).
             if (!s2p.can_pop(now))
                 return stall_recv();
-        } else if (reg >= 0 && h.busy[reg] > now) {
-            return stall_busy(reg);
+        } else if (r.s0 >= 0 && h.busy[r.s0] > now) {
+            return stall_busy(r.s0);
         }
-    }
-    if (r.dst == kPortOperand && !p2s.can_push(now))
-        return stall_send();
-    auto read_src = [&](int reg, int slot) -> uint32_t {
-        if (reg == kPortOperand)
-            return pop_s2p(slot);
-        return reg >= 0 ? h.regs[reg] : 0;
-    };
-    uint32_t a = r.ns > 0 ? read_src(r.s0, 0) : 0;
-    uint32_t b = r.ns > 1 ? read_src(r.s1, 1) : 0;
-    uint32_t out = 0;
-    check(eval_op(r.op, a, b, out),
-          "processor: unexecutable opcode");
-    if (r.dst == kPortOperand) {
-        push_p2s(out);
-    } else {
+        int64_t lat = r.lat + S.fault_extra();
+        h.regs[r.dst] =
+            S.mem_.read_spill(t, static_cast<int64_t>(r.imm));
+        h.busy[r.dst] = now + lat;
+        retire();
+        return;
+      }
+
+      case kStoreArr: {
+        if (r.s0 >= 0 && h.busy[r.s0] > now)
+            return stall_busy(r.s0);
+        if (r.s1 == kPortOperand) {
+            if (!s2p.can_pop(now))
+                return stall_recv();
+        } else if (r.s1 >= 0 && h.busy[r.s1] > now) {
+            return stall_busy(r.s1);
+        }
+        uint32_t v = r.s1 == kPortOperand
+                         ? pop_s2p(1)
+                         : (r.s1 >= 0 ? h.regs[r.s1] : 0);
+        int64_t g = array_addr(r, t, r.s0 >= 0 ? h.regs[r.s0] : 0);
+        check(S.mem_.home_of(g) == t,
+              "static store executed away from its home tile");
+        S.mem_.write_local(t, S.mem_.local_of(g), v);
+        retire();
+        return;
+      }
+
+      case kStoreSpill: {
+        if (r.s0 == kPortOperand) {
+            if (!s2p.can_pop(now))
+                return stall_recv();
+        } else if (r.s0 >= 0 && h.busy[r.s0] > now) {
+            return stall_busy(r.s0);
+        }
+        if (r.s1 == kPortOperand) {
+            if (!s2p.can_pop(now))
+                return stall_recv();
+        } else if (r.s1 >= 0 && h.busy[r.s1] > now) {
+            return stall_busy(r.s1);
+        }
+        uint32_t v = r.s1 == kPortOperand
+                         ? pop_s2p(1)
+                         : (r.s1 >= 0 ? h.regs[r.s1] : 0);
+        S.mem_.write_spill(t, static_cast<int64_t>(r.imm), v);
+        retire();
+        return;
+      }
+
+      case kDyn: {
+        bool is_store = r.op == Op::kDynStore;
+        if (h.busy[r.s0] > now)
+            return stall_busy(r.s0);
+        if (is_store && h.busy[r.s1] > now)
+            return stall_busy(r.s1);
+        int64_t g = array_addr(r, t, h.regs[r.s0]);
+        int home = S.mem_.home_of(g);
+        if (home == t) {
+            if (is_store) {
+                S.mem_.write_local(t, S.mem_.local_of(g),
+                                   h.regs[r.s1]);
+            } else {
+                h.regs[r.dst] = S.mem_.read_local(t, S.mem_.local_of(g));
+                h.busy[r.dst] = now + 1 + r.lat + S.fault_extra();
+            }
+            retire();
+            return;
+        }
+        uint32_t addr_word = int_bits(static_cast<int32_t>(g));
+        if (is_store)
+            p.inject = {dyn_header(home, t, 2, DynKind::kStoreReq),
+                        addr_word, h.regs[r.s1]};
+        else
+            p.inject = {dyn_header(home, t, 1, DynKind::kLoadReq),
+                        addr_word};
+        p.inject_pos = 0;
+        S.stats_.dyn_messages++;
+        p.waiting_dyn = true;
+        p.dyn_home = home;
+        prog_ = true;
+        acct_proc(prof, t, now, ProcCycle::kMemWait);
+        return;
+      }
+
+      case kPrint: {
+        if (r.s0 == kPortOperand) {
+            if (!s2p.can_pop(now))
+                return stall_recv();
+        } else if (r.s0 >= 0 && h.busy[r.s0] > now) {
+            return stall_busy(r.s0);
+        }
+        int seq = static_cast<int>(r.a);
+        uint32_t v = r.s0 == kPortOperand
+                         ? pop_s2p(0)
+                         : (r.s0 >= 0 ? h.regs[r.s0] : 0);
+        S.stats_.prints.push_back(
+            {seq, S.print_count_[seq]++, r.type, v});
+        retire();
+        return;
+      }
+
+      case kJump:
+        retire_at(r.a);
+        return;
+
+      case kBranch:
+        if (h.busy[r.s0] > now)
+            return stall_busy(r.s0);
+        retire_at(h.regs[r.s0] != 0 ? r.a : p.pc + 1);
+        return;
+
+      case kHaltP:
+        p.halted = true;
+        prog_ = true;
+        acct_proc(prof, t, now, ProcCycle::kIssued);
+        prof->issued[r.cls]++;
+        p_state[t] = kHalted;
+        mask_clr(p_mask, t);
+        awake_procs--;
+        live_procs--;
+        return;
+
+      case kAluRR: {
+        if (r.s0 >= 0 && h.busy[r.s0] > now)
+            return stall_busy(r.s0);
+        if (r.s1 >= 0 && h.busy[r.s1] > now)
+            return stall_busy(r.s1);
+        uint32_t a = r.s0 >= 0 ? h.regs[r.s0] : 0;
+        uint32_t b = r.s1 >= 0 ? h.regs[r.s1] : 0;
+        uint32_t out = 0;
+        check(eval_op(r.op, a, b, out),
+              "processor: unexecutable opcode");
         h.regs[r.dst] = out;
         h.busy[r.dst] = now + r.lat;
-    }
-    retire();
-    return;
-}
+        retire();
+        return;
+      }
 
-H_Trap:
-    check(false, "processor ran off the end of its stream");
-    return;
-
-H_Bad:
-    check(false, kUbMsg);
-    return;
-}
-
-/**
- * Predictive sleep: after a retire at @p now, walk the *next*
- * instruction's gates exactly in handler order, evaluated for cycle
- * now+1.  A failing gate at now+1 is durable by construction — port
- * pushes/pops for cycle @p now have all happened by the time the
- * owning unit runs (switch phase precedes the processor phase, and
- * port FIFOs are single-reader/single-writer), and scoreboard
- * deadlines are fixed — so the processor can skip the spin step it
- * would otherwise burn discovering the stall.  The sleep span is
- * accounted by flush_proc with the same category and cycle range the
- * spin-then-sleep path would have produced, so profiles stay exact.
- * Kinds with no (or unpredictable) gates simply stay awake.
- */
-void
-ThreadedState::peek_proc(const HotP &h, int t, int64_t now)
-{
-    if (jitter_on)
-        return;
-    Simulator::Proc &p = *h.p;
-    const PRec &r = h.code[p.pc];
-    const int64_t nn = now + 1;
-
-    // Each gate returns true when the unit went to sleep on it.
-    auto busy_gate = [&](int reg, uint8_t skip) {
-        if (reg >= 0 && !(r.flags & skip) && h.busy[reg] > nn) {
-            sleep_proc(t, now, ProcCycle::kOperandWait);
-            wheel.push({h.busy[reg], t});
-            return true;
-        }
-        return false;
-    };
-    // Port gates probe cycle now+1, where no FIFO can be stamped yet,
-    // so can_pop/can_push reduce to raw occupancy (see Fifo::full).
-    auto recv_gate = [&] {
-        if (h.s2p->empty()) {
-            sleep_proc(t, now, ProcCycle::kRecvBlocked);
-            return true;
-        }
-        return false;
-    };
-    auto send_gate = [&] {
-        if (h.p2s->full()) {
-            sleep_proc(t, now, ProcCycle::kSendBlocked);
-            return true;
-        }
-        return false;
-    };
-
-    switch (r.k) {
-      case kConstPort:
-        send_gate();
-        return;
-      case kSend:
-        if (r.s0 == kPortOperand) {
-            if (recv_gate())
-                return;
-        } else if (busy_gate(r.s0, PF_SKIP0)) {
-            return;
-        }
-        send_gate();
-        return;
-      case kRecv:
-        recv_gate();
-        return;
-      case kLoadArr:
-      case kBranch:
-        busy_gate(r.s0, PF_SKIP0);
-        return;
-      case kLoadSpill:
-      case kPrint:
-        if (r.s0 == kPortOperand)
-            recv_gate();
-        else
-            busy_gate(r.s0, PF_SKIP0);
-        return;
-      case kStoreArr:
-        if (busy_gate(r.s0, PF_SKIP0))
-            return;
-        if (r.s1 == kPortOperand)
-            recv_gate();
-        else
-            busy_gate(r.s1, PF_SKIP1);
-        return;
-      case kStoreSpill:
-        if (r.s0 == kPortOperand) {
-            if (recv_gate())
-                return;
-        } else if (busy_gate(r.s0, PF_SKIP0)) {
-            return;
-        }
-        if (r.s1 == kPortOperand)
-            recv_gate();
-        else
-            busy_gate(r.s1, PF_SKIP1);
-        return;
-      case kDyn:
-        if (busy_gate(r.s0, PF_SKIP0))
-            return;
-        if (r.op == Op::kDynStore)
-            busy_gate(r.s1, PF_SKIP1);
-        return;
-      case kAluRR:
-        if (busy_gate(r.s0, PF_SKIP0))
-            return;
-        busy_gate(r.s1, PF_SKIP1);
-        return;
       case kAluGen: {
-        // Mirror of H_AluGen: source gates in slot order (no fusion
-        // flags there), then the port-destination back-pressure gate.
+        // Computational op with port operands: mirror of the reference
+        // default case, source order preserved.
         for (int s = 0; s < r.ns; s++) {
             int reg = s == 0 ? r.s0 : r.s1;
             if (reg == kPortOperand) {
-                if (recv_gate())
-                    return;
-            } else if (reg >= 0 && h.busy[reg] > nn) {
-                sleep_proc(t, now, ProcCycle::kOperandWait);
-                wheel.push({h.busy[reg], t});
-                return;
+                if (!s2p.can_pop(now))
+                    return stall_recv();
+            } else if (reg >= 0 && h.busy[reg] > now) {
+                return stall_busy(reg);
             }
         }
-        if (r.dst == kPortOperand)
-            send_gate();
+        if (r.dst == kPortOperand && !p2s.can_push(now))
+            return stall_send();
+        auto read_src = [&](int reg, int slot) -> uint32_t {
+            if (reg == kPortOperand)
+                return pop_s2p(slot);
+            return reg >= 0 ? h.regs[reg] : 0;
+        };
+        uint32_t a = r.ns > 0 ? read_src(r.s0, 0) : 0;
+        uint32_t b = r.ns > 1 ? read_src(r.s1, 1) : 0;
+        uint32_t out = 0;
+        check(eval_op(r.op, a, b, out),
+              "processor: unexecutable opcode");
+        if (r.dst == kPortOperand) {
+            push_p2s(out);
+        } else {
+            h.regs[r.dst] = out;
+            h.busy[r.dst] = now + r.lat;
+        }
+        retire();
         return;
       }
-      default: // kConstReg, kJump, kHaltP, kTrapP, kBadP: no gates
+
+      case kTrapP:
+        check(false, "processor ran off the end of its stream");
+        return;
+
+      default: // kBadP
+        check(false, kUbMsg);
         return;
     }
 }
@@ -1523,107 +1308,51 @@ ThreadedState::step_sw(int t, int64_t now)
     const SRec &r0 = h.code[pc0];
     if (r0.k == kRoute1) {
         // Inline copy of the exec_srec kRoute1 arm — the hot case.
-        // A kRoute1 retire never halts, so the dual-slot guard on
-        // sw.halted is vacuous here.
         bool in_ok = r0.src->can_pop(now);
-        if (in_ok && r0.out->can_push(now)) {
-            uint32_t v = r0.src->pop(now);
-            wake(r0.wsrc);
-            r0.out->push(now, v);
-            wake(r0.wout);
-            c_words++;
-            h.prof->words_routed++;
-            sw.pc = pc0 + 1;
-            c_sw_instrs++;
-            prog_ = true;
-            acct_sw(h.prof, t, now, SwitchCycle::kIssued);
-            if (r0.dual)
-                exec_srec(t, now); // second slot: stall is ignored
-            if (route_fault_on) {
-                int extra = S.route_stall_extra();
-                if (extra > 0) {
-                    S.sw_stall_until_[t] = now + 1 + extra;
-                    return;
-                }
-            }
-            if (s_state[t] == kAwake)
-                peek_sw(h, t, now);
+        if (!in_ok || !r0.out->can_push(now)) {
+            h.stalls[pc0]++;
+            SwitchCycle cat = in_ok ? SwitchCycle::kOutputBlocked
+                                    : SwitchCycle::kInputWait;
+            acct_sw(h.prof, t, now, cat);
+            // Durable block at now+1: stamps never exceed now, so the
+            // probe is a raw occupancy read (see Fifo::full).
+            if (in_ok ? r0.out->full() : r0.src->empty())
+                sleep_sw(t, now, cat, pc0);
             return;
         }
-        h.stalls[pc0]++;
-        SwitchCycle cat = in_ok ? SwitchCycle::kOutputBlocked
-                                : SwitchCycle::kInputWait;
-        acct_sw(h.prof, t, now, cat);
-        // Durable block at now+1: stamps never exceed now, so the
-        // probe is a raw occupancy read (see Fifo::full).
-        if (in_ok ? r0.out->full() : r0.src->empty())
-            sleep_sw(t, now, cat, pc0);
-        return;
-    }
-    SwOutcome res = exec_srec(t, now);
-    if (res.res != Simulator::SwExec::kRetired) {
-        h.stalls[pc0]++;
-        bool input = res.res == Simulator::SwExec::kInputWait;
-        SwitchCycle cat = input ? SwitchCycle::kInputWait
-                                : SwitchCycle::kOutputBlocked;
-        acct_sw(h.prof, t, now, cat);
-        // Durable block: the counterparty has not acted this cycle,
-        // so only its future push/pop (which wakes us) can unblock.
-        if (input ? res.blocker->empty() : res.blocker->full())
-            sleep_sw(t, now, cat, pc0);
-        return;
+        uint32_t v = r0.src->pop(now);
+        wake(r0.wsrc);
+        r0.out->push(now, v);
+        wake(r0.wout);
+        c_words++;
+        h.prof->words_routed++;
+        sw.pc = pc0 + 1;
+        c_sw_instrs++;
+        prog_ = true;
+    } else {
+        SwOutcome res = exec_srec(t, now);
+        if (res.res != Simulator::SwExec::kRetired) {
+            h.stalls[pc0]++;
+            bool input = res.res == Simulator::SwExec::kInputWait;
+            SwitchCycle cat = input ? SwitchCycle::kInputWait
+                                    : SwitchCycle::kOutputBlocked;
+            acct_sw(h.prof, t, now, cat);
+            // Durable block: the counterparty has not acted this
+            // cycle, so only its future push/pop (which wakes us) can
+            // unblock.
+            if (input ? res.blocker->empty() : res.blocker->full())
+                sleep_sw(t, now, cat, pc0);
+            return;
+        }
     }
     acct_sw(h.prof, t, now, SwitchCycle::kIssued);
-    if (h.code[pc0].dual && !sw.halted)
+    if (r0.dual && !sw.halted)
         exec_srec(t, now); // second slot: stall is ignored
     if (route_fault_on) {
+        // Held: spins awake until the hold expires.
         int extra = S.route_stall_extra();
-        if (extra > 0) {
+        if (extra > 0)
             S.sw_stall_until_[t] = now + 1 + extra;
-            return; // held: spins awake until the hold expires
-        }
-    }
-    if (s_state[t] == kAwake)
-        peek_sw(h, t, now);
-}
-
-/**
- * Predictive sleep for switches: after a retire (and any dual-issue
- * companion) at @p now, probe the next record's route gates for cycle
- * now+1 in exec order.  A gate failing at now+1 is durable — every
- * FIFO the switch routes through is single-reader/single-writer, so
- * only a counterparty push/pop (which wakes this switch) can clear
- * it.  Non-route records never block and stay awake.  Held switches
- * (injected route stalls) spin so their per-cycle accounting and the
- * next_wake bound stay exact.
- */
-void
-ThreadedState::peek_sw(const HotS &h, int t, int64_t now)
-{
-    const Simulator::Sw &sw = *h.sw;
-    const SRec &r = h.code[sw.pc];
-    // All gates probe cycle now+1, where no FIFO can be stamped yet,
-    // so can_pop/can_push reduce to raw occupancy (see Fifo::full).
-    if (r.k == kRoute1) {
-        if (r.src->empty())
-            sleep_sw(t, now, SwitchCycle::kInputWait, sw.pc);
-        else if (r.out->full())
-            sleep_sw(t, now, SwitchCycle::kOutputBlocked, sw.pc);
-        return;
-    }
-    if (r.k != kRouteN)
-        return;
-    for (int32_t i = r.pb; i < r.pe; i++) {
-        const SPair &pr = pairs[i];
-        if (pr.src->empty()) {
-            sleep_sw(t, now, SwitchCycle::kInputWait, sw.pc);
-            return;
-        }
-        for (int32_t j = pr.ob; j < pr.oe; j++)
-            if (souts[j].f->full()) {
-                sleep_sw(t, now, SwitchCycle::kOutputBlocked, sw.pc);
-                return;
-            }
     }
 }
 
@@ -1657,9 +1386,9 @@ ThreadedState::straight_run(int t, int64_t now, int64_t stop,
             break;
         // Scoreboard wait, batched.
         int64_t rdy = c;
-        if (r.s0 >= 0 && !(r.flags & PF_SKIP0))
+        if (r.s0 >= 0)
             rdy = std::max(rdy, h.busy[r.s0]);
-        if (r.s1 >= 0 && !(r.flags & PF_SKIP1))
+        if (r.s1 >= 0)
             rdy = std::max(rdy, h.busy[r.s1]);
         if (rdy > c) {
             int64_t span = std::min(rdy, stop) - c;
@@ -1691,7 +1420,7 @@ ThreadedState::straight_run(int t, int64_t now, int64_t stop,
           case kLoadArr: {
             int64_t lat = r.lat + S.fault_extra();
             int64_t g =
-                r.a + bits_int(r.s0 >= 0 ? h.regs[r.s0] : 0);
+                array_addr(r, t, r.s0 >= 0 ? h.regs[r.s0] : 0);
             check(S.mem_.home_of(g) == t,
                   "static load executed away from its home tile");
             h.regs[r.dst] = S.mem_.read_local(t, S.mem_.local_of(g));
@@ -1710,7 +1439,7 @@ ThreadedState::straight_run(int t, int64_t now, int64_t stop,
           case kStoreArr: {
             uint32_t v = r.s1 >= 0 ? h.regs[r.s1] : 0;
             int64_t g =
-                r.a + bits_int(r.s0 >= 0 ? h.regs[r.s0] : 0);
+                array_addr(r, t, r.s0 >= 0 ? h.regs[r.s0] : 0);
             check(S.mem_.home_of(g) == t,
                   "static store executed away from its home tile");
             S.mem_.write_local(t, S.mem_.local_of(g), v);

@@ -127,36 +127,56 @@ TEST(Memory, OutOfRangeSharedAccessIsFatal)
     EXPECT_THROW(mem.read_local(4, 0), PanicError);
 }
 
-// A run-time subscript past its array (the rolled loop keeps the
-// compiler from folding it) fails the run with a FatalError under
-// both cores, for RAWCC and for the sequential baseline.
+// A run-time subscript outside its array (the rolled loop keeps the
+// compiler from folding it) fails the run with the per-array
+// FatalError under both cores, for RAWCC at 1, 4 and 16 tiles and
+// for the sequential baseline.  Bounding only the whole interleaved
+// region would miss both cases at 4 and 16 tiles (padding) and the
+// negative one everywhere (it reads `b`).
 TEST(Memory, RunTimeSubscriptOutOfRangeIsFatal)
 {
-    const char *src =
-        "int a[4]; int i;\n"
-        "for (i = 0; i < 4; i = i + 1) { a[i] = 1; }\n"
-        "for (i = 0; i < 4; i = i + 1) { print(a[i + 2]); }\n";
+    struct Case
+    {
+        const char *src;
+        const char *msg;
+    };
+    const Case cases[] = {
+        {"int a[4]; int i;\n"
+         "for (i = 0; i < 4; i = i + 1) { a[i] = 1; }\n"
+         "for (i = 0; i < 4; i = i + 1) { print(a[i + 2]); }\n",
+         "subscript 4 out of range for 'a' (extent 4)"},
+        {"int b[4]; int a[4]; int i;\n"
+         "for (i = 0; i < 4; i = i + 1) { b[i] = 7; a[i] = 1; }\n"
+         "for (i = 0; i < 4; i = i + 1) { print(a[i - 2]); }\n",
+         "subscript -2 out of range for 'a' (extent 4)"},
+    };
     CompilerOptions rolled;
     rolled.unroll.enable = false;
-    const CompiledProgram programs[] = {
-        compile_source(src, MachineConfig::base(1), rolled).program,
-        compile_baseline(src).program,
-    };
-    for (const CompiledProgram &prog : programs)
-        for (SimBackend b :
-             {SimBackend::kReference, SimBackend::kThreaded}) {
-            SCOPED_TRACE(sim_backend_name(b));
-            Simulator sim(prog, {}, {}, b);
-            try {
-                sim.run();
-                ADD_FAILURE() << "out-of-range load ran to completion";
-            } catch (const FatalError &e) {
-                EXPECT_NE(std::string(e.what()).find(
-                              "shared access out of range at address"),
-                          std::string::npos)
-                    << e.what();
+    for (const Case &c : cases) {
+        std::vector<CompiledProgram> programs;
+        for (int n : {1, 4, 16})
+            programs.push_back(
+                compile_source(c.src, MachineConfig::base(n), rolled)
+                    .program);
+        programs.push_back(compile_baseline(c.src).program);
+        for (const CompiledProgram &prog : programs)
+            for (SimBackend b :
+                 {SimBackend::kReference, SimBackend::kThreaded}) {
+                SCOPED_TRACE(std::string(c.msg) + ", " +
+                             std::to_string(prog.machine.n_tiles) +
+                             " tiles, " + sim_backend_name(b));
+                Simulator sim(prog, {}, {}, b);
+                try {
+                    sim.run();
+                    ADD_FAILURE() << "out-of-range access ran to "
+                                     "completion";
+                } catch (const FatalError &e) {
+                    EXPECT_NE(std::string(e.what()).find(c.msg),
+                              std::string::npos)
+                        << e.what();
+                }
             }
-        }
+    }
 }
 
 // ---------------------------------------------------------------

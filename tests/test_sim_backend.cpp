@@ -109,11 +109,12 @@ TEST(SimBackend, GoldenCorpusDifferential)
 
 TEST(SimBackend, GoldenBenchTileSweep)
 {
-    // Plain compiles across machine sizes: small meshes exercise the
-    // sprint solo path, big ones the fused per-tile scan and the
-    // predictive-sleep machinery.
+    // Plain compiles across machine sizes: one tile runs almost
+    // entirely as one solo sprint, small meshes mix the sprint with
+    // the per-tile scan, big ones exercise the fused scan and
+    // sleep/wake.
     for (const char *b : {"life", "cholesky", "mxm", "jacobi"})
-        for (int n : {4, 16, 32})
+        for (int n : {1, 4, 16, 32})
             diff_point({b, n, {}});
 }
 
@@ -138,8 +139,8 @@ TEST(SimBackend, LargeMeshSweep)
 TEST(SimBackend, FaultChannelMatrix)
 {
     // All four channels at once: memory miss, route stall, dynamic
-    // delay and jitter (jitter disables predictive proc sleep and
-    // quiescence fast-forward, so this pins the spin paths too).
+    // delay and jitter (jitter disables processor sleep, the sprint
+    // and quiescence fast-forward, so this pins the spin paths too).
     FaultConfig all{};
     all.miss_rate = 0.05;
     all.penalty = 20;
