@@ -233,6 +233,7 @@ main(int argc, char **argv)
         else
             cli::unknown_option(tool, argv[i]);
     }
+    cli::require_writable(tool, json_out);
     jobs = resolve_jobs(jobs);
 
     std::vector<BenchmarkProgram> progs;

@@ -29,6 +29,7 @@
 #include "harness/cli.hpp"
 #include "harness/parallel.hpp"
 #include "programs/programs.hpp"
+#include "support/error.hpp"
 
 namespace {
 
@@ -52,34 +53,44 @@ main(int argc, char **argv)
     int points = 16;
     int jobs = 0;
     uint64_t seed = 1;
+    const char *tool = "bench_faults";
     for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc)
-            json_out = argv[++i];
-        else if (std::strcmp(argv[i], "--bench") == 0 && i + 1 < argc)
-            only_bench = argv[++i];
-        else if (std::strcmp(argv[i], "--points") == 0 && i + 1 < argc)
+        auto value = [&] {
+            return raw::cli::next_value(tool, argc, argv, i);
+        };
+        if (std::strcmp(argv[i], "--json-out") == 0)
+            json_out = value();
+        else if (std::strcmp(argv[i], "--bench") == 0)
+            only_bench = value();
+        else if (std::strcmp(argv[i], "--points") == 0)
             points = static_cast<int>(raw::cli::parse_long_in(
-                "bench_faults", argv[++i], "--points", 1, 4096,
+                tool, value(), "--points", 1, 4096,
                 "a point count in [1, 4096]"));
-        else if (std::strcmp(argv[i], "--tiles") == 0 && i + 1 < argc)
-            tiles = static_cast<int>(raw::cli::parse_tiles(
-                "bench_faults", argv[++i], "--tiles"));
-        else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
+        else if (std::strcmp(argv[i], "--tiles") == 0)
+            tiles = static_cast<int>(
+                raw::cli::parse_tiles(tool, value(), "--tiles"));
+        else if (std::strcmp(argv[i], "--jobs") == 0)
             jobs = static_cast<int>(raw::cli::parse_long_in(
-                "bench_faults", argv[++i], "--jobs", 0, 1024,
+                tool, value(), "--jobs", 0, 1024,
                 "a worker count in [0, 1024]"));
-        else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
-            seed = raw::cli::parse_u64("bench_faults", argv[++i],
-                                       "--seed");
+        else if (std::strcmp(argv[i], "--seed") == 0)
+            seed = raw::cli::parse_u64(tool, value(), "--seed");
         else if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
         else if (std::strcmp(argv[i], "--scaling") == 0)
             scaling = true;
-        else {
-            std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-            return 2;
+        else
+            raw::cli::unknown_option(tool, argv[i]);
+    }
+    if (!only_bench.empty()) {
+        try {
+            raw::benchmark(only_bench);
+        } catch (const raw::FatalError &) {
+            raw::cli::bad_value(tool, "--bench", only_bench.c_str(),
+                                "a built-in benchmark name");
         }
     }
+    raw::cli::require_writable(tool, json_out);
 
     std::vector<SweepSpec> sweeps;
     if (scaling) {

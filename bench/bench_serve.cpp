@@ -243,28 +243,29 @@ main(int argc, char **argv)
     bool smoke = false;
     int clients = 8;
     int requests = 40;
+    const char *tool = "bench_serve";
     for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc)
-            json_out = argv[++i];
-        else if (std::strcmp(argv[i], "--bin") == 0 && i + 1 < argc)
-            bin = argv[++i];
-        else if (std::strcmp(argv[i], "--clients") == 0 &&
-                 i + 1 < argc)
+        auto value = [&] {
+            return raw::cli::next_value(tool, argc, argv, i);
+        };
+        if (std::strcmp(argv[i], "--json-out") == 0)
+            json_out = value();
+        else if (std::strcmp(argv[i], "--bin") == 0)
+            bin = value();
+        else if (std::strcmp(argv[i], "--clients") == 0)
             clients = static_cast<int>(raw::cli::parse_long_in(
-                "bench_serve", argv[++i], "--clients", 1, 256,
+                tool, value(), "--clients", 1, 256,
                 "a count in [1, 256]"));
-        else if (std::strcmp(argv[i], "--requests") == 0 &&
-                 i + 1 < argc)
+        else if (std::strcmp(argv[i], "--requests") == 0)
             requests = static_cast<int>(raw::cli::parse_long_in(
-                "bench_serve", argv[++i], "--requests", 1, 100000,
+                tool, value(), "--requests", 1, 100000,
                 "a count in [1, 100000]"));
         else if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
-        else {
-            std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-            return 2;
-        }
+        else
+            raw::cli::unknown_option(tool, argv[i]);
     }
+    raw::cli::require_writable(tool, json_out);
     if (smoke) {
         clients = 4;
         requests = 12;

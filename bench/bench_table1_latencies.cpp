@@ -12,8 +12,6 @@
 #include <string>
 #include <vector>
 
-#include <benchmark/benchmark.h>
-
 #include "ir/builder.hpp"
 #include "rawcc/compiler.hpp"
 #include "sim/simulator.hpp"

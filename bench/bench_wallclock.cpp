@@ -1,11 +1,14 @@
 /**
  * @file
- * Wall-clock tracker for the toolchain itself: how fast do we
- * compile and simulate the Table 3 sweep?  Writes BENCH_wallclock.json
- * (override with --json-out) with simulated cycles per host second,
- * compile milliseconds per phase, and placement swaps per second —
- * the perf trajectory of the infrastructure, as opposed to
- * BENCH_table3.json which tracks the *simulated* machine.
+ * The Table 3 sweep: every benchmark at N = 1, 2, 4, 8, 16, 32 tiles,
+ * measured two ways at once.  For the simulated machine it prints
+ * speedup over the sequential baseline ("Machsuif Mips compiler")
+ * next to the paper's Table 3 rows and records each point's cycles,
+ * speedup and processor occupancy (cycle categories summed over
+ * tiles).  For the toolchain itself it records compile milliseconds
+ * per phase, simulated cycles per host second and placement swaps
+ * per second.  Both go to BENCH_wallclock.json (override with
+ * --json-out); see docs/profiling.md and docs/performance.md.
  *
  * Flags: --jobs N fans the (benchmark × size) runs over N worker
  * threads (0 = one per core); --tiny runs a single small config so
@@ -20,25 +23,29 @@
  * sweep's core (reference | fast, default fast, i.e.
  * raw::kDefaultSimBackend) or "both" for the reference core plus a
  * per-run threaded re-simulation;
- * --json-out PATH overrides the output path.  Any other argument is
- * refused with exit 2 before anything runs.
+ * --json-out PATH overrides the output path, which must be writable
+ * before the sweep starts.  Any other argument is refused with exit
+ * 2 before anything runs.
  *
- * Results (cycle counts, prints) are bit-identical at any --jobs
- * value; only the wall-clock figures vary
+ * Results (cycle counts, speedups, occupancy, prints) are
+ * bit-identical at any --jobs value; only the wall-clock figures vary
  * between hosts and runs.
  */
 
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "harness/cli.hpp"
 #include "harness/harness.hpp"
 #include "harness/parallel.hpp"
+#include "sim/profile.hpp"
 
 namespace {
 
@@ -52,6 +59,17 @@ ms_since(Clock::time_point t0)
 }
 
 const int kSizes[] = {1, 2, 4, 8, 16, 32};
+
+// Paper values for side-by-side comparison (Table 3); 0 = not reported.
+const std::map<std::string, std::array<double, 6>> kPaper = {
+    {"life", {0.91, 1.2, 1.6, 1.8, 1.9, 0}},
+    {"vpenta", {0.92, 1.2, 1.8, 2.2, 2.6, 3.0}},
+    {"cholesky", {0.90, 1.3, 2.1, 3.3, 5.3, 0}},
+    {"tomcatv", {0.97, 1.7, 2.7, 3.8, 5.6, 7.8}},
+    {"fpppp-kernel", {0.51, 0.92, 1.9, 4.0, 8.1, 13.7}},
+    {"mxm", {0.92, 1.8, 3.3, 6.3, 10.2, 0}},
+    {"jacobi", {0.97, 1.6, 3.4, 5.6, 15, 22}},
+};
 
 /**
  * Which execution core(s) the sweep times: @c primary alone, or
@@ -70,6 +88,10 @@ struct RunTiming
     std::string name;
     int tiles = 0;
     int64_t cycles = 0;
+    /** Sequential-baseline cycles / cycles (0 for a zero-cycle run). */
+    double speedup = 0;
+    /** Proc cycle-category totals summed over tiles. */
+    std::array<int64_t, raw::kNumProcCycleCats> occupancy{};
     int64_t placement_swaps = 0;
     raw::PhaseTimings compile;
     double sim_ms = 0;          ///< primary backend (reference in both-mode)
@@ -92,6 +114,15 @@ time_one(const raw::BenchmarkProgram &prog, int tiles,
     raw::SimResult r = sim.run();
     rt.sim_ms = ms_since(t0);
     rt.cycles = r.cycles;
+    // Guard the ratio so a degenerate zero-cycle run can never write
+    // inf/nan into the committed JSON.
+    const int64_t base = raw::cached_baseline(prog).cycles;
+    rt.speedup = r.cycles > 0 ? static_cast<double>(base) /
+                                    static_cast<double>(r.cycles)
+                              : 0.0;
+    for (const raw::TileProfile &tp : r.profile.tiles)
+        for (int c = 0; c < raw::kNumProcCycleCats; c++)
+            rt.occupancy[c] += tp.proc_cycles[c];
     if (mode.both) {
         Clock::time_point t1 = Clock::now();
         raw::Simulator sim2(out.program, {}, {},
@@ -192,6 +223,43 @@ run_scaling(bool tiny)
         }
     }
     return pts;
+}
+
+/**
+ * Print the Table 3 matrix, each benchmark's row above the paper's.
+ * @p runs is the full sweep: benchmark-major, sizes in kSizes order.
+ */
+void
+print_table3(const std::vector<RunTiming> &runs)
+{
+    std::printf("Table 3: Benchmark Speedup (RAWCC vs. sequential "
+                "baseline)\n%-14s",
+                "Benchmark");
+    for (int n : kSizes)
+        std::printf("  N=%-7d", n);
+    std::printf("\n");
+    const size_t n_sizes = std::size(kSizes);
+    for (size_t b = 0; b + n_sizes <= runs.size(); b += n_sizes) {
+        const std::string &name = runs[b].name;
+        std::printf("%-14s", name.c_str());
+        for (size_t s = 0; s < n_sizes; s++)
+            std::printf("  %-9.2f", runs[b + s].speedup);
+        std::printf(
+            "   (seq RT %lld cycles)\n",
+            static_cast<long long>(
+                raw::cached_baseline(raw::benchmark(name)).cycles));
+        auto it = kPaper.find(name);
+        if (it == kPaper.end())
+            continue;
+        std::printf("%-14s", "  [paper]");
+        for (double v : it->second) {
+            if (v > 0)
+                std::printf("  %-9.2f", v);
+            else
+                std::printf("  %-9s", "*");
+        }
+        std::printf("\n");
+    }
 }
 
 /** cycles / (ms/1e3), 0 when the denominator is zero (never inf/nan). */
@@ -319,10 +387,18 @@ write_json(const std::string &path, const std::vector<RunTiming> &runs,
         std::snprintf(
             buf, sizeof(buf),
             "    {\"name\": \"%s\", \"tiles\": %d, \"cycles\": %lld, "
-            "\"compile_ms\": %.1f, \"sim_ms\": %.1f}%s\n",
+            "\"speedup\": %.4f, \"occupancy\": {",
             rt.name.c_str(), rt.tiles,
-            static_cast<long long>(rt.cycles), rt.compile.total_ms,
-            rt.sim_ms, i + 1 < runs.size() ? "," : "");
+            static_cast<long long>(rt.cycles), rt.speedup);
+        out << buf;
+        for (int c = 0; c < raw::kNumProcCycleCats; c++)
+            out << (c ? ", " : "") << "\""
+                << raw::proc_cycle_name(static_cast<raw::ProcCycle>(c))
+                << "\": " << rt.occupancy[c];
+        std::snprintf(buf, sizeof(buf),
+                      "}, \"compile_ms\": %.1f, \"sim_ms\": %.1f}%s\n",
+                      rt.compile.total_ms, rt.sim_ms,
+                      i + 1 < runs.size() ? "," : "");
         out << buf;
     }
     out << "  ]\n}\n";
@@ -366,6 +442,7 @@ main(int argc, char **argv)
         else
             raw::cli::unknown_option(tool, argv[i]);
     }
+    raw::cli::require_writable(tool, json_out);
 
     std::vector<std::pair<const raw::BenchmarkProgram *, int>> points;
     if (tiny) {
@@ -376,6 +453,11 @@ main(int argc, char **argv)
             for (int n : kSizes)
                 points.emplace_back(&prog, n);
     }
+
+    // Baselines are filled before the clock starts, so sweep_wall_ms
+    // times only the RAWCC compiles and simulations.
+    for (const auto &pt : points)
+        raw::cached_baseline(*pt.first);
 
     std::vector<RunTiming> runs(points.size());
     Clock::time_point t0 = Clock::now();
@@ -394,6 +476,8 @@ main(int argc, char **argv)
             "(%lld cycles)\n",
             rt.name.c_str(), rt.tiles, rt.compile.total_ms, rt.sim_ms,
             static_cast<long long>(rt.cycles));
+    if (!tiny)
+        print_table3(runs);
 
     std::vector<ScalePoint> scale;
     if (scaling)

@@ -31,6 +31,8 @@ class Parser
     /** Element type and dimension extents of each declared array. */
     std::unordered_map<std::string, std::pair<Type, std::vector<int64_t>>>
         arrays_;
+    /** Nesting levels open at the parse point (see kMaxNesting). */
+    int depth_ = 0;
 
     const Token &peek(int ahead = 0) const
     {
@@ -51,6 +53,14 @@ class Parser
         const Token &t = peek();
         fatal("parse error at " + std::to_string(t.line) + ":" +
               std::to_string(t.col) + " near '" + t.text + "': " + msg);
+    }
+    /** Open one nesting level; the caller closes it (depth_--). */
+    void
+    open()
+    {
+        if (++depth_ > kMaxNesting)
+            err("nesting deeper than " + std::to_string(kMaxNesting) +
+                " levels");
     }
     const Token &
     expect(Tok k, const std::string &what)
@@ -75,6 +85,7 @@ class Parser
             err("undeclared array '" + name + "'");
         const std::vector<int64_t> &dims = it->second.second;
         while (peek().kind == Tok::kLBracket) {
+            open();
             next();
             ExprPtr idx = parse_expr();
             if (idx->type != Type::kI32)
@@ -93,6 +104,7 @@ class Parser
             }
             out.push_back(std::move(idx));
             expect(Tok::kRBracket, "']'");
+            depth_--;
         }
         if (out.size() != dims.size())
             err("wrong number of subscripts for '" + name + "'");
@@ -147,154 +159,85 @@ class Parser
         return e;
     }
 
-    // Expression grammar, lowest precedence first.
+    /** Binding level of binary operator @p k, loosest 0; -1 if none. */
+    static int
+    precedence(Tok k)
+    {
+        switch (k) {
+          case Tok::kOrOr: return 0;
+          case Tok::kAndAnd: return 1;
+          case Tok::kPipe: return 2;
+          case Tok::kCaret: return 3;
+          case Tok::kAmp: return 4;
+          case Tok::kEq: case Tok::kNe: return 5;
+          case Tok::kLt: case Tok::kLe: case Tok::kGt: case Tok::kGe:
+            return 6;
+          case Tok::kShl: case Tok::kShr: return 7;
+          case Tok::kPlus: case Tok::kMinus: return 8;
+          case Tok::kStar: case Tok::kSlash: case Tok::kPercent:
+            return 9;
+          default: return -1;
+        }
+    }
+
     ExprPtr
     parse_expr()
     {
-        return parse_or();
+        return parse_binary(0);
     }
+
+    /**
+     * Operators binding at least as tightly as level @p min, left
+     * associative (precedence climbing).  Each operator opens a
+     * nesting level for the rest of its chain, since a chain builds a
+     * left-deep tree.
+     */
     ExprPtr
-    parse_or()
+    parse_binary(int min)
     {
-        ExprPtr e = parse_and();
-        while (peek().kind == Tok::kOrOr) {
-            next();
-            e = binary("||", std::move(e), parse_and());
-        }
-        return e;
-    }
-    ExprPtr
-    parse_and()
-    {
-        ExprPtr e = parse_bitor();
-        while (peek().kind == Tok::kAndAnd) {
-            next();
-            e = binary("&&", std::move(e), parse_bitor());
-        }
-        return e;
-    }
-    ExprPtr
-    parse_bitor()
-    {
-        ExprPtr e = parse_bitxor();
-        while (peek().kind == Tok::kPipe) {
-            next();
-            e = binary("|", std::move(e), parse_bitxor());
-        }
-        return e;
-    }
-    ExprPtr
-    parse_bitxor()
-    {
-        ExprPtr e = parse_bitand();
-        while (peek().kind == Tok::kCaret) {
-            next();
-            e = binary("^", std::move(e), parse_bitand());
-        }
-        return e;
-    }
-    ExprPtr
-    parse_bitand()
-    {
-        ExprPtr e = parse_equality();
-        while (peek().kind == Tok::kAmp) {
-            next();
-            e = binary("&", std::move(e), parse_equality());
-        }
-        return e;
-    }
-    ExprPtr
-    parse_equality()
-    {
-        ExprPtr e = parse_rel();
-        while (peek().kind == Tok::kEq || peek().kind == Tok::kNe) {
-            std::string op = next().text;
-            e = binary(op, std::move(e), parse_rel());
-        }
-        return e;
-    }
-    ExprPtr
-    parse_rel()
-    {
-        ExprPtr e = parse_shift();
-        while (peek().kind == Tok::kLt || peek().kind == Tok::kLe ||
-               peek().kind == Tok::kGt || peek().kind == Tok::kGe) {
-            std::string op = next().text;
-            e = binary(op, std::move(e), parse_shift());
-        }
-        return e;
-    }
-    ExprPtr
-    parse_shift()
-    {
-        ExprPtr e = parse_add();
-        while (peek().kind == Tok::kShl || peek().kind == Tok::kShr) {
-            std::string op = next().text;
-            e = binary(op, std::move(e), parse_add());
-        }
-        return e;
-    }
-    ExprPtr
-    parse_add()
-    {
-        ExprPtr e = parse_mul();
-        while (peek().kind == Tok::kPlus || peek().kind == Tok::kMinus) {
-            std::string op = next().text;
-            e = binary(op, std::move(e), parse_mul());
-        }
-        return e;
-    }
-    ExprPtr
-    parse_mul()
-    {
+        const int depth = depth_;
         ExprPtr e = parse_unary();
-        while (peek().kind == Tok::kStar || peek().kind == Tok::kSlash ||
-               peek().kind == Tok::kPercent) {
+        for (int level; (level = precedence(peek().kind)) >= min;) {
+            open();
             std::string op = next().text;
-            e = binary(op, std::move(e), parse_unary());
+            e = binary(op, std::move(e), parse_binary(level + 1));
         }
+        depth_ = depth;
         return e;
     }
+
+    /** `-e`, `!e`, or a cast `(int)e` / `(float)e`; else a primary. */
     ExprPtr
     parse_unary()
     {
-        if (peek().kind == Tok::kMinus) {
+        const Tok k = peek().kind;
+        const bool cast = k == Tok::kLParen &&
+                          (peek(1).kind == Tok::kKwInt ||
+                           peek(1).kind == Tok::kKwFloat) &&
+                          peek(2).kind == Tok::kRParen;
+        if (k != Tok::kMinus && k != Tok::kBang && !cast)
+            return parse_primary();
+        open();
+        auto e = std::make_unique<Expr>();
+        if (cast) {
             next();
-            ExprPtr k = parse_unary();
-            auto e = std::make_unique<Expr>();
-            e->kind = ExprKind::kUnary;
-            e->op = "-";
-            e->type = k->type;
-            e->kids.push_back(std::move(k));
-            return e;
-        }
-        if (peek().kind == Tok::kBang) {
-            next();
-            ExprPtr k = parse_unary();
-            if (k->type != Type::kI32)
-                err("'!' requires int operand");
-            auto e = std::make_unique<Expr>();
-            e->kind = ExprKind::kUnary;
-            e->op = "!";
-            e->type = Type::kI32;
-            e->kids.push_back(std::move(k));
-            return e;
-        }
-        // Cast: (int) or (float) followed by unary.
-        if (peek().kind == Tok::kLParen &&
-            (peek(1).kind == Tok::kKwInt || peek(1).kind == Tok::kKwFloat)
-            && peek(2).kind == Tok::kRParen) {
-            next();
-            Type t = next().kind == Tok::kKwInt ? Type::kI32 : Type::kF32;
-            next();
-            ExprPtr k = parse_unary();
-            auto e = std::make_unique<Expr>();
             e->kind = ExprKind::kCast;
-            e->type = t;
-            e->kids.push_back(std::move(k));
-            return e;
+            e->type = next().kind == Tok::kKwInt ? Type::kI32 : Type::kF32;
+            next();
+        } else {
+            e->kind = ExprKind::kUnary;
+            e->op = next().text;
         }
-        return parse_primary();
+        ExprPtr operand = parse_unary();
+        depth_--;
+        if (k == Tok::kBang && operand->type != Type::kI32)
+            err("'!' requires int operand");
+        if (k == Tok::kMinus)
+            e->type = operand->type;
+        else if (k == Tok::kBang)
+            e->type = Type::kI32;
+        e->kids.push_back(std::move(operand));
+        return e;
     }
     ExprPtr
     parse_primary()
@@ -309,17 +252,21 @@ class Parser
             return make_float_lit(t.float_val);
         }
         if (t.kind == Tok::kLParen) {
+            open();
             next();
             ExprPtr e = parse_expr();
             expect(Tok::kRParen, "')'");
+            depth_--;
             return e;
         }
         if (t.kind == Tok::kIdent) {
             std::string name = next().text;
             if (name == "sqrt" && peek().kind == Tok::kLParen) {
+                open();
                 next();
                 ExprPtr arg = coerce(parse_expr(), Type::kF32);
                 expect(Tok::kRParen, "')'");
+                depth_--;
                 auto e = std::make_unique<Expr>();
                 e->kind = ExprKind::kUnary;
                 e->op = "sqrt";
@@ -346,10 +293,12 @@ class Parser
     parse_block()
     {
         expect(Tok::kLBrace, "'{'");
+        open();
         std::vector<StmtPtr> out;
         while (peek().kind != Tok::kRBrace)
             out.push_back(parse_stmt());
         next();
+        depth_--;
         return out;
     }
 
@@ -452,7 +401,9 @@ class Parser
         if (peek().kind == Tok::kKwElse) {
             next();
             if (peek().kind == Tok::kKwIf) {
+                open();
                 s->else_body.push_back(parse_if());
+                depth_--;
             } else {
                 s->else_body = parse_block();
             }

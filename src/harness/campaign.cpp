@@ -1,10 +1,10 @@
 #include "harness/campaign.hpp"
 
-#include <cstdio>
 #include <sstream>
 
 #include "harness/parallel.hpp"
 #include "programs/programs.hpp"
+#include "serve/json.hpp"
 
 namespace raw {
 
@@ -12,31 +12,6 @@ namespace {
 
 const char *const kChannelNames[5] = {"miss", "route", "dyn",
                                       "jitter", "all"};
-
-/** Escape a string for embedding in a JSON value. */
-std::string
-json_escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 std::string
 hex64(uint64_t v)
@@ -120,7 +95,7 @@ CampaignReport::to_json() const
 {
     std::ostringstream os;
     os << "{\n";
-    os << "  \"bench\": \"" << json_escape(bench) << "\",\n";
+    os << "  \"bench\": " << serve::json_quote(bench) << ",\n";
     os << "  \"tiles\": " << tiles << ",\n";
     os << "  \"base_seed\": " << base_seed << ",\n";
     os << "  \"points\": " << points.size() << ",\n";
@@ -150,7 +125,7 @@ CampaignReport::to_json() const
            << ", \"hash_match\": " << (p.hash_match ? "true" : "false")
            << ", \"ok\": " << (p.ok() ? "true" : "false")
            << ", \"outcome\": \"" << p.outcome() << "\""
-           << ", \"error\": \"" << json_escape(p.error) << "\"}"
+           << ", \"error\": " << serve::json_quote(p.error) << "}"
            << (i + 1 < points.size() ? "," : "") << "\n";
     }
     os << "  ]\n";

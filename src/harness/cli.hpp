@@ -16,6 +16,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <string>
 
 namespace raw {
 namespace cli {
@@ -108,6 +111,25 @@ parse_tiles(const char *tool, const char *s, const char *flag)
         bad_value(tool, flag, s,
                   "a power-of-two tile count in 1..1024");
     return v;
+}
+
+/**
+ * Exit 1 with "<tool>: <what><path>" unless @p path can be opened for
+ * writing, so a run never finishes only to find it cannot write its
+ * report.  Creates nothing: a file it had to create is removed again.
+ */
+inline void
+require_writable(const char *tool, const std::string &path,
+                 const char *what = "cannot write ")
+{
+    std::error_code ec;
+    const bool existed = std::filesystem::exists(path, ec);
+    if (!std::ofstream(path, std::ios::app)) {
+        std::fprintf(stderr, "%s: %s%s\n", tool, what, path.c_str());
+        std::exit(1);
+    }
+    if (!existed)
+        std::filesystem::remove(path, ec);
 }
 
 } // namespace cli

@@ -13,8 +13,7 @@
  *    full the daemon replies `overloaded` immediately — no silent
  *    drops, no unbounded memory;
  *  - single-flight caching: identical concurrent compiles run once
- *    (serve/flight_cache.hpp) on top of the block-level schedule
- *    cache, with leader-failure handoff;
+ *    (serve/flight_cache.hpp), with leader-failure handoff;
  *  - per-request isolation: each request carries a wall-clock
  *    deadline; simulations are preempted at the deadline
  *    (SimTimeoutError), compiles are replied-to at the deadline by a

@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+
 #include "frontend/lexer.hpp"
 #include "frontend/lower.hpp"
 #include "frontend/parser.hpp"
+#include "harness/harness.hpp"
 #include "ir/verifier.hpp"
 #include "support/error.hpp"
 
@@ -155,6 +160,52 @@ TEST(Parser, LiteralSubscriptOutOfRange)
     // range, see docs/LANGUAGE.md).
     EXPECT_EQ(parse_error("int a[4]; int i; i = 3; print(a[i + 2]);"),
               "");
+}
+
+// Nesting is bounded by kMaxNesting and checked while parsing, since
+// the passes after the parser recurse over the AST and an unbounded
+// 10,000-deep program overflows the stack.  For parentheses, operator
+// chains and nested if blocks, a program at the bound compiles and
+// runs; one level deeper is a positioned parse error.
+TEST(Parser, NestingBound)
+{
+    auto parens = [](int k) {
+        return "int x; x = " + std::string(k, '(') + "1" +
+               std::string(k, ')') + "; print(x);";
+    };
+    auto chain = [](int k) { // k operators, k + 1 operands
+        std::string s = "int x; int y; y = 1; x = y";
+        for (int i = 0; i < k; i++)
+            s += " + y";
+        return s + "; print(x);";
+    };
+    auto ifs = [](int k) {
+        std::string s = "int x; x = 0;";
+        for (int i = 0; i < k; i++)
+            s += " if (x < 1) {";
+        s += " x = 7;";
+        for (int i = 0; i < k; i++)
+            s += " }";
+        return s + " print(x);";
+    };
+    const std::pair<std::function<std::string(int)>, std::string>
+        shapes[] = {{parens, "1\n"},
+                    {chain, std::to_string(kMaxNesting + 1) + "\n"},
+                    {ifs, "7\n"}};
+    for (const auto &[make, prints] : shapes) {
+        SCOPED_TRACE(make(2));
+        EXPECT_EQ(parse_error(make(kMaxNesting)), "");
+        EXPECT_EQ(run_rawcc(make(kMaxNesting), MachineConfig::base(4))
+                      .prints,
+                  prints);
+        const std::string err = parse_error(make(kMaxNesting + 1));
+        EXPECT_NE(err.find("parse error at 1:"), std::string::npos)
+            << err;
+        EXPECT_NE(err.find("nesting deeper than " +
+                           std::to_string(kMaxNesting) + " levels"),
+                  std::string::npos)
+            << err;
+    }
 }
 
 TEST(Parser, SqrtBuiltin)

@@ -283,6 +283,32 @@ TEST(ServeCli, IntMinByMinusOneKeepsTheDaemonUp)
     EXPECT_EQ(d.stop(), 0);
 }
 
+// A deeply nested program is a compile_error reply, not a crash: a
+// stack overflow in a worker would take the daemon and every
+// connection down with it.
+TEST(ServeCli, DeeplyNestedSourceIsACompileError)
+{
+    ServeDaemon d;
+    d.start(RAWCC_BIN, {"--socket", test_sock("deep"), "--workers",
+                        "1", "--queue-depth", "2"});
+    ServeClient c;
+    c.connect(d.endpoint());
+
+    const std::string src = "int x; x = " + std::string(10000, '(') +
+                            "1" + std::string(10000, ')') +
+                            "; print(x);";
+    Json r = c.request("{\"op\":\"compile\",\"tiles\":1,\"source\":\"" +
+                           src + "\"}",
+                       15000);
+    EXPECT_EQ(r.str_or("error", ""), "compile_error");
+    EXPECT_NE(r.str_or("message", "").find("nesting deeper than"),
+              std::string::npos)
+        << r.str_or("message", "");
+    Json ping = c.request("{\"op\":\"ping\"}", 5000);
+    EXPECT_TRUE(ping.bool_or("ok", false));
+    EXPECT_EQ(d.stop(), 0);
+}
+
 // simulate runs the fast core unless the request names one; the
 // reference core must reply with the same cycles and provenance hash.
 TEST(ServeCli, SimulateDefaultsToTheFastCore)

@@ -59,7 +59,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -133,23 +132,6 @@ print_compile_timing(const raw::CompileStats &st)
     std::printf("orchestrate phases:  partition %.2f ms, "
                 "schedule %.2f ms\n",
                 st.orch_partition_ms, st.orch_schedule_ms);
-}
-
-/**
- * Fail with "<what><path>" unless @p path can be opened for writing,
- * so a bad output path is reported before the compile and the run
- * rather than after them.  The probe appends nothing and removes a
- * file it had to create.
- */
-void
-require_writable(const std::string &path, const std::string &what)
-{
-    std::error_code ec;
-    const bool existed = std::filesystem::exists(path, ec);
-    if (!std::ofstream(path, std::ios::app))
-        raw::fatal(what + path);
-    if (!existed)
-        std::filesystem::remove(path, ec);
 }
 
 std::string
@@ -348,7 +330,8 @@ main(int argc, char **argv)
                     ? "campaign_" + input + "_n" +
                           std::to_string(n_tiles) + ".json"
                     : campaign_out;
-            require_writable(path, "cannot write campaign report: ");
+            cli::require_writable("rawcc", path,
+                                  "cannot write campaign report: ");
             CampaignReport rep = run_fault_campaign(
                 input, machine, static_cast<int>(fault_campaign),
                 faults.seed, static_cast<int>(jobs), opts,
@@ -363,7 +346,8 @@ main(int argc, char **argv)
             return rep.clean() ? 0 : 1;
         }
         if (do_run && !trace_out.empty())
-            require_writable(trace_out, "cannot open trace output: ");
+            cli::require_writable("rawcc", trace_out,
+                                  "cannot open trace output: ");
 
         CompileOutput out =
             baseline ? compile_baseline_for(

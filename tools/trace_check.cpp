@@ -15,228 +15,24 @@
  *
  * Usage: trace_check <trace.json> [more.json ...]
  *
- * The parser below is a deliberately small recursive-descent JSON
- * reader (objects, arrays, strings, numbers, literals) — enough to
- * validate our own emitter without an external dependency.
+ * The file is read with the strict, depth-capped parser in
+ * serve/json.hpp, so malformed or hostile input is a message and
+ * exit 1, never a crash.
  */
 
-#include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
+#include <utility>
+
+#include "serve/json.hpp"
 
 namespace {
 
-struct JsonValue
-{
-    enum class K { kNull, kBool, kNumber, kString, kArray, kObject };
-    K k = K::kNull;
-    bool b = false;
-    double num = 0;
-    std::string str;
-    std::vector<JsonValue> arr;
-    std::map<std::string, JsonValue> obj;
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : s_(text) {}
-
-    JsonValue
-    parse()
-    {
-        JsonValue v = value();
-        skip_ws();
-        if (pos_ != s_.size())
-            fail("trailing characters after JSON document");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &msg)
-    {
-        throw std::runtime_error("JSON error at byte " +
-                                 std::to_string(pos_) + ": " + msg);
-    }
-
-    void
-    skip_ws()
-    {
-        while (pos_ < s_.size() &&
-               std::isspace(static_cast<unsigned char>(s_[pos_])))
-            pos_++;
-    }
-
-    char
-    peek()
-    {
-        if (pos_ >= s_.size())
-            fail("unexpected end of input");
-        return s_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        pos_++;
-    }
-
-    JsonValue
-    value()
-    {
-        skip_ws();
-        switch (peek()) {
-          case '{': return object();
-          case '[': return array();
-          case '"': return string_value();
-          case 't': case 'f': return boolean();
-          case 'n': return null_value();
-          default: return number();
-        }
-    }
-
-    JsonValue
-    object()
-    {
-        JsonValue v;
-        v.k = JsonValue::K::kObject;
-        expect('{');
-        skip_ws();
-        if (peek() == '}') {
-            pos_++;
-            return v;
-        }
-        for (;;) {
-            skip_ws();
-            JsonValue key = string_value();
-            skip_ws();
-            expect(':');
-            v.obj[key.str] = value();
-            skip_ws();
-            if (peek() == ',') {
-                pos_++;
-                continue;
-            }
-            expect('}');
-            return v;
-        }
-    }
-
-    JsonValue
-    array()
-    {
-        JsonValue v;
-        v.k = JsonValue::K::kArray;
-        expect('[');
-        skip_ws();
-        if (peek() == ']') {
-            pos_++;
-            return v;
-        }
-        for (;;) {
-            v.arr.push_back(value());
-            skip_ws();
-            if (peek() == ',') {
-                pos_++;
-                continue;
-            }
-            expect(']');
-            return v;
-        }
-    }
-
-    JsonValue
-    string_value()
-    {
-        JsonValue v;
-        v.k = JsonValue::K::kString;
-        expect('"');
-        while (peek() != '"') {
-            char c = s_[pos_++];
-            if (c == '\\') {
-                char e = peek();
-                pos_++;
-                switch (e) {
-                  case '"': v.str += '"'; break;
-                  case '\\': v.str += '\\'; break;
-                  case '/': v.str += '/'; break;
-                  case 'n': v.str += '\n'; break;
-                  case 't': v.str += '\t'; break;
-                  case 'r': v.str += '\r'; break;
-                  case 'b': case 'f': break;
-                  case 'u':
-                    // Our emitter never writes \u escapes; accept
-                    // and skip the four hex digits.
-                    for (int i = 0; i < 4 && pos_ < s_.size(); i++)
-                        pos_++;
-                    break;
-                  default: fail("bad escape");
-                }
-            } else {
-                v.str += c;
-            }
-        }
-        pos_++;
-        return v;
-    }
-
-    JsonValue
-    number()
-    {
-        size_t start = pos_;
-        if (peek() == '-')
-            pos_++;
-        while (pos_ < s_.size() &&
-               (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-                s_[pos_] == '.' || s_[pos_] == 'e' ||
-                s_[pos_] == 'E' || s_[pos_] == '+' ||
-                s_[pos_] == '-'))
-            pos_++;
-        if (pos_ == start)
-            fail("expected a number");
-        JsonValue v;
-        v.k = JsonValue::K::kNumber;
-        v.num = std::stod(s_.substr(start, pos_ - start));
-        return v;
-    }
-
-    JsonValue
-    boolean()
-    {
-        JsonValue v;
-        v.k = JsonValue::K::kBool;
-        if (s_.compare(pos_, 4, "true") == 0) {
-            v.b = true;
-            pos_ += 4;
-        } else if (s_.compare(pos_, 5, "false") == 0) {
-            v.b = false;
-            pos_ += 5;
-        } else {
-            fail("expected true/false");
-        }
-        return v;
-    }
-
-    JsonValue
-    null_value()
-    {
-        if (s_.compare(pos_, 4, "null") != 0)
-            fail("expected null");
-        pos_ += 4;
-        return JsonValue{};
-    }
-
-    const std::string &s_;
-    size_t pos_ = 0;
-};
+using raw::serve::Json;
 
 int
 check_file(const std::string &path)
@@ -250,12 +46,11 @@ check_file(const std::string &path)
     std::ostringstream os;
     os << in.rdbuf();
 
-    JsonValue doc;
-    try {
-        doc = JsonParser(os.str()).parse();
-    } catch (const std::exception &e) {
+    Json doc;
+    std::string err;
+    if (!raw::serve::json_parse(os.str(), doc, err)) {
         std::fprintf(stderr, "trace_check: %s: %s\n", path.c_str(),
-                     e.what());
+                     err.c_str());
         return 1;
     }
 
@@ -265,7 +60,7 @@ check_file(const std::string &path)
         return 1;
     };
 
-    if (doc.k != JsonValue::K::kArray) {
+    if (doc.kind != Json::Kind::kArray) {
         std::fprintf(stderr,
                      "trace_check: %s: top level is not an array\n",
                      path.c_str());
@@ -273,50 +68,46 @@ check_file(const std::string &path)
     }
 
     // Per-track last span end, for monotonicity / overlap checks.
-    std::map<std::pair<double, double>, double> track_end;
-    std::map<std::pair<double, double>, bool> track_named;
+    std::map<std::pair<int64_t, int64_t>, double> track_end;
+    std::map<std::pair<int64_t, int64_t>, bool> track_named;
     size_t n_events = 0, n_meta = 0;
-    for (size_t i = 0; i < doc.arr.size(); i++) {
-        const JsonValue &ev = doc.arr[i];
-        if (ev.k != JsonValue::K::kObject)
+    for (size_t i = 0; i < doc.array.size(); i++) {
+        const Json &ev = doc.array[i];
+        if (!ev.is_object())
             return bad(i, "not an object");
-        auto field = [&](const char *name) -> const JsonValue * {
-            auto it = ev.obj.find(name);
-            return it == ev.obj.end() ? nullptr : &it->second;
-        };
-        const JsonValue *name = field("name");
-        const JsonValue *ph = field("ph");
-        const JsonValue *pid = field("pid");
-        const JsonValue *tid = field("tid");
-        if (!name || name->k != JsonValue::K::kString)
+        const Json *name = ev.find("name");
+        const Json *ph = ev.find("ph");
+        const Json *pid = ev.find("pid");
+        const Json *tid = ev.find("tid");
+        if (!name || !name->is_string())
             return bad(i, "missing string \"name\"");
-        if (!ph || ph->k != JsonValue::K::kString)
+        if (!ph || !ph->is_string())
             return bad(i, "missing string \"ph\"");
-        if (!pid || pid->k != JsonValue::K::kNumber)
-            return bad(i, "missing numeric \"pid\"");
-        if (!tid || tid->k != JsonValue::K::kNumber)
-            return bad(i, "missing numeric \"tid\"");
-        std::pair<double, double> track{pid->num, tid->num};
+        if (!pid || !pid->is_int)
+            return bad(i, "missing integer \"pid\"");
+        if (!tid || !tid->is_int)
+            return bad(i, "missing integer \"tid\"");
+        std::pair<int64_t, int64_t> track{pid->integer, tid->integer};
 
-        if (ph->str == "M") {
-            if (name->str == "thread_name")
+        if (ph->string == "M") {
+            if (name->string == "thread_name")
                 track_named[track] = true;
             n_meta++;
             continue;
         }
-        if (ph->str != "X")
+        if (ph->string != "X")
             return bad(i, "\"ph\" is neither \"X\" nor \"M\"");
-        const JsonValue *ts = field("ts");
-        const JsonValue *dur = field("dur");
-        if (!ts || ts->k != JsonValue::K::kNumber || ts->num < 0)
+        const Json *ts = ev.find("ts");
+        const Json *dur = ev.find("dur");
+        if (!ts || !ts->is_number() || ts->number < 0)
             return bad(i, "\"X\" event lacks non-negative \"ts\"");
-        if (!dur || dur->k != JsonValue::K::kNumber || dur->num < 1)
+        if (!dur || !dur->is_number() || dur->number < 1)
             return bad(i, "\"X\" event lacks positive \"dur\"");
         auto it = track_end.find(track);
-        if (it != track_end.end() && ts->num < it->second)
+        if (it != track_end.end() && ts->number < it->second)
             return bad(i, "timestamps not monotone on track "
                           "(span overlaps previous)");
-        track_end[track] = ts->num + dur->num;
+        track_end[track] = ts->number + dur->number;
         if (!track_named.count(track))
             return bad(i, "track has no thread_name metadata");
         n_events++;
