@@ -11,7 +11,8 @@
  * label fault-smoke); --scaling runs the large-mesh campaign — a
  * single 160-point sweep (10x the default) at 64 tiles on jacobi,
  * the fault-tolerance companion to the bench_wallclock scaling
- * study; --bench NAME restricts to one benchmark; --points N /
+ * study; --bench NAME restricts the full sweep to one benchmark
+ * (with --smoke or --scaling it is refused, exit 2); --points N /
  * --seed S / --tiles N / --jobs N tune the full sweep.
  *
  * Exit status is nonzero if any campaign point failed, so the smoke
@@ -82,6 +83,10 @@ main(int argc, char **argv)
         else
             raw::cli::unknown_option(tool, argv[i]);
     }
+    if (!only_bench.empty() && (smoke || scaling))
+        raw::cli::bad_value(tool, "--bench", only_bench.c_str(),
+                            "a full sweep (--smoke and --scaling fix "
+                            "their own benchmarks)");
     if (!only_bench.empty()) {
         try {
             raw::benchmark(only_bench);

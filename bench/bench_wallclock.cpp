@@ -19,7 +19,9 @@
  * "scaling" JSON section records per-mesh cycles/s for both cores
  * plus, per run, speedup over the same benchmark's 1-tile cycles and
  * compile time with its partition-phase share; always run
- * serially for honest per-core timings); --sim-backend picks the
+ * serially for honest per-core timings; it ends with a monotonicity
+ * report listing every mesh step where a benchmark's cycles rise as
+ * the tile count doubles); --sim-backend picks the
  * sweep's core (reference | fast, default fast, i.e.
  * raw::kDefaultSimBackend) or "both" for the reference core plus a
  * per-run threaded re-simulation;
@@ -223,6 +225,32 @@ run_scaling(bool tiny)
         }
     }
     return pts;
+}
+
+/**
+ * Print every step of @p pts (benchmark-major, meshes ascending) where
+ * a benchmark's cycles rise as the tile count doubles: a scaling cliff.
+ */
+void
+print_monotonicity(const std::vector<ScalePoint> &pts)
+{
+    std::printf("scaling monotonicity (cycles rising as the mesh "
+                "doubles):\n");
+    int rises = 0;
+    for (size_t i = 1; i < pts.size(); i++) {
+        const ScalePoint &a = pts[i - 1], &b = pts[i];
+        if (a.name != b.name || b.cycles <= a.cycles)
+            continue;
+        std::printf("  %-14s n=%d -> n=%d: %lld -> %lld cycles (+%.1f%%)\n",
+                    b.name.c_str(), a.tiles, b.tiles,
+                    static_cast<long long>(a.cycles),
+                    static_cast<long long>(b.cycles),
+                    100.0 * static_cast<double>(b.cycles - a.cycles) /
+                        static_cast<double>(a.cycles));
+        rises++;
+    }
+    if (rises == 0)
+        std::printf("  none\n");
 }
 
 /**
@@ -480,8 +508,10 @@ main(int argc, char **argv)
         print_table3(runs);
 
     std::vector<ScalePoint> scale;
-    if (scaling)
+    if (scaling) {
         scale = run_scaling(tiny);
+        print_monotonicity(scale);
+    }
     write_json(json_out, runs, jobs, wall_ms, scale, mode);
     return 0;
 }

@@ -302,44 +302,122 @@ assigns_var(const std::vector<StmtPtr> &stmts, const std::string &name)
     return assigned.count(name) > 0;
 }
 
-/** Substitute variable @p iv in an expression. */
-ExprPtr
-subst_expr(const Expr &e, const std::string &iv, int64_t offset,
-           bool exact, int64_t exact_value)
+/** True if every leaf of @p e is an int literal or a scalar in @p consts. */
+bool
+const_leaves(const Expr &e, const ConstEnv &consts)
 {
-    if (e.kind == ExprKind::kVar && e.name == iv) {
-        if (exact)
-            return make_int_lit(static_cast<int32_t>(exact_value));
-        if (offset == 0)
-            return e.clone();
-        return make_binary("+", e.clone(),
-                           make_int_lit(static_cast<int32_t>(offset)));
+    switch (e.kind) {
+      case ExprKind::kIntLit:
+        return true;
+      case ExprKind::kVar:
+        return consts.count(e.name) > 0;
+      case ExprKind::kUnary:
+      case ExprKind::kBinary:
+        for (const ExprPtr &k : e.kids)
+            if (!const_leaves(*k, consts))
+                return false;
+        return true;
+      default:
+        return false;
     }
-    ExprPtr c = e.clone();
-    for (ExprPtr &k : c->kids)
-        k = subst_expr(*k, iv, offset, exact, exact_value);
-    return c;
 }
 
-StmtPtr
-subst_stmt(const Stmt &s, const std::string &iv, int64_t offset,
-           bool exact, int64_t exact_value)
+/** True if the statement list declares a name anywhere (recursively). */
+bool
+declares_any(const std::vector<StmtPtr> &stmts)
 {
-    StmtPtr c = s.clone();
-    auto fix = [&](ExprPtr &e) {
-        if (e)
-            e = subst_expr(*e, iv, offset, exact, exact_value);
-    };
-    fix(c->expr);
-    for (ExprPtr &i : c->indices)
-        i = subst_expr(*i, iv, offset, exact, exact_value);
-    fix(c->bound);
-    for (StmtPtr &b : c->body)
-        b = subst_stmt(*b, iv, offset, exact, exact_value);
-    for (StmtPtr &b : c->else_body)
-        b = subst_stmt(*b, iv, offset, exact, exact_value);
-    return c;
+    for (const StmtPtr &s : stmts) {
+        if (s->kind == StmtKind::kDeclScalar ||
+            s->kind == StmtKind::kDeclArray || declares_any(s->body) ||
+            declares_any(s->else_body))
+            return true;
+    }
+    return false;
 }
+
+/**
+ * One substitution of induction variable @p iv: either `iv + offset`
+ * or, when @p exact, the constant @p exact_value.
+ */
+struct Subst
+{
+    const std::string &iv;
+    int64_t offset;
+    bool exact;
+    int64_t exact_value;
+    const ConstEnv &consts;
+
+    ExprPtr
+    expr(const Expr &e) const
+    {
+        if (e.kind == ExprKind::kVar && e.name == iv) {
+            if (exact)
+                return make_int_lit(static_cast<int32_t>(exact_value));
+            if (offset == 0)
+                return e.clone();
+            return make_binary("+", e.clone(),
+                               make_int_lit(static_cast<int32_t>(offset)));
+        }
+        auto c = std::make_unique<Expr>();
+        c->kind = e.kind;
+        c->type = e.type;
+        c->int_val = e.int_val;
+        c->float_val = e.float_val;
+        c->name = e.name;
+        c->op = e.op;
+        for (const ExprPtr &k : e.kids)
+            c->kids.push_back(expr(*k));
+        return c;
+    }
+
+    void
+    stmts(const std::vector<StmtPtr> &list, std::vector<StmtPtr> &out) const
+    {
+        for (const StmtPtr &s : list)
+            stmt(*s, out);
+    }
+
+    /**
+     * Append @p s, substituted, to @p out.  With an exact value, an
+     * `if` whose condition then folds, every leaf a constant, is
+     * replaced by its live arm (substituted and pruned in turn) and
+     * its dead arm is never copied.  An `if` whose dead arm declares a
+     * name is kept whole: names share one scope, so the declaration
+     * must still reach lowering.
+     */
+    void
+    stmt(const Stmt &s, std::vector<StmtPtr> &out) const
+    {
+        ExprPtr cond = s.expr ? expr(*s.expr) : nullptr;
+        if (exact && s.kind == StmtKind::kIf &&
+            const_leaves(*cond, consts)) {
+            if (auto v = fold_word(*cond, consts)) {
+                const bool taken = *v != 0;
+                if (!declares_any(taken ? s.else_body : s.body)) {
+                    stmts(taken ? s.body : s.else_body, out);
+                    return;
+                }
+            }
+        }
+        auto c = std::make_unique<Stmt>();
+        c->kind = s.kind;
+        c->type = s.type;
+        c->name = s.name;
+        c->dims = s.dims;
+        c->expr = std::move(cond);
+        for (const ExprPtr &i : s.indices)
+            c->indices.push_back(expr(*i));
+        stmts(s.body, c->body);
+        stmts(s.else_body, c->else_body);
+        if (s.bound)
+            c->bound = expr(*s.bound);
+        c->step = s.step;
+        c->cmp = s.cmp;
+        c->iv_residue = s.iv_residue;
+        c->iv_modulus = s.iv_modulus;
+        out.push_back(std::move(c));
+    }
+};
 
 /** The unroll pass. */
 class Unroller
@@ -508,11 +586,9 @@ class Unroller
 
         if (peel) {
             stats.loops_peeled++;
-            for (int64_t t = 0; t < trip; t++) {
-                int64_t val = s + t * st;
-                for (const StmtPtr &bs : loop->body)
-                    out.push_back(subst_stmt(*bs, iv, 0, true, val));
-            }
+            for (int64_t t = 0; t < trip; t++)
+                Subst{iv, 0, true, s + t * st, consts_}.stmts(loop->body,
+                                                             out);
             auto as = std::make_unique<Stmt>();
             as->kind = StmtKind::kAssign;
             as->name = iv;
@@ -540,7 +616,6 @@ class Unroller
 
         stats.loops_unrolled++;
         int64_t t_main = trip / u;
-        int64_t t_rem = trip % u;
 
         auto main_loop = std::make_unique<Stmt>();
         main_loop->kind = StmtKind::kFor;
@@ -553,18 +628,13 @@ class Unroller
         main_loop->iv_modulus = std::abs(u * st);
         main_loop->iv_residue = floor_mod(s, main_loop->iv_modulus);
         for (int64_t k = 0; k < u; k++)
-            for (const StmtPtr &bs : loop->body)
-                main_loop->body.push_back(
-                    subst_stmt(*bs, iv, k * st, false, 0));
+            Subst{iv, k * st, false, 0, consts_}.stmts(loop->body,
+                                                       main_loop->body);
         if (t_main > 0)
             out.push_back(std::move(main_loop));
 
-        for (int64_t t = t_main * u; t < trip; t++) {
-            int64_t val = s + t * st;
-            for (const StmtPtr &bs : loop->body)
-                out.push_back(subst_stmt(*bs, iv, 0, true, val));
-        }
-        (void)t_rem;
+        for (int64_t t = t_main * u; t < trip; t++)
+            Subst{iv, 0, true, s + t * st, consts_}.stmts(loop->body, out);
 
         auto as = std::make_unique<Stmt>();
         as->kind = StmtKind::kAssign;

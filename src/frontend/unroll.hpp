@@ -19,6 +19,12 @@
  *    init/bound fold to constants);
  *  - fully peels a loop when the required factor reaches the trip
  *    count (every access index becomes an exact constant);
+ *  - wherever it substitutes an exact induction value (a full peel,
+ *    or the peeled remainder of a partial unroll), folds each `if`
+ *    condition whose leaves are all constants and emits only the
+ *    live arm, so an enclosing loop's `trip * weight` is charged on
+ *    the emitted code; an `if` whose dead arm declares a name, and
+ *    every `while`, is kept;
  *  - otherwise unrolls by the lcm requirement, emitting a peeled
  *    remainder, and annotates the loop with the congruence fact
  *    `iv == start (mod U*step)` consumed by the IR congruence

@@ -8,7 +8,8 @@
  * instructions and simulate to exactly the recorded cycle counts.
  * Any change to a clustering, placement or scheduling decision moves
  * at least one of them, so a compile-time speedup that claims
- * identical output is held to it here.
+ * identical output is held to it here.  cholesky also stays fully
+ * static (no dynamic-network reference) at 64 and 128 tiles.
  */
 
 #include <gtest/gtest.h>
@@ -53,7 +54,18 @@ TEST(PartitionScale, Life128TilesExact)
 
 TEST(PartitionScale, Cholesky64TilesExact)
 {
-    expect_pinned({"cholesky", 64, 2888807, 464890, 225199});
+    expect_pinned({"cholesky", 64, 2914722, 425743, 11640});
+}
+
+// Peeling folds cholesky's triangular guards, so its nests fit the
+// peel limits and every reference stays static past 32 tiles.
+TEST(PartitionScale, CholeskyFullyStaticAt64And128Tiles)
+{
+    for (int tiles : {64, 128}) {
+        CompileOutput out = compile_source(benchmark("cholesky").source,
+                                           MachineConfig::base(tiles));
+        EXPECT_EQ(out.stats.dynamic_refs, 0) << tiles;
+    }
 }
 
 TEST(PartitionScale, Mxm64TilesExact)

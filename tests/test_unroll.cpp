@@ -345,5 +345,171 @@ TEST(Unroll, FoldedSubscriptGuardsAndRolledLoops)
               "");
 }
 
+/** Statements of kind @p k in @p stmts, recursively. */
+int
+count_kind(const std::vector<StmtPtr> &stmts, StmtKind k)
+{
+    int n = 0;
+    for (const StmtPtr &s : stmts)
+        n += (s->kind == k) + count_kind(s->body, k) +
+             count_kind(s->else_body, k);
+    return n;
+}
+
+/** @p src unrolled for @p tiles tiles with the default limits. */
+Program
+unrolled(const std::string &src, int tiles)
+{
+    Program p = parse_program(src);
+    unroll_program(p, opts_for(tiles));
+    return p;
+}
+
+/** RAWCC at 1, 4 and 16 tiles prints what the baseline prints. */
+void
+expect_matches_baseline(const std::string &src)
+{
+    const std::string want = run_baseline(src).prints;
+    EXPECT_FALSE(want.empty());
+    for (int n : {1, 4, 16})
+        EXPECT_EQ(run_rawcc(src, MachineConfig::base(n)).prints, want)
+            << n;
+}
+
+// Peeling substitutes the exact induction value, so a guard on it is
+// decided: only the live arm of each copy is emitted.
+TEST(Unroll, PeelKeepsOnlyLiveArm)
+{
+    const char *src = "int a[8]; int i;\n"
+                      "for (i = 0; i < 8; i = i + 1) {\n"
+                      "  if (i < 3) { a[i] = i; } else { a[i] = 10 - i; }\n"
+                      "  if (i == 5) { print(a[i]); }\n"
+                      "}\n"
+                      "print(a[1] + a[6]);\n";
+    Program p = unrolled(src, 8);
+    EXPECT_EQ(find_for(p.stmts), nullptr);
+    EXPECT_EQ(count_kind(p.stmts, StmtKind::kIf), 0);
+    EXPECT_EQ(count_kind(p.stmts, StmtKind::kArrayAssign), 8)
+        << "one arm per copy";
+    EXPECT_EQ(count_kind(p.stmts, StmtKind::kPrint), 2)
+        << "the i == 5 copy plus the final print";
+    // Copy 1 took the true arm, copy 6 the false arm.
+    EXPECT_EQ(p.stmts[3]->kind, StmtKind::kArrayAssign);
+    EXPECT_EQ(p.stmts[3]->expr->kind, ExprKind::kIntLit);
+    EXPECT_EQ(p.stmts[9]->expr->kind, ExprKind::kBinary);
+    expect_matches_baseline(src);
+}
+
+// cholesky's triangular guard: peeling j and i folds `i >= j`, but
+// `j > k` still names k, and folds once the k loop substitutes it.
+TEST(Unroll, NestedGuardFoldsOnceOuterIvKnown)
+{
+    const char *nest = "for (j = 0; j < 4; j = j + 1) {\n"
+                       "  for (i = 0; i < 4; i = i + 1) {\n"
+                       "    if (j > k) { if (i >= j) {\n"
+                       "      a[i][j] = a[i][j] - a[i][k] * a[j][k];\n"
+                       "    } }\n"
+                       "  }\n"
+                       "}\n";
+    const std::string head = "int a[4][4]; int i; int j; int k;\n"
+                             "for (i = 0; i < 16; i = i + 1) {\n"
+                             "  a[i / 4][i % 4] = i % 5 + 1;\n"
+                             "}\n";
+    const std::string tail = "print(a[3][3] + a[2][1] + a[1][3]);\n";
+    // k rolled (a `while`): each of the 16 (j, i) copies keeps its
+    // `j > k` guard; only the 10 with i >= j keep an assignment.
+    std::string rolled = head + "k = 0;\nwhile (k < 4) {\n" + nest +
+                         "k = k + 1;\n}\n" + tail;
+    Program p = unrolled(rolled, 16);
+    EXPECT_EQ(count_kind(p.stmts, StmtKind::kFor), 0);
+    EXPECT_EQ(count_kind(p.stmts, StmtKind::kIf), 16);
+    EXPECT_EQ(count_kind(p.stmts, StmtKind::kArrayAssign), 16 + 10);
+    expect_matches_baseline(rolled);
+    // k peeled: no guard survives, and only the (k, j, i) with
+    // i >= j > k assign: 6 + 3 + 1 + 0.
+    std::string peeled =
+        head + "for (k = 0; k < 4; k = k + 1) {\n" + nest + "}\n" + tail;
+    p = unrolled(peeled, 16);
+    EXPECT_EQ(count_kind(p.stmts, StmtKind::kFor), 0);
+    EXPECT_EQ(count_kind(p.stmts, StmtKind::kIf), 0);
+    EXPECT_EQ(count_kind(p.stmts, StmtKind::kArrayAssign), 16 + 10);
+    expect_matches_baseline(peeled);
+}
+
+// A condition with a leaf that is not a constant is kept, even when
+// one side of `&&` already decides it (rawc evaluates both sides).
+TEST(Unroll, NonConstantLeafKeepsGuard)
+{
+    const char *src = "int a[4]; int i; int s; s = 1;\n"
+                      "for (i = 0; i < 4; i = i + 1) {\n"
+                      "  if (i > 0 && s > 0) { a[i] = s; }\n"
+                      "  if (i < s) { s = s + 1; }\n"
+                      "}\n"
+                      "print(a[1] + a[3] + s);\n";
+    Program p = unrolled(src, 4);
+    EXPECT_EQ(find_for(p.stmts), nullptr);
+    EXPECT_EQ(count_kind(p.stmts, StmtKind::kIf), 8);
+    expect_matches_baseline(src);
+}
+
+// A `while` whose condition folds to false is not pruned.
+TEST(Unroll, WhileFoldingFalseIsKept)
+{
+    const char *src = "int a[4]; int i;\n"
+                      "for (i = 0; i < 4; i = i + 1) {\n"
+                      "  a[i] = i;\n"
+                      "  while (i > 2 && a[i] < 9) { a[i] = a[i] + 4; }\n"
+                      "}\n"
+                      "print(a[0] + a[3]);\n";
+    Program p = unrolled(src, 4);
+    EXPECT_EQ(find_for(p.stmts), nullptr);
+    EXPECT_EQ(count_kind(p.stmts, StmtKind::kWhile), 4);
+    expect_matches_baseline(src);
+}
+
+// Pruning drops the first iteration's `a[i - 1]` with its dead arm,
+// and a live arm's out-of-range subscript is still the parser's error.
+TEST(Unroll, PrunedGuardAndLiveSubscript)
+{
+    const char *guarded = "int a[4]; int i; int s; s = 0;\n"
+                          "for (i = 0; i < 4; i = i + 1) { a[i] = i + 1; }\n"
+                          "for (i = 0; i < 4; i = i + 1) {\n"
+                          "  if (i > 0) { s = s + a[i - 1]; }\n"
+                          "}\n"
+                          "print(s);\n";
+    EXPECT_EQ(count_kind(unrolled(guarded, 4).stmts, StmtKind::kIf), 0);
+    expect_matches_baseline(guarded);
+    const char *live = "int a[4]; int i;\n"
+                       "for (i = 0; i < 4; i = i + 1) {\n"
+                       "  if (i > 1) { print(a[i + 2]); }\n"
+                       "}\n";
+    for (int n : {1, 4, 16})
+        EXPECT_NE(compile_error(live, n).find(
+                      "subscript 4 out of range for 'a' (extent 4)"),
+                  std::string::npos)
+            << n;
+}
+
+// Names share one scope, so a declaration must reach lowering even in
+// an arm that never runs: an `if` whose dead arm declares a name is
+// kept whole, and `t` is still declared after the loop.
+TEST(Unroll, DeclarationInDeadArmKeepsGuard)
+{
+    const char *src = "int i; int s; s = 0;\n"
+                      "for (i = 0; i < 3; i = i + 1) {\n"
+                      "  if (i > 5) { int t; t = 7; s = s + t; }\n"
+                      "  if (i == 1) { s = s + 2; } else { s = s + 1; }\n"
+                      "}\n"
+                      "t = s + 1;\n"
+                      "print(t);\n";
+    Program p = unrolled(src, 4);
+    EXPECT_EQ(find_for(p.stmts), nullptr);
+    EXPECT_EQ(count_kind(p.stmts, StmtKind::kIf), 3)
+        << "the i > 5 guards only";
+    EXPECT_EQ(count_kind(p.stmts, StmtKind::kDeclScalar), 2 + 3);
+    EXPECT_EQ(compile_error(src, 4), "");
+    expect_matches_baseline(src);
+}
+
 } // namespace
 } // namespace raw
