@@ -11,9 +11,11 @@
  * label fault-smoke); --scaling runs the large-mesh campaign — a
  * single 160-point sweep (10x the default) at 64 tiles on jacobi,
  * the fault-tolerance companion to the bench_wallclock scaling
- * study; --bench NAME restricts the full sweep to one benchmark
- * (with --smoke or --scaling it is refused, exit 2); --points N /
- * --seed S / --tiles N / --jobs N tune the full sweep.
+ * study; --bench NAME restricts the full sweep to one benchmark;
+ * --points N / --seed S / --tiles N / --jobs N tune the full sweep.
+ * A flag the chosen mode would ignore is refused with exit 2:
+ * --bench and --points under --smoke or --scaling, --seed under
+ * --smoke (seeds 1-3) and --tiles under --scaling (64 tiles).
  *
  * Exit status is nonzero if any campaign point failed, so the smoke
  * run doubles as a correctness gate.
@@ -54,6 +56,10 @@ main(int argc, char **argv)
     int points = 16;
     int jobs = 0;
     uint64_t seed = 1;
+    // Flags a fixed sweep would ignore, as given (null if absent).
+    const char *points_arg = nullptr;
+    const char *seed_arg = nullptr;
+    const char *tiles_arg = nullptr;
     const char *tool = "bench_faults";
     for (int i = 1; i < argc; i++) {
         auto value = [&] {
@@ -65,17 +71,18 @@ main(int argc, char **argv)
             only_bench = value();
         else if (std::strcmp(argv[i], "--points") == 0)
             points = static_cast<int>(raw::cli::parse_long_in(
-                tool, value(), "--points", 1, 4096,
+                tool, points_arg = value(), "--points", 1, 4096,
                 "a point count in [1, 4096]"));
         else if (std::strcmp(argv[i], "--tiles") == 0)
-            tiles = static_cast<int>(
-                raw::cli::parse_tiles(tool, value(), "--tiles"));
+            tiles = static_cast<int>(raw::cli::parse_tiles(
+                tool, tiles_arg = value(), "--tiles"));
         else if (std::strcmp(argv[i], "--jobs") == 0)
             jobs = static_cast<int>(raw::cli::parse_long_in(
                 tool, value(), "--jobs", 0, 1024,
                 "a worker count in [0, 1024]"));
         else if (std::strcmp(argv[i], "--seed") == 0)
-            seed = raw::cli::parse_u64(tool, value(), "--seed");
+            seed = raw::cli::parse_u64(tool, seed_arg = value(),
+                                       "--seed");
         else if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
         else if (std::strcmp(argv[i], "--scaling") == 0)
@@ -87,6 +94,18 @@ main(int argc, char **argv)
         raw::cli::bad_value(tool, "--bench", only_bench.c_str(),
                             "a full sweep (--smoke and --scaling fix "
                             "their own benchmarks)");
+    if (points_arg && (smoke || scaling))
+        raw::cli::bad_value(tool, "--points", points_arg,
+                            "a full sweep (--smoke and --scaling fix "
+                            "their own point counts)");
+    if (seed_arg && smoke)
+        raw::cli::bad_value(tool, "--seed", seed_arg,
+                            "a full or --scaling sweep (--smoke runs "
+                            "seeds 1-3)");
+    if (tiles_arg && scaling)
+        raw::cli::bad_value(tool, "--tiles", tiles_arg,
+                            "a full or --smoke sweep (--scaling runs at "
+                            "64 tiles)");
     if (!only_bench.empty()) {
         try {
             raw::benchmark(only_bench);

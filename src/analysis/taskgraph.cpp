@@ -1,7 +1,6 @@
 #include "analysis/taskgraph.hpp"
 
 #include <algorithm>
-#include <set>
 #include <unordered_map>
 
 #include "support/error.hpp"
@@ -245,24 +244,63 @@ TaskGraph::TaskGraph(const Function &fn, int block_id,
         if (op_is_memory(blk.instrs[nodes_[i].instr].op))
             mem_nodes.push_back(i);
     }
+    // Two references can conflict only if one of them has an unknown
+    // residue or both share a home tile (equal residues), so each is
+    // tested only against later references of its array in its own
+    // (array, residue) bucket plus the array's unknown-residue list —
+    // or, with an unknown residue itself, against every later
+    // reference of its array.  Candidates are visited in ascending
+    // order, so edges are added in the all-pairs order.
+    const int64_t nt = homes.n_tiles;
+    auto key = [nt](int array, int64_t residue) {
+        return array * (nt + 1) + residue + 1; // residue -1: unknown
+    };
+    std::vector<int64_t> residue(mem_nodes.size());
+    std::unordered_map<int64_t, std::vector<int>> bucket, of_array;
     for (size_t a = 0; a < mem_nodes.size(); a++) {
         const Instr &ia = blk.instrs[nodes_[mem_nodes[a]].instr];
+        residue[a] = cong.get(ia.src[0]).residue_mod(nt);
+        bucket[key(ia.array, residue[a])].push_back(static_cast<int>(a));
+        of_array[ia.array].push_back(static_cast<int>(a));
+    }
+    auto later = [](const std::vector<int> &v, int a) {
+        return std::upper_bound(v.begin(), v.end(), a);
+    };
+    static const std::vector<int> kNone;
+    for (size_t a = 0; a < mem_nodes.size(); a++) {
+        const int ai = static_cast<int>(a);
+        const Instr &ia = blk.instrs[nodes_[mem_nodes[a]].instr];
         bool a_store = ia.op == Op::kStore || ia.op == Op::kDynStore;
-        for (size_t b = a + 1; b < mem_nodes.size(); b++) {
+        const Congruence &ca = cong.get(ia.src[0]);
+        auto test = [&](int b) {
             const Instr &ib = blk.instrs[nodes_[mem_nodes[b]].instr];
             bool b_store =
                 ib.op == Op::kStore || ib.op == Op::kDynStore;
             if (!a_store && !b_store)
-                continue;
-            if (ia.array != ib.array)
-                continue;
-            const Congruence &ca = cong.get(ia.src[0]);
+                return;
             const Congruence &cb = cong.get(ib.src[0]);
             if (provably_disjoint(ca, cb, homes.array_base[ia.array],
                                   homes.array_base[ib.array],
                                   homes.n_tiles))
-                continue;
+                return;
             add_edge(mem_nodes[a], mem_nodes[b], DepKind::kOrder);
+        };
+        if (residue[a] < 0) {
+            const std::vector<int> &all = of_array[ia.array];
+            for (auto x = later(all, ai); x != all.end(); ++x)
+                test(*x);
+            continue;
+        }
+        const std::vector<int> &own = bucket[key(ia.array, residue[a])];
+        auto un = bucket.find(key(ia.array, -1));
+        const std::vector<int> &unknown =
+            un == bucket.end() ? kNone : un->second;
+        auto x = later(own, ai), y = later(unknown, ai);
+        while (x != own.end() || y != unknown.end()) {
+            if (y == unknown.end() || (x != own.end() && *x < *y))
+                test(*x++);
+            else
+                test(*y++);
         }
     }
 

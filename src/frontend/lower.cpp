@@ -162,15 +162,20 @@ class Lowerer
     lower_stmt(const Stmt &s)
     {
         switch (s.kind) {
+          // The parser refuses redeclarations, so a name bound here
+          // already is a declaration the unroller copied into several
+          // iterations: every copy is the one variable.
           case StmtKind::kDeclScalar: {
-            ValueId v = fn_.new_value(s.type, s.name, true);
-            scalars_[s.name] = v;
+            auto [it, fresh] = scalars_.try_emplace(s.name, kNoValue);
+            if (fresh)
+                it->second = fn_.new_value(s.type, s.name, true);
             if (s.expr)
-                b_->move_to(v, lower_expr(*s.expr));
+                b_->move_to(it->second, lower_expr(*s.expr));
             break;
           }
           case StmtKind::kDeclArray:
-            arrays_[s.name] = fn_.new_array(s.name, s.type, s.dims);
+            if (!arrays_.count(s.name))
+                arrays_[s.name] = fn_.new_array(s.name, s.type, s.dims);
             break;
           case StmtKind::kAssign:
             b_->move_to(scalar(s.name), lower_expr(*s.expr));

@@ -22,6 +22,7 @@
  * constrain all three phases.
  */
 
+#include <cstdlib>
 #include <vector>
 
 #include "analysis/taskgraph.hpp"
@@ -97,11 +98,11 @@ int64_t placement_assignment_cost(
 /**
  * Incremental placement cost model behind greedy-swap and anneal.
  *
- * Holds the mesh distance table D[t][u], each partition's traffic
- * neighbours with their row sum, and the cost table
+ * Holds each partition's traffic neighbours and the cost table
  * C[p][t] = Σₖ w[p][k]·D[t][tile(k)] — what partition p would pay in
- * hops if it sat on tile t.  A swap of partitions i and j then costs
- * O(1) to evaluate, since only terms touching i or j change:
+ * hops if it sat on tile t, with D the mesh (Manhattan) distance.  A
+ * swap of partitions i and j then costs O(1) to evaluate, since only
+ * terms touching i or j change:
  *
  *   Δ = C[i][tj] − C[i][ti] + C[j][ti] − C[j][tj] + 2·w[i][j]·D[ti][tj]
  *
@@ -111,37 +112,54 @@ int64_t placement_assignment_cost(
  * O(deg·n).  Deltas are exact integers, equal to the difference of
  * two placement_assignment_cost recomputes.  @p w must be symmetric;
  * its diagonal is ignored.
+ *
+ * A partition without traffic (an *idle* one) has an all-zero C row,
+ * so only busy partitions get a row; idle ones share one zero row.
+ * A swap of two idle partitions therefore always has Δ = 0.
  */
 class PlacementCostTable
 {
   public:
     /**
      * Build the tables for @p tile_of_partition (one tile per
-     * partition) in O(tiles² + Σ deg·tiles).  @p w must outlive the
-     * table.
+     * partition) in O(tiles + Σ deg·tiles).  @p nbr lists each
+     * partition's traffic neighbours: every k ≠ p with w[p][k] ≠ 0,
+     * in any order.  @p w must outlive the table.
      */
     PlacementCostTable(const std::vector<std::vector<int>> &w,
                        std::vector<int> tile_of_partition,
-                       const MachineConfig &machine);
+                       const MachineConfig &machine,
+                       std::vector<std::vector<int>> nbr);
 
     /** Cost change if partitions @p i and @p j swapped tiles; O(1). */
     int64_t swap_delta(int i, int j) const;
     /** Swap the tiles of @p i and @p j; O(deg·tiles). */
     void apply_swap(int i, int j);
 
+    /** True if partition @p p has traffic with some other partition. */
+    bool busy(int p) const { return !nbr_[p].empty(); }
     const std::vector<int> &tile_of() const { return tile_of_; }
 
   private:
-    int dist(int t, int u) const { return dist_[t * n_tiles_ + u]; }
-    int64_t *c_row(int p) { return &c_[p * n_tiles_]; }
-    const int64_t *c_row(int p) const { return &c_[p * n_tiles_]; }
+    int dist(int t, int u) const
+    {
+        return std::abs(mesh_row_[t] - mesh_row_[u]) +
+               std::abs(mesh_col_[t] - mesh_col_[u]);
+    }
+    int64_t *c_row(int p) { return &c_[c_row_of_[p] * n_tiles_]; }
+    const int64_t *c_row(int p) const
+    {
+        return &c_[c_row_of_[p] * n_tiles_];
+    }
 
     const std::vector<std::vector<int>> &w_;
     const int n_tiles_;
     std::vector<int> tile_of_;
-    std::vector<int> dist_;              ///< D, tiles × tiles
-    std::vector<int64_t> c_;             ///< C, partitions × tiles
+    std::vector<int> mesh_row_, mesh_col_; ///< coordinates per tile
     std::vector<std::vector<int>> nbr_;  ///< k ≠ p with w[p][k] ≠ 0
+    std::vector<int> c_row_of_;          ///< C row per partition; 0 = idle
+    std::vector<int64_t> c_;             ///< C, (1 + busy) × tiles
+    std::vector<int> shift_;             ///< apply_swap scratch, tiles
 };
 
 /** Phase 1: cluster @p g (uniform-latency model). */

@@ -10,23 +10,6 @@ namespace raw {
 
 namespace {
 
-/** Word traffic between each pair of partitions. */
-std::vector<std::vector<int>>
-traffic_matrix(const TaskGraph &g, const Clustering &merged, int n_tiles)
-{
-    std::vector<std::vector<int>> w(n_tiles,
-                                    std::vector<int>(n_tiles, 0));
-    for (const TGEdge &e : g.edges()) {
-        int a = merged.cluster_of[e.from];
-        int b = merged.cluster_of[e.to];
-        if (a != b) {
-            w[a][b]++;
-            w[b][a]++;
-        }
-    }
-    return w;
-}
-
 /**
  * Per-edge slack under an idealized uniform-latency interconnect:
  * span minus the longest path through the edge.  Zero for edges on
@@ -85,27 +68,37 @@ edge_slack(const TaskGraph &g, int64_t &span_out)
 }
 
 /**
- * Criticality-weighted traffic: each cross-partition edge counts
+ * Word traffic between each pair of partitions, with each partition's
+ * traffic neighbours in @p nbr.  With @p crit_weight > 0 it is
+ * criticality-weighted: each cross-partition edge counts
  * 1 + crit_weight * (span - slack) / span words, so tight edges pull
  * their endpoint partitions together harder than slack ones.
  */
 std::vector<std::vector<int>>
-critical_traffic_matrix(const TaskGraph &g, const Clustering &merged,
-                        int n_tiles, int crit_weight)
+traffic_matrix(const TaskGraph &g, const Clustering &merged, int n_tiles,
+               int crit_weight, std::vector<std::vector<int>> &nbr)
 {
     int64_t span = 0;
-    std::vector<int64_t> slack = edge_slack(g, span);
+    std::vector<int64_t> slack;
+    if (crit_weight > 0)
+        slack = edge_slack(g, span);
     std::vector<std::vector<int>> w(n_tiles,
                                     std::vector<int>(n_tiles, 0));
+    nbr.assign(n_tiles, {});
     for (size_t e = 0; e < g.edges().size(); e++) {
         const TGEdge &edge = g.edges()[e];
         int a = merged.cluster_of[edge.from];
         int b = merged.cluster_of[edge.to];
         if (a == b)
             continue;
-        int64_t bonus =
-            span > 0 ? (crit_weight * (span - slack[e])) / span : 0;
-        int wt = 1 + static_cast<int>(bonus);
+        int wt = 1;
+        if (crit_weight > 0 && span > 0)
+            wt += static_cast<int>((crit_weight * (span - slack[e])) /
+                                   span);
+        if (!w[a][b]) {
+            nbr[a].push_back(b);
+            nbr[b].push_back(a);
+        }
         w[a][b] += wt;
         w[b][a] += wt;
     }
@@ -131,32 +124,37 @@ placement_assignment_cost(const std::vector<std::vector<int>> &w,
 
 PlacementCostTable::PlacementCostTable(
     const std::vector<std::vector<int>> &w,
-    std::vector<int> tile_of_partition, const MachineConfig &machine)
+    std::vector<int> tile_of_partition, const MachineConfig &machine,
+    std::vector<std::vector<int>> nbr)
     : w_(w), n_tiles_(machine.n_tiles),
-      tile_of_(std::move(tile_of_partition))
+      tile_of_(std::move(tile_of_partition)), nbr_(std::move(nbr))
 {
     const int n = static_cast<int>(tile_of_.size());
     const int nt = n_tiles_;
-    dist_.resize(static_cast<size_t>(nt) * nt);
-    for (int t = 0; t < nt; t++)
-        for (int u = 0; u < nt; u++)
-            dist_[t * nt + u] = machine.distance(t, u);
-
-    nbr_.assign(n, {});
-    c_.assign(static_cast<size_t>(n) * nt, 0);
-    for (int p = 0; p < n; p++) {
-        int64_t *row = c_row(p);
-        for (int k = 0; k < n; k++) {
-            if (k == p || !w[p][k])
-                continue;
-            nbr_[p].push_back(k);
-            // Mesh distance is symmetric: D[t][tile(k)] is row tile(k).
-            const int *dk = &dist_[tile_of_[k] * nt];
-            for (int t = 0; t < nt; t++)
-                row[t] += static_cast<int64_t>(w[p][k]) * dk[t];
-        }
+    mesh_row_.resize(nt);
+    mesh_col_.resize(nt);
+    for (int t = 0; t < nt; t++) {
+        mesh_row_[t] = machine.row_of(t);
+        mesh_col_[t] = machine.col_of(t);
     }
 
+    // Row 0 is the shared all-zero row of every idle partition.
+    c_row_of_.assign(n, 0);
+    int rows = 1;
+    for (int p = 0; p < n; p++)
+        if (busy(p))
+            c_row_of_[p] = rows++;
+    c_.assign(static_cast<size_t>(rows) * nt, 0);
+    shift_.resize(nt);
+    for (int p = 0; p < n; p++) {
+        int64_t *row = c_row(p);
+        for (int k : nbr_[p]) {
+            const int64_t wpk = w[p][k];
+            const int tk = tile_of_[k];
+            for (int t = 0; t < nt; t++)
+                row[t] += wpk * dist(t, tk);
+        }
+    }
 }
 
 int64_t
@@ -174,21 +172,23 @@ void
 PlacementCostTable::apply_swap(int i, int j)
 {
     const int nt = n_tiles_;
-    const int *di = &dist_[tile_of_[i] * nt];
-    const int *dj = &dist_[tile_of_[j] * nt];
+    const int ti = tile_of_[i];
+    const int tj = tile_of_[j];
     // i moves to j's tile: each traffic neighbour p of i now pays
     // w[p][i]·(D[t][tj] − D[t][ti]) more on every tile t; j the reverse.
+    for (int t = 0; t < nt; t++)
+        shift_[t] = dist(t, tj) - dist(t, ti);
     for (int p : nbr_[i]) {
         const int64_t wpi = w_[p][i];
         int64_t *row = c_row(p);
         for (int t = 0; t < nt; t++)
-            row[t] += wpi * (dj[t] - di[t]);
+            row[t] += wpi * shift_[t];
     }
     for (int p : nbr_[j]) {
         const int64_t wpj = w_[p][j];
         int64_t *row = c_row(p);
         for (int t = 0; t < nt; t++)
-            row[t] += wpj * (di[t] - dj[t]);
+            row[t] -= wpj * shift_[t];
     }
     std::swap(tile_of_[i], tile_of_[j]);
 }
@@ -224,11 +224,9 @@ place_partitions(const TaskGraph &g, const Clustering &merged,
         }
     }
 
+    std::vector<std::vector<int>> nbr;
     std::vector<std::vector<int>> w =
-        opts.crit_weight > 0
-            ? critical_traffic_matrix(g, merged, n_tiles,
-                                      opts.crit_weight)
-            : traffic_matrix(g, merged, n_tiles);
+        traffic_matrix(g, merged, n_tiles, opts.crit_weight, nbr);
 
     int64_t swaps_evaluated = 0;
     if (opts.place_mode != PlaceMode::kArbitrary &&
@@ -237,9 +235,9 @@ place_partitions(const TaskGraph &g, const Clustering &merged,
         // accepted swaps cost O(deg·n), not the O(n²) full recompute.
         // Accept decisions are on exact integer deltas, so the loops
         // pick the same placements as the full-recompute versions.
-        PlacementCostTable table(w, tile_of_partition, machine);
+        PlacementCostTable table(w, tile_of_partition, machine,
+                                 std::move(nbr));
         auto delta_of = [&](int pi, int pj) {
-            swaps_evaluated++;
             int64_t d = table.swap_delta(pi, pj);
 #ifndef NDEBUG
             std::vector<int> tiles = table.tile_of();
@@ -252,15 +250,35 @@ place_partitions(const TaskGraph &g, const Clustering &merged,
         };
 
         if (opts.place_mode == PlaceMode::kGreedySwap) {
+            // A swap of two idle partitions has Δ = 0, which the
+            // strict < 0 test never takes, so each sweep evaluates
+            // only the pairs with a busy partition, in the same (i, j)
+            // order; swaps_evaluated still counts every pair.
+            const size_t m = movable.size();
+            std::vector<size_t> busy;
+            for (size_t k = 0; k < m; k++)
+                if (table.busy(movable[k]))
+                    busy.push_back(k);
             bool improved = true;
+            auto try_swap = [&](size_t i, size_t j) {
+                if (delta_of(movable[i], movable[j]) < 0) {
+                    table.apply_swap(movable[i], movable[j]);
+                    improved = true;
+                }
+            };
             while (improved) {
                 improved = false;
-                for (size_t i = 0; i < movable.size(); i++) {
-                    for (size_t j = i + 1; j < movable.size(); j++) {
-                        if (delta_of(movable[i], movable[j]) < 0) {
-                            table.apply_swap(movable[i], movable[j]);
-                            improved = true;
-                        }
+                swaps_evaluated += static_cast<int64_t>(m * (m - 1) / 2);
+                size_t next = 0; // first busy entry past i
+                for (size_t i = 0; i < m; i++) {
+                    while (next < busy.size() && busy[next] <= i)
+                        next++;
+                    if (table.busy(movable[i])) {
+                        for (size_t j = i + 1; j < m; j++)
+                            try_swap(i, j);
+                    } else {
+                        for (size_t k = next; k < busy.size(); k++)
+                            try_swap(i, busy[k]);
                     }
                 }
             }
@@ -280,6 +298,7 @@ place_partitions(const TaskGraph &g, const Clustering &merged,
                 int j = movable[pick(rng)];
                 if (i == j)
                     continue;
+                swaps_evaluated++;
                 int64_t d = delta_of(i, j);
                 // The RNG is drawn only on uphill candidates, exactly
                 // as the full-recompute loop did, so the accept

@@ -155,6 +155,110 @@ class CongruencePool
 };
 
 /**
+ * The switch control tail of block @p b: the replicated slice on the
+ * switch ALU, then the block's branch, jump or halt.  Temp switch
+ * registers are reused after a temp's last use (the replication
+ * analysis budgets on this).
+ */
+std::vector<SInstr>
+switch_control_tail(const Function &fn, int b, const TailTemplate &tail,
+                    const ReplicationAnalysis &repl,
+                    const std::map<ValueId, int> &svreg,
+                    const MachineConfig &machine)
+{
+    const Instr &term = fn.blocks[b].terminator();
+    std::vector<SInstr> code;
+    std::map<ValueId, int> stemp;
+    std::vector<int> sfree;
+    for (int r = machine.num_switch_registers;
+         r-- > 1 + static_cast<int>(svreg.size());)
+        sfree.push_back(r);
+    std::map<ValueId, size_t> last_use;
+    for (size_t pos = 0; pos < tail.instrs.size(); pos++) {
+        const VInstr &v = tail.instrs[pos];
+        for (ValueId s : v.src)
+            if (s != kNoValue && !fn.values[s].is_var)
+                last_use[s] = pos;
+    }
+    ValueId br_cond = kNoValue;
+    if (term.op == Op::kBranch && repl.branch_replicated(b)) {
+        br_cond = term.src[0];
+        if (!fn.values[br_cond].is_var) {
+            auto it = tail.remap.find(br_cond);
+            check(it != tail.remap.end(),
+                  "orchestrater: replicated condition missing from tail");
+            br_cond = it->second;
+            last_use[br_cond] = tail.instrs.size();
+        }
+    }
+    auto sreg = [&](ValueId v) -> int {
+        auto iv = svreg.find(v);
+        if (iv != svreg.end())
+            return iv->second;
+        auto it = stemp.find(v);
+        check(it != stemp.end(), "orchestrater: unmapped switch value");
+        return it->second;
+    };
+    for (size_t pos = 0; pos < tail.instrs.size(); pos++) {
+        const VInstr &v = tail.instrs[pos];
+        SInstr si;
+        si.k = SInstr::K::kAlu;
+        si.op = v.op;
+        si.imm = v.imm;
+        if (v.src[0] != kNoValue)
+            si.a = sreg(v.src[0]);
+        if (v.src[1] != kNoValue)
+            si.b = sreg(v.src[1]);
+        if (v.dst != kNoValue) {
+            auto iv = svreg.find(v.dst);
+            if (iv != svreg.end()) {
+                si.dst = iv->second;
+            } else {
+                check(!sfree.empty(),
+                      "orchestrater: switch register budget exceeded");
+                stemp[v.dst] = sfree.back();
+                sfree.pop_back();
+                si.dst = stemp[v.dst];
+            }
+        }
+        code.push_back(si);
+        // Free temps whose last use was this instruction.
+        for (ValueId s : v.src) {
+            if (s == kNoValue || fn.values[s].is_var)
+                continue;
+            auto lu = last_use.find(s);
+            auto tr = stemp.find(s);
+            if (lu != last_use.end() && lu->second == pos &&
+                tr != stemp.end()) {
+                sfree.push_back(tr->second);
+                stemp.erase(tr);
+            }
+        }
+    }
+    if (term.op == Op::kBranch) {
+        SInstr bn;
+        bn.k = SInstr::K::kBnez;
+        bn.cond = br_cond == kNoValue ? 0 : sreg(br_cond);
+        bn.target = term.target[0];
+        code.push_back(bn);
+        SInstr jf;
+        jf.k = SInstr::K::kJump;
+        jf.target = term.target[1];
+        code.push_back(jf);
+    } else if (term.op == Op::kJump) {
+        SInstr j;
+        j.k = SInstr::K::kJump;
+        j.target = term.target[0];
+        code.push_back(j);
+    } else {
+        SInstr h;
+        h.k = SInstr::K::kHalt;
+        code.push_back(h);
+    }
+    return code;
+}
+
+/**
  * Emit the per-tile processor and switch streams of one scheduled
  * block into @p tiles_b / @p switches_b (both sized n_tiles).  Pure
  * with respect to everything but its outputs, so blocks can emit
@@ -178,6 +282,46 @@ emit_block_streams(const Function &fn, int b, const TaskGraph &graph,
     switches_b.assign(n_tiles, {});
 
     // ---- Processor streams. ---------------------------------
+    // The control tail and terminator end every tile's stream.
+    std::vector<VInstr> ptail = tail.instrs;
+    switch (term.op) {
+      case Op::kJump: {
+        VInstr v;
+        v.op = Op::kJump;
+        v.target_block = term.target[0];
+        ptail.push_back(v);
+        break;
+      }
+      case Op::kHalt: {
+        VInstr v;
+        v.op = Op::kHalt;
+        ptail.push_back(v);
+        break;
+      }
+      case Op::kBranch: {
+        ValueId cond = term.src[0];
+        if (repl.branch_replicated(b) &&
+            !fn.values[cond].is_var) {
+            auto it = tail.remap.find(cond);
+            check(it != tail.remap.end(),
+                  "orchestrater: replicated branch condition "
+                  "not in tail");
+            cond = it->second;
+        }
+        VInstr br;
+        br.op = Op::kBranch;
+        br.src[0] = cond;
+        br.target_block = term.target[0];
+        ptail.push_back(br);
+        VInstr jf;
+        jf.op = Op::kJump;
+        jf.target_block = term.target[1];
+        ptail.push_back(jf);
+        break;
+      }
+      default:
+        panic("orchestrater: bad terminator");
+    }
     for (int t = 0; t < n_tiles; t++) {
         std::vector<VInstr> &code = tiles_b[t];
         for (const TileItem &item : sched.tiles[t]) {
@@ -206,50 +350,20 @@ emit_block_streams(const Function &fn, int b, const TaskGraph &graph,
               }
             }
         }
-        // Control tail + terminator.
-        for (const VInstr &v : tail.instrs)
-            code.push_back(v);
-        switch (term.op) {
-          case Op::kJump: {
-            VInstr v;
-            v.op = Op::kJump;
-            v.target_block = term.target[0];
-            code.push_back(v);
-            break;
-          }
-          case Op::kHalt: {
-            VInstr v;
-            v.op = Op::kHalt;
-            code.push_back(v);
-            break;
-          }
-          case Op::kBranch: {
-            ValueId cond = term.src[0];
-            if (repl.branch_replicated(b) &&
-                !fn.values[cond].is_var) {
-                auto it = tail.remap.find(cond);
-                check(it != tail.remap.end(),
-                      "orchestrater: replicated branch condition "
-                      "not in tail");
-                cond = it->second;
-            }
-            VInstr br;
-            br.op = Op::kBranch;
-            br.src[0] = cond;
-            br.target_block = term.target[0];
-            code.push_back(br);
-            VInstr jf;
-            jf.op = Op::kJump;
-            jf.target_block = term.target[1];
-            code.push_back(jf);
-            break;
-          }
-          default:
-            panic("orchestrater: bad terminator");
-        }
+        code.insert(code.end(), ptail.begin(), ptail.end());
     }
 
     // ---- Switch streams. ------------------------------------
+    // Control tail: every active switch maintains the replicated
+    // variables in every block, not only in blocks that end in a
+    // replicated branch — the loop counter's init and update slices
+    // live in jump blocks.  The tail is the same on every switch, so
+    // it is built once, and only if some switch is active.
+    if (std::find(switch_active.begin(), switch_active.end(), true) ==
+        switch_active.end())
+        return;
+    const std::vector<SInstr> stail =
+        switch_control_tail(fn, b, tail, repl, svreg, machine);
     for (int t = 0; t < n_tiles; t++) {
         if (!switch_active[t])
             continue;
@@ -257,6 +371,7 @@ emit_block_streams(const Function &fn, int b, const TaskGraph &graph,
         // One ROUTE per hop: same-cycle hops of distinct paths
         // stay separate instructions in a globally consistent
         // (cycle, path) order — see SwitchItem::path.
+        code.reserve(sched.switches[t].size() + stail.size());
         for (const SwitchItem &item : sched.switches[t]) {
             SInstr route;
             route.k = SInstr::K::kRoute;
@@ -267,122 +382,7 @@ emit_block_streams(const Function &fn, int b, const TaskGraph &graph,
             route.routes.push_back(rp);
             code.push_back(std::move(route));
         }
-        // Control tail: every active switch maintains the
-        // replicated variables in every block, not only in
-        // blocks that end in a replicated branch — the loop
-        // counter's init and update slices live in jump blocks.
-        // Temp switch registers are reused after a temp's last
-        // use (the replication analysis budgets on this).
-        std::map<ValueId, int> stemp;
-        std::vector<int> sfree;
-        for (int r = machine.num_switch_registers;
-             r-- > 1 + static_cast<int>(svreg.size());)
-            sfree.push_back(r);
-        std::map<ValueId, size_t> last_use;
-        for (size_t pos = 0; pos < tail.instrs.size(); pos++) {
-            const VInstr &v = tail.instrs[pos];
-            for (ValueId s : v.src)
-                if (s != kNoValue && !fn.values[s].is_var)
-                    last_use[s] = pos;
-        }
-        ValueId br_cond = kNoValue;
-        if (term.op == Op::kBranch &&
-            repl.branch_replicated(b)) {
-            br_cond = term.src[0];
-            if (!fn.values[br_cond].is_var) {
-                auto it = tail.remap.find(br_cond);
-                check(it != tail.remap.end(),
-                      "orchestrater: replicated condition "
-                      "missing from tail");
-                br_cond = it->second;
-                last_use[br_cond] = tail.instrs.size();
-            }
-        }
-        auto sreg = [&](ValueId v) -> int {
-            auto iv = svreg.find(v);
-            if (iv != svreg.end())
-                return iv->second;
-            auto it = stemp.find(v);
-            check(it != stemp.end(),
-                  "orchestrater: unmapped switch value");
-            return it->second;
-        };
-        for (size_t pos = 0; pos < tail.instrs.size(); pos++) {
-            const VInstr &v = tail.instrs[pos];
-            SInstr si;
-            si.k = SInstr::K::kAlu;
-            si.op = v.op;
-            si.imm = v.imm;
-            if (v.src[0] != kNoValue)
-                si.a = sreg(v.src[0]);
-            if (v.src[1] != kNoValue)
-                si.b = sreg(v.src[1]);
-            if (v.dst != kNoValue) {
-                auto iv = svreg.find(v.dst);
-                if (iv != svreg.end()) {
-                    si.dst = iv->second;
-                } else {
-                    check(!sfree.empty(),
-                          "orchestrater: switch register "
-                          "budget exceeded");
-                    stemp[v.dst] = sfree.back();
-                    sfree.pop_back();
-                    si.dst = stemp[v.dst];
-                }
-            }
-            code.push_back(si);
-            // Free temps whose last use was this instruction.
-            for (ValueId s : v.src) {
-                if (s == kNoValue || fn.values[s].is_var)
-                    continue;
-                auto lu = last_use.find(s);
-                auto tr = stemp.find(s);
-                if (lu != last_use.end() && lu->second == pos &&
-                    tr != stemp.end()) {
-                    sfree.push_back(tr->second);
-                    stemp.erase(tr);
-                }
-            }
-        }
-        if (term.op == Op::kBranch &&
-            repl.branch_replicated(b)) {
-            ValueId cond = term.src[0];
-            if (!fn.values[cond].is_var) {
-                auto it = tail.remap.find(cond);
-                check(it != tail.remap.end(),
-                      "orchestrater: switch branch condition "
-                      "not in tail");
-                cond = it->second;
-            }
-            SInstr bn;
-            bn.k = SInstr::K::kBnez;
-            bn.cond = sreg(cond);
-            bn.target = term.target[0];
-            code.push_back(bn);
-            SInstr jf;
-            jf.k = SInstr::K::kJump;
-            jf.target = term.target[1];
-            code.push_back(jf);
-        } else if (term.op == Op::kBranch) {
-            SInstr bn;
-            bn.k = SInstr::K::kBnez;
-            bn.cond = 0;
-            bn.target = term.target[0];
-            code.push_back(bn);
-            SInstr jf;
-            jf.k = SInstr::K::kJump;
-            jf.target = term.target[1];
-            code.push_back(jf);
-        } else if (term.op == Op::kJump) {
-            SInstr j;
-            j.k = SInstr::K::kJump;
-            j.target = term.target[0];
-            code.push_back(j);
-        } else {
-            SInstr h;
-            h.k = SInstr::K::kHalt;
-            code.push_back(h);
-        }
+        code.insert(code.end(), stail.begin(), stail.end());
     }
 }
 

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <memory>
+#include <random>
 #include <set>
+#include <string>
 
 #include "analysis/liveness.hpp"
 #include "analysis/replication.hpp"
@@ -358,6 +362,202 @@ print(s);
                 work.push_back(s);
     }
     EXPECT_EQ(seen, n);
+}
+
+// ---- Memory-order oracle ------------------------------------------
+
+// A random straight-line block over three arrays.  Subscripts are
+// exact (mostly from a 4-element hot set), residue-only (`x * 16 + r`
+// on A, `x * 64 + r` on B: known modulo 16 and 64 respectively) or,
+// on C, indirect through a load, which makes C fully dynamic.
+std::string
+random_mem_block(std::mt19937 &rng, int n_stmts)
+{
+    std::uniform_int_distribution<int> pct(0, 99), hot(0, 3), any(0, 63),
+        var(0, 3), res(0, 15);
+    auto x = [&]() { return "x" + std::to_string(var(rng)); };
+    auto exact = [&]() {
+        return std::to_string(pct(rng) < 60 ? hot(rng) : any(rng));
+    };
+    auto ref = [&]() -> std::string {
+        int k = pct(rng);
+        if (k < 35)
+            return "A[" +
+                   (pct(rng) < 50 ? exact()
+                                  : x() + " * 16 + " +
+                                        std::to_string(res(rng))) +
+                   "]";
+        if (k < 70)
+            return "B[" +
+                   (pct(rng) < 50 ? exact()
+                                  : x() + " * 64 + " +
+                                        std::to_string(hot(rng))) +
+                   "]";
+        if (k < 85)
+            return "C[" + exact() + "]";
+        return "C[A[" + exact() + "]]";
+    };
+    std::string src = "int A[64]; int B[64]; int C[64];\n"
+                      "int x0; int x1; int x2; int x3;\n"
+                      "x0 = A[0]; x1 = A[1]; x2 = B[2]; x3 = B[3];\n";
+    for (int s = 0; s < n_stmts; s++) {
+        int kind = pct(rng);
+        if (kind < 45)
+            src += ref() + " = " + ref() + " + " + x() + ";\n";
+        else if (kind < 90)
+            src += x() + " = " + ref() + " * 3 + " + x() + ";\n";
+        else
+            src += "print(" + x() + ");\n";
+    }
+    return src;
+}
+
+// The disambiguation verdict the task graph applies, copied.
+bool
+oracle_disjoint(const Congruence &a, const Congruence &b, int64_t base,
+                int n_tiles)
+{
+    if (a.is_exact() && b.is_exact())
+        return a.residue != b.residue;
+    int64_t ra = a.residue_mod(n_tiles);
+    int64_t rb = b.residue_mod(n_tiles);
+    if (ra >= 0 && rb >= 0)
+        return floor_mod(base + ra, n_tiles) !=
+               floor_mod(base + rb, n_tiles);
+    return false;
+}
+
+// The task graph's edges as the all-pairs memory-order scan would
+// have built them: every edge before the memory stage, then an
+// ordering test of every later reference of the same array, then the
+// print chain.  Memory-stage edges are the kOrder edges between two
+// memory nodes, print edges the kOrder edges between two prints.
+std::vector<TGEdge>
+all_pairs_edges(const Function &fn, const TaskGraph &g,
+                const CongruenceMap &cong, const HomeMap &homes)
+{
+    const Block &blk = fn.blocks[0];
+    auto op_of = [&](int v) {
+        const TGNode &nd = g.nodes()[v];
+        return nd.kind == TGKind::kInstr ? blk.instrs[nd.instr].op
+                                         : Op::kMove;
+    };
+    std::vector<TGEdge> out, prints;
+    std::map<std::pair<int, int>, size_t> at;
+    auto add = [&](int from, int to, DepKind kind) {
+        auto [it, fresh] = at.try_emplace({from, to}, out.size());
+        if (fresh)
+            out.push_back({from, to, kind});
+        else if (kind < out[it->second].kind)
+            out[it->second].kind = kind;
+    };
+    for (const TGEdge &e : g.edges()) {
+        if (e.kind != DepKind::kOrder)
+            add(e.from, e.to, e.kind);
+        else if (op_of(e.from) == Op::kPrint && op_of(e.to) == Op::kPrint)
+            prints.push_back(e);
+        else if (!op_is_memory(op_of(e.from)) ||
+                 !op_is_memory(op_of(e.to)))
+            add(e.from, e.to, e.kind);
+    }
+    std::vector<int> mem;
+    for (size_t v = 0; v < g.nodes().size(); v++)
+        if (g.nodes()[v].kind == TGKind::kInstr &&
+            op_is_memory(op_of(static_cast<int>(v))))
+            mem.push_back(static_cast<int>(v));
+    auto is_store = [](Op op) {
+        return op == Op::kStore || op == Op::kDynStore;
+    };
+    for (size_t a = 0; a < mem.size(); a++) {
+        const Instr &ia = blk.instrs[g.nodes()[mem[a]].instr];
+        for (size_t b = a + 1; b < mem.size(); b++) {
+            const Instr &ib = blk.instrs[g.nodes()[mem[b]].instr];
+            if (!is_store(ia.op) && !is_store(ib.op))
+                continue;
+            if (ia.array != ib.array)
+                continue;
+            if (oracle_disjoint(cong.get(ia.src[0]), cong.get(ib.src[0]),
+                                homes.array_base[ia.array],
+                                homes.n_tiles))
+                continue;
+            add(mem[a], mem[b], DepKind::kOrder);
+        }
+    }
+    for (const TGEdge &e : prints)
+        add(e.from, e.to, e.kind);
+    return out;
+}
+
+// Bucketing memory references by (array, home tile) must add exactly
+// the ordering edges the all-pairs scan added, in the same order, on
+// blocks mixing exact, residue-only and dynamic references.
+TEST(TaskGraph, BucketedMemoryOrderMatchesAllPairs)
+{
+    std::mt19937 rng(2025);
+    int64_t order_edges = 0, dyn_refs = 0, residue_only = 0;
+    for (int trial = 0; trial < 24; trial++) {
+        const int tiles = std::array<int, 4>{1, 4, 16, 64}[trial % 4];
+        SCOPED_TRACE(testing::Message()
+                     << "trial " << trial << " tiles " << tiles);
+        Function fn = prepare(random_mem_block(rng, 60 + 10 * trial)
+                                  .c_str());
+        ASSERT_EQ(fn.blocks.size(), 1u);
+        // The orchestrater's dynamic rewrite: an array with any
+        // reference of unknown home is dynamic throughout.
+        {
+            CongruenceMap cong(fn, 0);
+            std::set<int> dynamic;
+            for (const Instr &in : fn.blocks[0].instrs)
+                if (op_is_memory(in.op) &&
+                    cong.residue_mod(in.src[0], tiles) < 0)
+                    dynamic.insert(in.array);
+            for (Instr &in : fn.blocks[0].instrs) {
+                if (!dynamic.count(in.array))
+                    continue;
+                if (in.op == Op::kLoad)
+                    in.op = Op::kDynLoad;
+                else if (in.op == Op::kStore)
+                    in.op = Op::kDynStore;
+            }
+        }
+        ReplicationAnalysis repl(fn, 8, 12, true);
+        VarLiveness live(fn);
+        HomeMap homes;
+        homes.n_tiles = tiles;
+        homes.var_home.assign(fn.values.size(), 0);
+        int next = 0;
+        for (ValueId v : fn.var_ids())
+            if (!repl.var_replicated(v)) {
+                homes.var_home[v] = next;
+                next = (next + 1) % tiles;
+            }
+        int64_t off = 0;
+        for (const ArrayInfo &a : fn.arrays) {
+            homes.array_base.push_back(off);
+            off += a.size();
+        }
+        CongruenceMap cong(fn, 0);
+        TaskGraph g(fn, 0, MachineConfig::base(tiles), cong, repl, live,
+                    homes);
+        std::vector<TGEdge> want = all_pairs_edges(fn, g, cong, homes);
+        ASSERT_EQ(g.edges().size(), want.size());
+        for (size_t e = 0; e < want.size(); e++) {
+            ASSERT_EQ(g.edges()[e].from, want[e].from) << "edge " << e;
+            ASSERT_EQ(g.edges()[e].to, want[e].to) << "edge " << e;
+            ASSERT_EQ(g.edges()[e].kind, want[e].kind) << "edge " << e;
+        }
+        for (const TGEdge &e : want)
+            order_edges += e.kind == DepKind::kOrder;
+        for (const Instr &in : fn.blocks[0].instrs) {
+            dyn_refs += in.op == Op::kDynLoad || in.op == Op::kDynStore;
+            residue_only += (in.op == Op::kLoad || in.op == Op::kStore) &&
+                            !cong.get(in.src[0]).is_exact();
+        }
+    }
+    // The corpus reaches every kind of reference the buckets separate.
+    EXPECT_GT(order_edges, 1000);
+    EXPECT_GT(dyn_refs, 100);
+    EXPECT_GT(residue_only, 100);
 }
 
 } // namespace

@@ -257,7 +257,12 @@ TEST(Place, SwapDeltaMatchesFullRecompute)
         auto full = [&](const std::vector<int> &t) {
             return placement_assignment_cost(w, t, machine);
         };
-        PlacementCostTable table(w, tiles, machine);
+        std::vector<std::vector<int>> nbr(n);
+        for (int p = 0; p < n; p++)
+            for (int k = 0; k < n; k++)
+                if (k != p && w[p][k])
+                    nbr[p].push_back(k);
+        PlacementCostTable table(w, tiles, machine, nbr);
         std::uniform_int_distribution<int> pick(
             0, static_cast<int>(movable.size()) - 1);
         std::uniform_real_distribution<double> coin(0.0, 1.0);
@@ -640,6 +645,64 @@ TEST(Place, TableMatchesLinearDeltaOracle)
             EXPECT_NE(got.tile_of, arb.tile_of);
         }
     }
+}
+
+// Tiny blocks on 128 tiles: most partitions are empty and some
+// non-empty ones trade no word with any other.  Greedy placement
+// skips the pairs of two such idle partitions, whose swap delta is
+// always 0; it must still place and count swaps exactly as the
+// O(n)-delta loop that evaluates every pair.
+TEST(Place, IdlePartitionsMatchLinearDeltaOracle)
+{
+    std::mt19937 rng(128);
+    int idle_nonempty = 0;
+    for (int trial = 0; trial < 20; trial++) {
+        std::string src = random_program(rng, 1 + trial / 2 % 5);
+        Ctx c = make_ctx(src.c_str(), 128);
+        PartitionOptions opts;
+        Clustering m = merge_clusters(
+            *c.graph, cluster_taskgraph(*c.graph, c.machine, opts),
+            c.machine);
+        // Merging fills the low partition ids first; shuffle the ids
+        // so idle partitions also come before busy ones.
+        if (trial % 2) {
+            std::vector<int> perm(128);
+            std::iota(perm.begin(), perm.end(), 0);
+            std::shuffle(perm.begin(), perm.end(), rng);
+            Clustering r = m;
+            for (int &p : r.cluster_of)
+                p = perm[p];
+            for (int p = 0; p < 128; p++) {
+                r.pin_of[perm[p]] = m.pin_of[p];
+                r.cost_of[perm[p]] = m.cost_of[p];
+            }
+            m = r;
+        }
+        std::vector<int> size(128, 0);
+        std::vector<bool> traffic(128, false);
+        for (int p : m.cluster_of)
+            size[p]++;
+        for (const TGEdge &e : c.graph->edges()) {
+            int a = m.cluster_of[e.from], b = m.cluster_of[e.to];
+            if (a != b)
+                traffic[a] = traffic[b] = true;
+        }
+        SCOPED_TRACE(testing::Message() << "trial " << trial);
+        EXPECT_GT(std::count(size.begin(), size.end(), 0), 100);
+        for (int p = 0; p < 128; p++)
+            idle_nonempty += size[p] > 0 && !traffic[p];
+        for (PlaceMode mode :
+             {PlaceMode::kGreedySwap, PlaceMode::kAnneal}) {
+            opts.place_mode = mode;
+            opts.seed = static_cast<uint32_t>(trial + 1);
+            Partition want = oracle_place(*c.graph, m, c.machine, opts);
+            Partition got = place_partitions(*c.graph, m, c.machine, opts);
+            EXPECT_EQ(got.tile_of, want.tile_of);
+            EXPECT_EQ(got.swaps_evaluated, want.swaps_evaluated);
+            EXPECT_EQ(got.cross_edges, want.cross_edges);
+        }
+    }
+    EXPECT_GT(idle_nonempty, 0);
 }
 
 } // namespace

@@ -57,6 +57,13 @@ TEST(PartitionScale, Cholesky64TilesExact)
     expect_pinned({"cholesky", 64, 2914722, 425743, 11640});
 }
 
+// Most of cholesky's 128 partitions are empty in most blocks, so this
+// is where greedy placement skips the most idle pairs.
+TEST(PartitionScale, Cholesky128TilesExact)
+{
+    expect_pinned({"cholesky", 128, 23464862, 1373702, 9018});
+}
+
 // Peeling folds cholesky's triangular guards, so its nests fit the
 // peel limits and every reference stays static past 32 tiles.
 TEST(PartitionScale, CholeskyFullyStaticAt64And128Tiles)

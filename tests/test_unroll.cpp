@@ -511,5 +511,26 @@ TEST(Unroll, DeclarationInDeadArmKeepsGuard)
     expect_matches_baseline(src);
 }
 
+// Every peeled copy of a declaration is the one variable its name
+// names, so a value an earlier iteration stored survives the later
+// copies: `u` is set only when i == 1 and still holds 2 after the
+// loop (the lowering once bound each copy to a fresh variable, and
+// this printed 3).
+TEST(Unroll, PeeledDeclarationKeepsEarlierIterationsValue)
+{
+    const char *src = "int i; int s; s = 0;\n"
+                      "for (i = 0; i < 3; i = i + 1) {\n"
+                      "  if (i > 5) { int t; t = 7; s = s + t; }\n"
+                      "  if (i == 1) { int u; u = 2; s = s + u; }\n"
+                      "}\n"
+                      "t = s + 1;\n"
+                      "print(t + u);\n";
+    EXPECT_EQ(count_kind(unrolled(src, 4).stmts, StmtKind::kDeclScalar),
+              2 + 3 + 3)
+        << "every copy declares t and u";
+    EXPECT_EQ(run_baseline(src).prints, "5\n");
+    expect_matches_baseline(src);
+}
+
 } // namespace
 } // namespace raw
