@@ -179,10 +179,13 @@ orchestrate_and_link(Function fn, const MachineConfig &machine,
     out.stats.orch_partition_ms += vp.partition_phase_ms;
     out.stats.orch_schedule_ms += vp.schedule_phase_ms;
     out.stats.timings.orchestrate_ms = lap_ms(t0);
+    Clock::time_point fold_t0 = t0;
     if (opts.orch.fold_ports)
         out.stats.folded_port_ops = fold_port_operands(vp, fn);
+    out.stats.link_portfold_ms = lap_ms(fold_t0);
     LinkStats ls;
     out.program = link_program(fn, vp, machine, &ls);
+    out.stats.link_regalloc_ms = ls.regalloc_ms;
     out.stats.timings.link_ms = lap_ms(t0);
 
     out.stats.dynamic_refs = vp.dynamic_refs;

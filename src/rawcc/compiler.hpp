@@ -96,6 +96,10 @@ struct CompileStats
     double orch_partition_ms = 0;
     /** Parallel schedule+emit phase inside orchestrate_ms (ms). */
     double orch_schedule_ms = 0;
+    /** Port-operand folding inside link_ms (ms). */
+    double link_portfold_ms = 0;
+    /** Per-tile register allocation inside link_ms (ms). */
+    double link_regalloc_ms = 0;
     /**
      * pgo_candidates() index of the program a --pgo race kept; 0 for
      * the plain candidate and for compiles without --pgo.

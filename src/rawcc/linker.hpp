@@ -18,9 +18,14 @@ struct LinkStats
 {
     int64_t spill_ops = 0;
     int total_spill_slots = 0;
+    /** Wall-clock of register allocation, summed over tiles (ms). */
+    double regalloc_ms = 0;
 };
 
-/** Allocate registers and lay out the final CompiledProgram. */
+/**
+ * Allocate registers and lay out the final CompiledProgram.  Consumes
+ * vp's switch streams: every vp.switches[t] is left empty.
+ */
 CompiledProgram link_program(const Function &fn, VirtualProgram &vp,
                              const MachineConfig &machine,
                              LinkStats *stats = nullptr);

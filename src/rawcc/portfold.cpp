@@ -1,9 +1,10 @@
 #include "rawcc/portfold.hpp"
 
-#include <unordered_map>
+#include <vector>
 
 #include "ir/eval.hpp"
 
+#include "support/epoch_marks.hpp"
 #include "support/error.hpp"
 
 namespace raw {
@@ -52,19 +53,36 @@ can_put_port_dst(Op op)
     }
 }
 
-int
-fold_block(std::vector<VInstr> &code, const Function &fn)
+/** Use counts within one stream, trusted only where seen is marked. */
+struct UseTable
 {
+    EpochMarks seen;
+    std::vector<int> count;
+};
+
+int
+fold_block(std::vector<VInstr> &code, const Function &fn, UseTable &uses)
+{
+    if (code.empty())
+        return 0;
     // Use counts of every value within this stream.
-    std::unordered_map<ValueId, int> uses;
+    uses.seen.next_epoch();
     for (const VInstr &in : code)
         for (ValueId s : in.src)
-            if (s >= 0)
-                uses[s]++;
+            if (s >= 0) {
+                if (uses.seen.mark(s))
+                    uses.count[s] = 0;
+                uses.count[s]++;
+            }
+    auto use_count = [&](ValueId v) {
+        return uses.seen.marked(v) ? uses.count[v] : 0;
+    };
 
+    // Compact in place: the write index w never passes the read
+    // index k, and each step reads code[k] (and code[k + 1]) before
+    // it writes code[w].
     int folded = 0;
-    std::vector<VInstr> out;
-    out.reserve(code.size());
+    size_t w = 0;
     size_t k = 0;
     while (k < code.size()) {
         const VInstr &cur = code[k];
@@ -72,7 +90,7 @@ fold_block(std::vector<VInstr> &code, const Function &fn)
         // RECV t ; op ..., t, ...   ->   op ..., <port>, ...
         if (cur.op == Op::kRecv && k + 1 < code.size() &&
             cur.dst >= 0 && !fn.values[cur.dst].is_var &&
-            uses[cur.dst] == 1) {
+            use_count(cur.dst) == 1) {
             VInstr next = code[k + 1];
             bool next_has_port = next.src[0] == kPortOperand ||
                                  next.src[1] == kPortOperand;
@@ -89,7 +107,7 @@ fold_block(std::vector<VInstr> &code, const Function &fn)
             if (slot >= 0 && slot_ok && !next_has_port &&
                 can_take_port_src(next.op)) {
                 next.src[slot] = kPortOperand;
-                out.push_back(next);
+                code[w++] = next;
                 folded++;
                 k += 2;
                 continue;
@@ -98,7 +116,7 @@ fold_block(std::vector<VInstr> &code, const Function &fn)
 
         // op t, ... ; SEND t   ->   op <port>, ...
         if (k + 1 < code.size() && cur.dst >= 0 &&
-            !fn.values[cur.dst].is_var && uses[cur.dst] == 1 &&
+            !fn.values[cur.dst].is_var && use_count(cur.dst) == 1 &&
             can_put_port_dst(cur.op) &&
             cur.src[0] != kPortOperand &&
             cur.src[1] != kPortOperand) {
@@ -106,17 +124,19 @@ fold_block(std::vector<VInstr> &code, const Function &fn)
             if (next.op == Op::kSend && next.src[0] == cur.dst) {
                 VInstr prod = cur;
                 prod.dst = kPortOperand;
-                out.push_back(prod);
+                code[w++] = prod;
                 folded++;
                 k += 2;
                 continue;
             }
         }
 
-        out.push_back(cur);
+        if (w != k)
+            code[w] = cur;
+        w++;
         k++;
     }
-    code = std::move(out);
+    code.resize(w);
     return folded;
 }
 
@@ -125,10 +145,13 @@ fold_block(std::vector<VInstr> &code, const Function &fn)
 int
 fold_port_operands(VirtualProgram &vp, const Function &fn)
 {
+    UseTable uses;
+    uses.seen.resize(fn.values.size());
+    uses.count.resize(fn.values.size());
     int folded = 0;
     for (auto &tile : vp.tiles)
         for (auto &block : tile)
-            folded += fold_block(block, fn);
+            folded += fold_block(block, fn, uses);
     return folded;
 }
 

@@ -1,8 +1,7 @@
 #include "rawcc/regalloc.hpp"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -17,6 +16,21 @@ struct Interval
     int end;
 };
 
+/** Grow @p sc's tables to cover @p n values; new entries are unset. */
+void
+size_scratch(RegallocScratch &sc, size_t n)
+{
+    if (sc.uses.size() >= n)
+        return;
+    sc.uses.resize(n, -1);
+    sc.pers_reg.resize(n, -1);
+    sc.mem_slot.resize(n, -1);
+    sc.temps.resize(n);
+    sc.ival.resize(n, -1);
+    sc.temp_reg.resize(n, -1);
+    sc.temp_slot.resize(n, -1);
+}
+
 } // namespace
 
 RegallocResult
@@ -24,65 +38,95 @@ allocate_registers(const Function &fn,
                    const std::vector<std::vector<VInstr>> &blocks,
                    const std::vector<ValueId> &persistent, int num_regs)
 {
+    RegallocScratch scratch;
+    RegallocResult out;
+    allocate_registers(fn, blocks, persistent, num_regs, scratch, out);
+    return out;
+}
+
+void
+allocate_registers(const Function &fn,
+                   const std::vector<std::vector<VInstr>> &blocks,
+                   const std::vector<ValueId> &persistent, int num_regs,
+                   RegallocScratch &sc, RegallocResult &out)
+{
     check(num_regs >= 8, "regalloc: too few registers");
     const int s0 = num_regs - 3, s1 = num_regs - 2, s2 = num_regs - 1;
     const int pool_size = num_regs - 3;
 
-    RegallocResult out;
     out.blocks.resize(blocks.size());
+    out.spill_ops = 0;
+    size_scratch(sc, fn.values.size());
 
     // ---- Persistent assignment by use count. ---------------------
-    std::unordered_map<ValueId, int64_t> use_count;
-    for (ValueId v : persistent)
-        use_count[v] = 0;
+    for (ValueId v : persistent) {
+        check(v >= 0 && static_cast<size_t>(v) < fn.values.size(),
+              "regalloc: persistent value out of range");
+        sc.uses[v] = 0;
+    }
     for (const auto &blk : blocks) {
         for (const VInstr &in : blk) {
             for (ValueId s : in.src)
-                if (s != kNoValue && use_count.count(s))
-                    use_count[s]++;
-            if (in.dst != kNoValue && use_count.count(in.dst))
-                use_count[in.dst]++;
+                if (s >= 0 && sc.uses[s] >= 0)
+                    sc.uses[s]++;
+            if (in.dst >= 0 && sc.uses[in.dst] >= 0)
+                sc.uses[in.dst]++;
         }
     }
     std::vector<ValueId> pers_sorted = persistent;
     std::sort(pers_sorted.begin(), pers_sorted.end(),
               [&](ValueId a, ValueId b) {
-                  if (use_count[a] != use_count[b])
-                      return use_count[a] > use_count[b];
+                  if (sc.uses[a] != sc.uses[b])
+                      return sc.uses[a] > sc.uses[b];
                   return a < b;
               });
     // Keep at least 8 pool registers for temporaries.
     int max_pers = pool_size > 16 ? pool_size - 8 : pool_size / 2;
-    std::unordered_map<ValueId, int> pers_reg;   // value -> phys
-    std::unordered_map<ValueId, int> mem_slot;   // value -> spill slot
     int next_slot = 0;
     for (size_t i = 0; i < pers_sorted.size(); i++) {
         if (static_cast<int>(i) < max_pers)
-            pers_reg[pers_sorted[i]] = static_cast<int>(i);
+            sc.pers_reg[pers_sorted[i]] = static_cast<int>(i);
         else
-            mem_slot[pers_sorted[i]] = next_slot++;
+            sc.mem_slot[pers_sorted[i]] = next_slot++;
     }
     const int temp_base = std::min<int>(
         static_cast<int>(pers_sorted.size()), max_pers);
     const int n_temp_regs = pool_size - temp_base;
     check(n_temp_regs >= 1, "regalloc: no temp registers left");
 
+    auto is_temp = [&](ValueId v) {
+        return v >= 0 && sc.pers_reg[v] < 0 && sc.mem_slot[v] < 0;
+    };
+
     // ---- Per-block temporaries. ----------------------------------
+    std::vector<Interval> order;
+    // Active intervals as (end, value), ascending by end; equal ends
+    // keep insertion order.
+    std::vector<std::pair<int, ValueId>> active;
+    // Free temp registers: the never-used ones temp_base + fresh and
+    // up sit below the stack of released ones, so the next register
+    // handed out is freed.back() if any, else temp_base + fresh.
+    std::vector<int> freed;
     for (size_t b = 0; b < blocks.size(); b++) {
         const std::vector<VInstr> &code = blocks[b];
+        std::vector<PInstr> &dst_code = out.blocks[b];
+        dst_code.clear();
+        if (code.empty())
+            continue;
+        sc.temps.next_epoch();
 
-        std::unordered_map<ValueId, Interval> ivals;
+        order.clear();
         auto touch = [&](ValueId v, int pos) {
-            if (v == kNoValue || v == kPortOperand ||
-                pers_reg.count(v) || mem_slot.count(v))
+            if (!is_temp(v))
                 return;
-            if (fn.values[v].is_var && use_count.count(v))
-                return; // persistent handled above
-            auto it = ivals.find(v);
-            if (it == ivals.end())
-                ivals[v] = {v, pos, pos};
-            else
-                it->second.end = pos;
+            if (sc.temps.mark(v)) {
+                sc.ival[v] = static_cast<int>(order.size());
+                sc.temp_reg[v] = -1;
+                sc.temp_slot[v] = -1;
+                order.push_back({v, pos, pos});
+            } else {
+                order[sc.ival[v]].end = pos;
+            }
         };
         for (size_t k = 0; k < code.size(); k++) {
             const VInstr &in = code[k];
@@ -90,11 +134,6 @@ allocate_registers(const Function &fn,
             touch(in.src[1], static_cast<int>(k));
             touch(in.dst, static_cast<int>(k));
         }
-
-        std::vector<Interval> order;
-        order.reserve(ivals.size());
-        for (auto &kv : ivals)
-            order.push_back(kv.second);
         std::sort(order.begin(), order.end(),
                   [](const Interval &a, const Interval &b) {
                       if (a.start != b.start)
@@ -103,43 +142,50 @@ allocate_registers(const Function &fn,
                   });
 
         // Linear scan with furthest-end spilling.
-        std::unordered_map<ValueId, int> temp_reg;
-        std::unordered_map<ValueId, int> temp_slot;
-        std::vector<int> free_regs;
-        for (int r = n_temp_regs; r-- > 0;)
-            free_regs.push_back(temp_base + r);
-        // Active intervals sorted by end.
-        std::multimap<int, ValueId> active;
+        active.clear();
+        freed.clear();
+        int fresh = 0;
+        auto activate = [&](const Interval &iv) {
+            auto at = std::upper_bound(
+                active.begin(), active.end(), iv.end,
+                [](int end, const std::pair<int, ValueId> &a) {
+                    return end < a.first;
+                });
+            active.insert(at, {iv.end, iv.value});
+        };
         for (const Interval &iv : order) {
-            while (!active.empty() &&
-                   active.begin()->first < iv.start) {
-                free_regs.push_back(temp_reg[active.begin()->second]);
-                active.erase(active.begin());
+            size_t expired = 0;
+            while (expired < active.size() &&
+                   active[expired].first < iv.start)
+                freed.push_back(sc.temp_reg[active[expired++].second]);
+            active.erase(active.begin(), active.begin() + expired);
+            if (!freed.empty()) {
+                sc.temp_reg[iv.value] = freed.back();
+                freed.pop_back();
+                activate(iv);
+                continue;
             }
-            if (!free_regs.empty()) {
-                temp_reg[iv.value] = free_regs.back();
-                free_regs.pop_back();
-                active.insert({iv.end, iv.value});
+            if (fresh < n_temp_regs) {
+                sc.temp_reg[iv.value] = temp_base + fresh++;
+                activate(iv);
                 continue;
             }
             // Spill the interval with the furthest end.
-            auto victim = std::prev(active.end());
-            if (victim->first > iv.end) {
-                ValueId vv = victim->second;
-                temp_reg[iv.value] = temp_reg[vv];
-                temp_reg.erase(vv);
-                if (!temp_slot.count(vv))
-                    temp_slot[vv] = next_slot++;
-                active.erase(victim);
-                active.insert({iv.end, iv.value});
-            } else {
-                if (!temp_slot.count(iv.value))
-                    temp_slot[iv.value] = next_slot++;
+            if (active.back().first > iv.end) {
+                ValueId vv = active.back().second;
+                sc.temp_reg[iv.value] = sc.temp_reg[vv];
+                sc.temp_reg[vv] = -1;
+                if (sc.temp_slot[vv] < 0)
+                    sc.temp_slot[vv] = next_slot++;
+                active.pop_back();
+                activate(iv);
+            } else if (sc.temp_slot[iv.value] < 0) {
+                sc.temp_slot[iv.value] = next_slot++;
             }
         }
 
         // ---- Rewrite. --------------------------------------------
-        std::vector<PInstr> &dst_code = out.blocks[b];
+        dst_code.reserve(code.size());
         auto emit_spill_load = [&](int slot, int scratch, Type ty) {
             PInstr l;
             l.op = Op::kLoad;
@@ -165,22 +211,19 @@ allocate_registers(const Function &fn,
                 return -1;
             if (v == kPortOperand)
                 return kPortOperand;
-            auto pr = pers_reg.find(v);
-            if (pr != pers_reg.end())
-                return pr->second;
-            auto pm = mem_slot.find(v);
-            if (pm != mem_slot.end()) {
-                emit_spill_load(pm->second, scratch,
+            if (sc.pers_reg[v] >= 0)
+                return sc.pers_reg[v];
+            if (sc.mem_slot[v] >= 0) {
+                emit_spill_load(sc.mem_slot[v], scratch,
                                 fn.values[v].type);
                 return scratch;
             }
-            auto tr = temp_reg.find(v);
-            if (tr != temp_reg.end())
-                return tr->second;
-            auto ts = temp_slot.find(v);
-            check(ts != temp_slot.end(),
+            if (sc.temp_reg[v] >= 0)
+                return sc.temp_reg[v];
+            check(sc.temp_slot[v] >= 0,
                   "regalloc: use of unallocated value");
-            emit_spill_load(ts->second, scratch, fn.values[v].type);
+            emit_spill_load(sc.temp_slot[v], scratch,
+                            fn.values[v].type);
             return scratch;
         };
 
@@ -202,19 +245,19 @@ allocate_registers(const Function &fn,
                 p.dst = -1;
             } else if (d == kPortOperand) {
                 p.dst = kPortOperand;
-            } else if (pers_reg.count(d)) {
-                p.dst = pers_reg[d];
-            } else if (mem_slot.count(d)) {
+            } else if (sc.pers_reg[d] >= 0) {
+                p.dst = sc.pers_reg[d];
+            } else if (sc.mem_slot[d] >= 0) {
                 p.dst = s2;
-                store_slot = mem_slot[d];
+                store_slot = sc.mem_slot[d];
                 store_type = fn.values[d].type;
-            } else if (temp_reg.count(d)) {
-                p.dst = temp_reg[d];
+            } else if (sc.temp_reg[d] >= 0) {
+                p.dst = sc.temp_reg[d];
             } else {
-                check(temp_slot.count(d) > 0,
+                check(sc.temp_slot[d] >= 0,
                       "regalloc: def of unallocated value");
                 p.dst = s2;
-                store_slot = temp_slot[d];
+                store_slot = sc.temp_slot[d];
                 store_type = fn.values[d].type;
             }
             dst_code.push_back(p);
@@ -223,8 +266,13 @@ allocate_registers(const Function &fn,
         }
     }
 
+    // The persistent class is per tile: unset it for the next call.
+    for (ValueId v : persistent) {
+        sc.uses[v] = -1;
+        sc.pers_reg[v] = -1;
+        sc.mem_slot[v] = -1;
+    }
     out.spill_slots = next_slot;
-    return out;
 }
 
 } // namespace raw

@@ -20,13 +20,20 @@
  *
  * Spill code (2-cycle reloads) is inserted into the stream; by the
  * static ordering property this never affects correctness, only time.
+ *
+ * Every per-value lookup goes through dense tables indexed by
+ * ValueId.  With the tables reused across tiles (RegallocScratch), a
+ * tile costs its emitted code plus its persistent set, not the
+ * function's value count.
  */
 
+#include <cstdint>
 #include <vector>
 
 #include "ir/function.hpp"
 #include "rawcc/orchestrater.hpp"
 #include "sim/isa.hpp"
+#include "support/epoch_marks.hpp"
 
 namespace raw {
 
@@ -42,6 +49,27 @@ struct RegallocResult
 };
 
 /**
+ * Dense per-value tables, sized to the function's value table once and
+ * reused for every tile of one link.  The persistent entries are reset
+ * at the end of each tile; the per-block entries are valid only where
+ * temps marks the value, and each block starts a new epoch of temps,
+ * so a block never clears them.  Owned by the caller's frame and used
+ * by one thread at a time; a call that throws leaves it unusable.
+ */
+struct RegallocScratch
+{
+    // Persistent class of the current tile (-1 = not persistent).
+    std::vector<int64_t> uses;
+    std::vector<int> pers_reg;
+    std::vector<int> mem_slot;
+    // Per-block temporaries.
+    EpochMarks temps;
+    std::vector<int> ival;
+    std::vector<int> temp_reg;
+    std::vector<int> temp_slot;
+};
+
+/**
  * Allocate registers for one tile's virtual code.
  *
  * @param fn         the function (value table)
@@ -53,6 +81,17 @@ RegallocResult allocate_registers(
     const Function &fn,
     const std::vector<std::vector<VInstr>> &blocks,
     const std::vector<ValueId> &persistent, int num_regs);
+
+/**
+ * As above, reusing @p scratch's tables and @p out's block buffers
+ * across calls: @p out is overwritten, and a block's buffer keeps its
+ * capacity from the previous call.
+ */
+void allocate_registers(const Function &fn,
+                        const std::vector<std::vector<VInstr>> &blocks,
+                        const std::vector<ValueId> &persistent,
+                        int num_regs, RegallocScratch &scratch,
+                        RegallocResult &out);
 
 } // namespace raw
 

@@ -5,9 +5,9 @@
 namespace raw {
 
 CongruenceMap::CongruenceMap(const Function &fn)
-    : fn_(&fn), facts_(fn.values.size(), Congruence::top()),
-      stamp_(fn.values.size(), 0)
+    : fn_(&fn), facts_(fn.values.size(), Congruence::top())
 {
+    known_.resize(fn.values.size());
 }
 
 CongruenceMap::CongruenceMap(const Function &fn, int block_id)
@@ -19,10 +19,10 @@ CongruenceMap::CongruenceMap(const Function &fn, int block_id)
 void
 CongruenceMap::analyze(int block_id)
 {
-    epoch_++;
+    known_.next_epoch();
     if (facts_.size() < fn_->values.size()) {
         facts_.resize(fn_->values.size(), Congruence::top());
-        stamp_.resize(fn_->values.size(), 0);
+        known_.resize(fn_->values.size());
     }
     const Block &blk = fn_->blocks[block_id];
     for (const EntryFact &f : blk.entry_facts)

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "ir/function.hpp"
+#include "support/epoch_marks.hpp"
 #include "support/mathutil.hpp"
 
 namespace raw {
@@ -46,7 +47,7 @@ class CongruenceMap
     /** Fact for @p v (top if unknown). */
     const Congruence &get(ValueId v) const
     {
-        return stamp_[v] == epoch_ ? facts_[v] : top_;
+        return known_.marked(v) ? facts_[v] : top_;
     }
 
     /**
@@ -61,15 +62,14 @@ class CongruenceMap
     void set(ValueId v, const Congruence &c)
     {
         facts_[v] = c;
-        stamp_[v] = epoch_;
+        known_.mark(v);
     }
 
     const Function *fn_;
     std::vector<Congruence> facts_;
-    // Entries are valid only when their stamp matches the current
-    // epoch; everything else reads as top without a per-block sweep.
-    std::vector<uint32_t> stamp_;
-    uint32_t epoch_ = 0;
+    // Entries are valid only where known_ marks them; everything else
+    // reads as top without a per-block sweep.
+    EpochMarks known_;
     Congruence top_ = Congruence::top();
 };
 

@@ -109,8 +109,9 @@ if (x > 0) { A[0] = 1; } else { A[0] = 2; }
     ValueId x = var_named(fn, "x");
     EXPECT_FALSE(repl.var_replicated(x)) << "x comes from memory";
     for (size_t b = 0; b < fn.blocks.size(); b++)
-        if (fn.blocks[b].terminator().op == Op::kBranch)
+        if (fn.blocks[b].terminator().op == Op::kBranch) {
             EXPECT_FALSE(repl.branch_replicated(static_cast<int>(b)));
+        }
 }
 
 TEST(Replication, FloatVariablesNeverReplicate)
@@ -160,9 +161,10 @@ for (i = 0; i < 64; i = i + 4) {
             const Instr &in = fn.blocks[b].instrs[k];
             for (int s = 0; s < in.num_srcs(); s++) {
                 ValueId v = in.src[s];
-                if (!fn.values[v].is_var)
+                if (!fn.values[v].is_var) {
                     EXPECT_TRUE(defined.count(v))
                         << "temp used before cloned def, block " << b;
+                }
             }
             if (in.has_dst() && !fn.values[in.dst].is_var)
                 defined.insert(in.dst);

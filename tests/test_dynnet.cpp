@@ -159,8 +159,9 @@ print(s);
         RunResult par = run_rawcc(src, MachineConfig::base(n), "A");
         EXPECT_EQ(par.prints, base.prints) << n;
         EXPECT_EQ(par.check_words, base.check_words) << n;
-        if (n > 1)
+        if (n > 1) {
             EXPECT_GT(par.sim.dyn_messages, 0) << n;
+        }
     }
 }
 

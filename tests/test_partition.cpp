@@ -99,8 +99,9 @@ TEST(Cluster, DSCProducesValidClustering)
     // Pinned nodes land in clusters pinned to the same tile.
     for (size_t i = 0; i < c.graph->nodes().size(); i++) {
         int pin = c.graph->nodes()[i].pin;
-        if (pin >= 0)
+        if (pin >= 0) {
             EXPECT_EQ(cl.pin_of[cl.cluster_of[i]], pin);
+        }
     }
 }
 
@@ -180,9 +181,11 @@ TEST(Place, AnnealRunsAndHonorsPins)
     PartitionOptions opts;
     opts.place_mode = PlaceMode::kAnneal;
     Partition p = partition_taskgraph(*c.graph, c.machine, opts);
-    for (size_t i = 0; i < c.graph->nodes().size(); i++)
-        if (c.graph->nodes()[i].pin >= 0)
+    for (size_t i = 0; i < c.graph->nodes().size(); i++) {
+        if (c.graph->nodes()[i].pin >= 0) {
             EXPECT_EQ(p.tile_of[i], c.graph->nodes()[i].pin);
+        }
+    }
 }
 
 TEST(Partition, SingleTileDegenerate)
@@ -201,9 +204,11 @@ TEST(Partition, UnitNodesModeWorks)
     PartitionOptions opts;
     opts.cluster_mode = ClusterMode::kUnitNodes;
     Partition p = partition_taskgraph(*c.graph, c.machine, opts);
-    for (size_t i = 0; i < c.graph->nodes().size(); i++)
-        if (c.graph->nodes()[i].pin >= 0)
+    for (size_t i = 0; i < c.graph->nodes().size(); i++) {
+        if (c.graph->nodes()[i].pin >= 0) {
             EXPECT_EQ(p.tile_of[i], c.graph->nodes()[i].pin);
+        }
+    }
 }
 
 TEST(Partition, CrossEdgesCounted)

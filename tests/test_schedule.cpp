@@ -100,8 +100,9 @@ TEST(RouteTree, SwitchRegisterDelivery)
     p.dests = {{0, false, true}, {1, true, true}};
     RouteTree t = build_route_tree(m, p);
     for (const TreeHop &h : t.hops) {
-        if (h.tile == 0)
+        if (h.tile == 0) {
             EXPECT_TRUE(h.to_reg);
+        }
         if (h.tile == 1) {
             EXPECT_TRUE(h.to_reg);
             EXPECT_TRUE(h.out_mask &

@@ -115,19 +115,22 @@ TEST_P(CongruenceProperty, SoundUnderSampling)
             Congruence sum = a + b;
             Congruence dif = a - b;
             Congruence prod = a * b;
-            if (!sum.is_top())
+            if (!sum.is_top()) {
                 EXPECT_EQ(floor_mod(x + y, sum.modulus == 0
                                                ? INT64_MAX
                                                : sum.modulus),
                           sum.modulus == 0
                               ? x + y
                               : floor_mod(sum.residue, sum.modulus));
-            if (!dif.is_top() && dif.modulus != 0)
+            }
+            if (!dif.is_top() && dif.modulus != 0) {
                 EXPECT_EQ(floor_mod(x - y, dif.modulus),
                           floor_mod(dif.residue, dif.modulus));
-            if (!prod.is_top() && prod.modulus != 0)
+            }
+            if (!prod.is_top() && prod.modulus != 0) {
                 EXPECT_EQ(floor_mod(x * y, prod.modulus),
                           floor_mod(prod.residue, prod.modulus));
+            }
         }
     }
 }

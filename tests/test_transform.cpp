@@ -106,9 +106,10 @@ print(b);
         } else {
             EXPECT_FALSE(seen_writeback)
                 << "non-writeback after writeback at " << k;
-            if (in.has_dst())
+            if (in.has_dst()) {
                 EXPECT_FALSE(fn.values[in.dst].is_var)
                     << "variable written mid-block";
+            }
         }
     }
     EXPECT_EQ(writebacks, 2) << "one write-back per written variable";
@@ -128,9 +129,11 @@ print(a);
     // local redefinition... which renaming moved to the end, so the
     // print must read a temp, not the variable.
     const Block &blk = fn.blocks[0];
-    for (const Instr &in : blk.instrs)
-        if (in.op == Op::kPrint)
+    for (const Instr &in : blk.instrs) {
+        if (in.op == Op::kPrint) {
             EXPECT_FALSE(fn.values[in.src[0]].is_var);
+        }
+    }
 }
 
 TEST(Simplify, FoldsConstantBranches)

@@ -132,6 +132,9 @@ print_compile_timing(const raw::CompileStats &st)
     std::printf("orchestrate phases:  partition %.2f ms, "
                 "schedule %.2f ms\n",
                 st.orch_partition_ms, st.orch_schedule_ms);
+    std::printf("link phases:         portfold %.2f ms, "
+                "regalloc %.2f ms\n",
+                st.link_portfold_ms, st.link_regalloc_ms);
 }
 
 std::string
